@@ -39,8 +39,8 @@ from .errors import (
     SplitUndefined,
 )
 from .exchange import Exchange, Side
-from .genperm import Orientation
-from .rationals import format_fraction
+from .genperm import GeneralizedPermutation
+from .rationals import common_denominator, format_fraction, to_grid
 
 DEFAULT_SPLIT_BUDGET = 10_000
 DEFAULT_PIECE_BUDGET = 10**6
@@ -143,11 +143,6 @@ class RigidityRecord:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "defect": format_fraction(self.defect), "flagged": self.flagged}
-
-
-def _overlap(lo1: Fraction, hi1: Fraction, lo2: Fraction, hi2: Fraction) -> Fraction:
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    return hi - lo if hi > lo else Fraction(0)
 
 
 def _image_of_int_interval(
@@ -348,33 +343,32 @@ def find_cyclic_tower(
     if budget < 0:
         raise InvalidInput("budget must be nonnegative")
 
-    total = x.total_measure
-    labels = sorted(x.perm.alphabet)
-    norms = {label: 1 for label in labels}
-    current = x
+    # The expansion runs on the integer grid of x; certificates convert
+    # back to fractions.  Both screens compare exact integer cross products.
+    denom = common_denominator(x.widths.values())
+    widths = to_grid(x.widths, denom)
+    start_length = sum(widths[a] for a in x.perm.top)
+    d_num, d_den = delta.numerator, delta.denominator
+    norms = {label: 1 for label in x.perm.alphabet}
+    node = x.perm
+    walk = rauzy._walk(x)
     depth = 0
     while True:
-        side_length = current.side_length
-        for band in labels:
-            if current.perm.orientation_of(band) is not Orientation.PRESERVING:
-                continue
+        for band in node.preserving_bands():
             height = norms[band]
             if height_coprime_to is not None and height % height_coprime_to == 0:
                 continue
-            width = current.widths[band]
-            union_fraction = Fraction(2) * height * width / total
-            if 1 - union_fraction >= delta:
+            width = widths[band]
+            # The covered fraction 2 * height * width / total measure of x.
+            if (start_length - height * width) * d_den >= d_num * start_length:
                 continue
-            ends = current.end_intervals(band)
-            if len(ends) != 2:
-                raise InconsistentStage(f"preserving band {band} lacks two ends")
-            (s1, lo1, hi1), (s2, lo2, hi2) = ends
+            (s1, lo1, hi1), (s2, lo2, hi2) = ends = _grid_ends(node, widths, band)
             if s1 is s2:
                 raise InconsistentStage(f"preserving band {band} has same-side ends")
             # The height-iterate of the base is its own side swap, so the
             # return overlap is twice the intersection of the end spans.
-            overlap = _overlap(lo1, hi1, lo2, hi2)
-            if 1 - overlap / width >= delta:
+            overlap = max(0, min(hi1, hi2) - max(lo1, lo2))
+            if (width - overlap) * d_den >= d_num * width:
                 continue
             if 2 * height > verify_budget:
                 # Heights only grow along the expansion, so a qualifying
@@ -387,9 +381,11 @@ def find_cyclic_tower(
                 band=band,
                 depth=depth,
                 height=height,
-                base=ends,
+                base=tuple(
+                    (side, Fraction(lo, denom), Fraction(hi, denom)) for side, lo, hi in ends
+                ),
                 delta=delta,
-                xi=1 - width / side_length,
+                xi=1 - Fraction(width, sum(widths[a] for a in node.top)),
             )
             report = verify_tower(x, tower, step_budget=verify_budget)
             if report.passed:
@@ -397,11 +393,27 @@ def find_cyclic_tower(
         if depth >= budget:
             raise BudgetExceeded(f"no tower with delta {delta} within {budget} splits")
         try:
-            current, step = rauzy.split(current)
+            node, widths, step = next(walk)
         except SplitUndefined as err:
             raise ExpansionHalted(err, depth) from err
         norms[step.loser] += norms[step.winner]
         depth += 1
+
+
+def _grid_ends(
+    node: GeneralizedPermutation, widths: dict[str, int], band: str
+) -> tuple[tuple[Side, int, int], ...]:
+    """The side intervals of a band's two ends, on the integer grid."""
+    n_top = len(node.top)
+    out = []
+    for p in node.positions_of(band):
+        if p < n_top:
+            side, row, k = Side.TOP, node.top, p
+        else:
+            side, row, k = Side.BOTTOM, node.bottom, p - n_top
+        lo = sum(widths[a] for a in row[:k])
+        out.append((side, lo, lo + widths[band]))
+    return tuple(out)
 
 
 _Piece = tuple[Side, Fraction, Fraction, Side, int, Fraction]

@@ -16,6 +16,7 @@ from . import approx, diagram, genperm, lab, modp, rauzy
 from .errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
+    InconsistentStage,
     InvariantViolation,
     LinvexError,
     NotReturning,
@@ -457,7 +458,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InvariantViolation as err:
+    except (InvariantViolation, InconsistentStage) as err:
         sys.stderr.write(f"INVARIANT VIOLATION: {err}\n")
         return EXIT_VIOLATION
     except _BUDGET_ERRORS as err:

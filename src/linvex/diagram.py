@@ -5,8 +5,9 @@ paths in the graph line up with matrix cocycle bookkeeping.  Each node
 has at most two outgoing edges, one per split direction.  A direction is
 present exactly when the witness solver finds positive widths satisfying
 the switch condition that make the direction's winner strictly wider; the
-edge target is then computed by running the actual split on the witness
-exchange, and the witness is stored on the edge for reproducibility.
+edge target is then computed by running the actual split (on the integer
+grid of the witness widths), and the witness is stored on the edge for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import rauzy
-from .errors import ClosureBudgetExceeded, Unreachable
-from .exchange import Exchange
+from .errors import ClosureBudgetExceeded, InconsistentStage, Unreachable
+from .exchange import validate_widths
 from .genperm import GeneralizedPermutation, is_combinatorially_reducible
-from .rationals import format_fraction
+from .rationals import common_denominator, format_fraction, to_grid
 
 DEFAULT_NODE_BUDGET = 100_000
 
@@ -83,15 +84,18 @@ def node_edges(perm: GeneralizedPermutation) -> tuple[Edge, ...]:
         witness = rauzy.direction_witness(perm, kind)
         if witness is None:
             continue
-        induced, step = rauzy.split(Exchange(perm, witness))
-        assert step.kind is kind
+        witness = validate_widths(perm, witness)
+        grid = to_grid(witness, common_denominator(witness.values()))
+        target, _, step = rauzy._step(perm, grid)
+        if step.kind is not kind:
+            raise InconsistentStage(f"the {kind.value} witness of {perm} split the other way")
         out.append(
             Edge(
                 source=perm,
                 kind=kind,
                 winner=step.winner,
                 loser=step.loser,
-                target=induced.perm,
+                target=target,
                 witness=tuple(sorted(witness.items())),
             )
         )

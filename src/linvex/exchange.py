@@ -39,7 +39,7 @@ from .errors import (
     SwitchConditionViolated,
 )
 from .genperm import GeneralizedPermutation
-from .rationals import format_fraction, one_norm
+from .rationals import common_denominator, format_fraction, one_norm, to_grid
 
 DEFAULT_RETURN_BUDGET = 10**6
 
@@ -273,70 +273,12 @@ class Exchange:
             cursor = seg_hi
         return pieces, split
 
-    def _first_return_pieces_int(
-        self, cut: Fraction, budget: int
-    ) -> tuple[int, list[tuple]]:
-        """Integer-grid return chaser; sides are 0 (top) and 1 (bottom).
-
-        Returns the common denominator and pieces
-        (src_side, src_lo, src_hi, out_side, out_lo, out_hi, slope, steps)
-        with every coordinate an integer multiple of 1 / denominator.
-        """
+    def _scaled(self, cut: Fraction) -> tuple[int, dict[str, int], int]:
+        """Widths and cut on their common grid: (denominator, widths, cut)."""
         if not (0 < cut <= self.side_length):
             raise InvalidInput(f"cut {cut} outside (0, {self.side_length}]")
-        denom = cut.denominator
-        for w in self.widths.values():
-            denom = denom * w.denominator // math.gcd(denom, w.denominator)
-        cut_int = int(cut * denom)
-        starts = {0: [], 1: []}
-        pos_of = {0: [], 1: []}
-        for side_idx, side in ((0, Side.TOP), (1, Side.BOTTOM)):
-            starts[side_idx] = [int(s * denom) for s in self._starts[side]]
-            pos_of[side_idx] = list(self._positions[side])
-        out_side = [0 if s is Side.TOP else 1 for s in self._apply_side]
-        slopes = self._apply_slope
-        consts = [int(c * denom) for c in self._apply_const]
-        length = int(self.side_length * denom)
-
-        work: deque = deque()
-        for side_idx in (0, 1):
-            edges = [0]
-            edges.extend(s for s in starts[side_idx] if 0 < s < cut_int)
-            edges.append(cut_int)
-            for lo, hi in zip(edges, edges[1:]):
-                work.append((side_idx, lo, hi, side_idx, lo, hi, 1, 0))
-
-        done: list[tuple] = []
-        while work:
-            item = work.popleft()
-            side, slo, shi, cs, clo, chi, slope, steps = item
-            if steps > 0:
-                if chi <= cut_int:
-                    done.append(item)
-                    continue
-                if clo < cut_int:
-                    work.extend(_split_item(*item, at=cut_int))
-                    continue
-            if steps >= budget:
-                raise NotReturning(
-                    f"piece [{slo}, {shi}) on side {side} exceeded {budget} steps"
-                )
-            side_starts = starts[cs]
-            idx = bisect_right(side_starts, clo) - 1
-            end_hi = side_starts[idx + 1] if idx + 1 < len(side_starts) else length
-            if chi > end_hi:
-                work.extend(_split_item(*item, at=end_hi))
-                continue
-            p = pos_of[cs][idx]
-            const, pslope = consts[p], slopes[p]
-            if pslope == 1:
-                nlo, nhi = const + clo, const + chi
-            else:
-                nlo, nhi = const - chi, const - clo
-            work.append(
-                (side, slo, shi, out_side[p], nlo, nhi, slope * pslope, steps + 1)
-            )
-        return denom, done
+        denom = common_denominator([cut, *self.widths.values()])
+        return denom, to_grid(self.widths, denom), cut.numerator * (denom // cut.denominator)
 
     def first_return_pieces(
         self, cut: Fraction, budget: int = DEFAULT_RETURN_BUDGET
@@ -348,7 +290,8 @@ class Exchange:
         split exactly at layout breakpoints and at the cut, so every
         recorded piece has a constant return time and slope +-1.
         """
-        denom, raw = self._first_return_pieces_int(Fraction(cut), budget)
+        denom, widths, cut_int = self._scaled(Fraction(cut))
+        raw = _chase(_grid_layout(self.perm, widths), cut_int, budget)
         sides = (Side.TOP, Side.BOTTOM)
         return [
             ReturnPiece(
@@ -374,9 +317,11 @@ class Exchange:
         reproduces the usual induction labels at a Rauzy cut.  Otherwise
         all bands get fresh canonical names.
         """
-        cut = Fraction(cut)
-        denom, raw = self._first_return_pieces_int(cut, budget)
-        return _reconstruct(self, cut, denom, raw)
+        denom, widths, cut_int = self._scaled(Fraction(cut))
+        induced, induced_widths = first_return_on_grid(self.perm, widths, cut_int, budget)
+        return Exchange(
+            induced, {label: Fraction(v, denom) for label, v in induced_widths.items()}
+        )
 
     def integer_layout(self) -> "IntegerLayout":
         """The layout scaled to a common denominator, for fast exact orbits."""
@@ -399,6 +344,55 @@ def build(perm: GeneralizedPermutation, widths: Mapping[str, Fraction]) -> Excha
     return Exchange(perm, widths)
 
 
+class _GridLayout(NamedTuple):
+    """Integer layout of a permutation with integer widths.
+
+    Sides are 0 (top) and 1 (bottom); the end at index ``idx`` of side
+    ``s`` is global position ``offset[s] + idx``, and the map sends offset
+    t of position p to ``const[p] + slope[p] * t`` on ``out_side[p]``.
+    """
+
+    starts: tuple[list[int], list[int]]
+    offset: tuple[int, int]
+    out_side: list[int]
+    slope: list[int]
+    const: list[int]
+    length: int
+
+
+def _grid_layout(perm: GeneralizedPermutation, widths: Mapping[str, int]) -> _GridLayout:
+    rows = (perm.top, perm.bottom)
+    starts: tuple[list[int], list[int]] = ([], [])
+    totals = []
+    for side, row in enumerate(rows):
+        cursor = 0
+        side_starts = starts[side]
+        for label in row:
+            side_starts.append(cursor)
+            cursor += widths[label]
+        totals.append(cursor)
+    if totals[0] != totals[1]:
+        raise InconsistentStage("layout does not tile both sides equally")
+    n_top = len(perm.top)
+    labels = perm.top + perm.bottom
+    pos_start = starts[0] + starts[1]
+    total = len(labels)
+    out_side = [0] * total
+    slope = [1] * total
+    const = [0] * total
+    involution = perm.involution
+    for p in range(total):
+        q = involution[p]
+        q_bottom = q >= n_top
+        out_side[p] = 0 if q_bottom else 1
+        if (p >= n_top) == q_bottom:
+            slope[p] = -1
+            const[p] = pos_start[q] + widths[labels[p]] + pos_start[p]
+        else:
+            const[p] = pos_start[q] - pos_start[p]
+    return _GridLayout(starts, (0, n_top), out_side, slope, const, totals[0])
+
+
 def _split_item(side, slo, shi, cs, clo, chi, slope, steps, at):
     """Split a work item at image ordinate ``at`` in (clo, chi)."""
     if slope == 1:
@@ -414,11 +408,71 @@ def _split_item(side, slo, shi, cs, clo, chi, slope, steps, at):
     ]
 
 
-def _reconstruct(
-    original: Exchange, cut: Fraction, denom: int, pieces: Sequence[tuple]
-) -> Exchange:
-    """Assemble the induced exchange from integer-grid return pieces."""
-    cut_int = int(cut * denom)
+def _chase(layout: _GridLayout, cut: int, budget: int) -> list[tuple]:
+    """Integer first-return chase to the cut; sides are 0 (top) and 1 (bottom).
+
+    Returns pieces (src_side, src_lo, src_hi, out_side, out_lo, out_hi,
+    slope, steps) on the layout's grid.
+    """
+    starts, offset, out_side, slopes, consts, length = layout
+    work: deque = deque()
+    for side_idx in (0, 1):
+        edges = [0]
+        edges.extend(s for s in starts[side_idx] if 0 < s < cut)
+        edges.append(cut)
+        for lo, hi in zip(edges, edges[1:]):
+            work.append((side_idx, lo, hi, side_idx, lo, hi, 1, 0))
+
+    done: list[tuple] = []
+    while work:
+        item = work.popleft()
+        side, slo, shi, cs, clo, chi, slope, steps = item
+        if steps > 0:
+            if chi <= cut:
+                done.append(item)
+                continue
+            if clo < cut:
+                work.extend(_split_item(*item, at=cut))
+                continue
+        if steps >= budget:
+            raise NotReturning(
+                f"piece [{slo}, {shi}) on side {side} exceeded {budget} steps"
+            )
+        side_starts = starts[cs]
+        idx = bisect_right(side_starts, clo) - 1
+        end_hi = side_starts[idx + 1] if idx + 1 < len(side_starts) else length
+        if chi > end_hi:
+            work.extend(_split_item(*item, at=end_hi))
+            continue
+        p = offset[cs] + idx
+        const, pslope = consts[p], slopes[p]
+        if pslope == 1:
+            nlo, nhi = const + clo, const + chi
+        else:
+            nlo, nhi = const - chi, const - clo
+        work.append(
+            (side, slo, shi, out_side[p], nlo, nhi, slope * pslope, steps + 1)
+        )
+    return done
+
+
+def first_return_on_grid(
+    perm: GeneralizedPermutation,
+    widths: Mapping[str, int],
+    cut: int,
+    budget: int = DEFAULT_RETURN_BUDGET,
+) -> tuple[GeneralizedPermutation, dict[str, int]]:
+    """The induced permutation and integer widths on [0, cut) of each side.
+
+    The integer core of ``Exchange.first_return_map``: widths and cut live
+    on one grid, and the induced widths stay on it.  The return pieces are
+    checked to tile both sides up to the cut, to be isometries, and to pair
+    up under the induced flow as a fixed-point-free involution; a failure
+    raises InconsistentStage.  Tiling both sides to the same length also
+    gives the induced switch condition, and every piece is nonempty.
+    """
+    layout = _grid_layout(perm, widths)
+    pieces = _chase(layout, cut, budget)
     by_side: dict[int, list[tuple]] = {0: [], 1: []}
     for piece in pieces:
         by_side[piece[0]].append(piece)
@@ -434,7 +488,7 @@ def _reconstruct(
                 raise InconsistentStage("return piece is not an isometry")
             cursor = shi
             index[(side, slo)] = piece
-        if cursor != cut_int:
+        if cursor != cut:
             raise InconsistentStage("return pieces do not reach the cut")
 
     # Pair each piece with its partner under the flow part of the induced
@@ -467,13 +521,9 @@ def _reconstruct(
         bands.append((key, mate))
 
     old_ends: dict[tuple[int, int, int], str] = {}
-    for p in range(2 * original.perm.band_count):
-        lo = original._pos_start[p]
-        hi = lo + original._pos_width[p]
-        lo_int = lo.numerator * (denom // lo.denominator)
-        hi_int = hi.numerator * (denom // hi.denominator)
-        side = 0 if original._pos_side[p] is Side.TOP else 1
-        old_ends[(side, lo_int, hi_int)] = original._pos_label[p]
+    for side, row in enumerate((perm.top, perm.bottom)):
+        for lo, label in zip(layout.starts[side], row):
+            old_ends[(side, lo, lo + widths[label])] = label
 
     claimed: dict[int, str] = {}
     used: dict[str, int] = {}
@@ -497,7 +547,7 @@ def _reconstruct(
             claimed[i] = label
     if inherited:
         leftover_bands = [i for i in range(len(bands)) if i not in claimed]
-        leftover_labels = [a for a in original.perm.alphabet if a not in used]
+        leftover_labels = [a for a in perm.alphabet if a not in used]
         if len(leftover_bands) == len(leftover_labels) == 1:
             claimed[leftover_bands[0]] = leftover_labels[0]
         elif leftover_bands or leftover_labels:
@@ -506,18 +556,17 @@ def _reconstruct(
         claimed = {i: f"b{i + 1}" for i in range(len(bands))}
 
     label_of_key: dict[tuple[int, int], str] = {}
-    widths: dict[str, Fraction] = {}
+    induced_widths: dict[str, int] = {}
     for i, (key, mate) in enumerate(bands):
         label = claimed[i]
         label_of_key[key] = label
         label_of_key[mate] = label
         piece = index[key]
-        widths[label] = Fraction(piece[2] - piece[1], denom)
+        induced_widths[label] = piece[2] - piece[1]
 
     top_row = [label_of_key[(0, piece[1])] for piece in by_side[0]]
     bottom_row = [label_of_key[(1, piece[1])] for piece in by_side[1]]
-    induced = genperm.validate(top_row, bottom_row)
-    return Exchange(induced, widths)
+    return genperm.validate(top_row, bottom_row), induced_widths
 
 
 class IntegerLayout:

@@ -42,6 +42,10 @@ class GeneralizedPermutation:
     alphabet: tuple[str, ...] = field(compare=False, repr=False)
     involution: tuple[int, ...] = field(compare=False, repr=False)
     classes: Mapping[str, Orientation] = field(compare=False, repr=False)
+    # The bands of each orientation class, in alphabet order.
+    preserving: tuple[str, ...] = field(compare=False, repr=False)
+    reversing_top: tuple[str, ...] = field(compare=False, repr=False)
+    reversing_bottom: tuple[str, ...] = field(compare=False, repr=False)
 
     @property
     def band_count(self) -> int:
@@ -57,13 +61,11 @@ class GeneralizedPermutation:
 
     @property
     def is_classical(self) -> bool:
-        return all(cls is Orientation.PRESERVING for cls in self.classes.values())
+        return not self.reversing_top and not self.reversing_bottom
 
     @property
     def is_non_classical(self) -> bool:
-        has_top = any(c is Orientation.REVERSING_TOP for c in self.classes.values())
-        has_bottom = any(c is Orientation.REVERSING_BOTTOM for c in self.classes.values())
-        return has_top and has_bottom
+        return bool(self.reversing_top) and bool(self.reversing_bottom)
 
     def label_at(self, position: int) -> str:
         if position < len(self.top):
@@ -84,17 +86,17 @@ class GeneralizedPermutation:
         return self.classes[label]
 
     def reversing_top_bands(self) -> tuple[str, ...]:
-        return tuple(a for a in self.alphabet if self.classes[a] is Orientation.REVERSING_TOP)
+        return self.reversing_top
 
     def reversing_bottom_bands(self) -> tuple[str, ...]:
-        return tuple(a for a in self.alphabet if self.classes[a] is Orientation.REVERSING_BOTTOM)
+        return self.reversing_bottom
 
     def preserving_bands(self) -> tuple[str, ...]:
-        return tuple(a for a in self.alphabet if self.classes[a] is Orientation.PRESERVING)
+        return self.preserving
 
     @property
     def has_preserving_band(self) -> bool:
-        return any(c is Orientation.PRESERVING for c in self.classes.values())
+        return bool(self.preserving)
 
     @property
     def is_all_reversing(self) -> bool:
@@ -105,7 +107,7 @@ class GeneralizedPermutation:
 
         Both reversing classes must be populated, or neither.
         """
-        return bool(self.reversing_top_bands()) == bool(self.reversing_bottom_bands())
+        return bool(self.reversing_top) == bool(self.reversing_bottom)
 
     def to_json_dict(self) -> dict:
         return {"top": list(self.top), "bottom": list(self.bottom)}
@@ -170,12 +172,18 @@ def _validate_cached(
         else:
             classes[label] = Orientation.PRESERVING
 
+    def members(orientation: Orientation) -> tuple[str, ...]:
+        return tuple(a for a in alphabet if classes[a] is orientation)
+
     return GeneralizedPermutation(
         top=top,
         bottom=bottom,
         alphabet=alphabet,
         involution=tuple(involution),
         classes=classes,
+        preserving=members(Orientation.PRESERVING),
+        reversing_top=members(Orientation.REVERSING_TOP),
+        reversing_bottom=members(Orientation.REVERSING_BOTTOM),
     )
 
 

@@ -26,7 +26,10 @@ from .genperm import GeneralizedPermutation
 
 @dataclass(frozen=True)
 class RemainderState:
-    """Column-norm remainders mod p at a node of the expansion."""
+    """Column-norm remainders mod p at a node of the expansion.
+
+    ``remainders`` holds (band, remainder) pairs in alphabet order.
+    """
 
     prime: int
     node: GeneralizedPermutation
@@ -106,10 +109,20 @@ def remainder_state(stage: rauzy.Stage, prime: int) -> RemainderState:
 def propagate(
     state: RemainderState, winner: str, loser: str, target: GeneralizedPermutation
 ) -> RemainderState:
-    """Push remainders through one split: loser gains the winner, mod p."""
-    values = state.as_dict()
-    values[loser] = (values[loser] + values[winner]) % state.prime
-    return _state(state.prime, target, values)
+    """Push remainders through one split: loser gains the winner, mod p.
+
+    The alphabet is fixed along an expansion and the remainders are in
+    alphabet order, so only the loser's entry is replaced.
+    """
+    alphabet = state.node.alphabet
+    if target.alphabet != alphabet:
+        raise InvalidInput(
+            f"split target alphabet {list(target.alphabet)} differs from {list(alphabet)}"
+        )
+    remainders = list(state.remainders)
+    i, j = alphabet.index(loser), alphabet.index(winner)
+    remainders[i] = (loser, (remainders[i][1] + remainders[j][1]) % state.prime)
+    return RemainderState(prime=state.prime, node=target, remainders=tuple(remainders))
 
 
 def check_claim_invariant(state: RemainderState) -> ClaimStatus:

@@ -7,6 +7,7 @@ precision is lost on round trips.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -32,6 +33,17 @@ def one_norm(values: Iterable[Fraction]) -> Fraction:
     for v in values:
         total += abs(v)
     return total
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators: the grid of the values."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def to_grid(values: Mapping[str, Fraction], denominator: int) -> dict[str, int]:
+    """Numerators on the grid of step 1 / denominator, which must be a
+    common multiple of the values' denominators."""
+    return {k: v.numerator * (denominator // v.denominator) for k, v in values.items()}
 
 
 def widths_to_json(widths: Mapping[str, Fraction]) -> dict[str, str]:

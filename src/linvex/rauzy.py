@@ -2,10 +2,18 @@
 
 One induction step compares the widths of the two critical bands (the
 rightmost on each side).  The wider band keeps its critical position and
-loses the narrower band's width; the induced exchange is computed by the
-first-return oracle of the exchange module rather than by a combinatorial
-insertion table, and the elementary matrix relation ``old = E @ new`` is
-checked on every step.
+loses the narrower band's width; the induced permutation and widths are
+computed by the first-return oracle of the exchange module rather than by
+a combinatorial insertion table, and the elementary matrix relation
+``old = E @ new`` is checked on every step.
+
+Widths live on one integer grid: widths only ever subtract, so the common
+denominator of the starting widths never changes along an expansion, and
+every step (chase, reconstruction checks, alphabet check, width relation)
+runs on the integer numerators.  An ``Exchange`` is materialized only at
+the API boundary: the public ``split`` converts in and out, and stages,
+towers and diagram edges convert back to fractions only for the values
+they emit.
 
 A stage is a finite splitting sequence with its accumulated integer
 matrix, the product of the elementary step factors.  The product is
@@ -19,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     EndpointHit,
@@ -32,9 +40,9 @@ from .errors import (
     SplitUndefinedSameBand,
     SplitUndefinedTie,
 )
-from .exchange import Exchange, Point
+from .exchange import Exchange, Point, first_return_on_grid
 from .genperm import GeneralizedPermutation, Orientation, critical_bands
-from .rationals import format_fraction
+from .rationals import common_denominator, format_fraction, to_grid
 
 
 class Matrix:
@@ -143,12 +151,17 @@ class SplitKind(Enum):
 
 @dataclass(frozen=True)
 class SplitStep:
-    """One induction step: which side won, and the elementary factor."""
+    """One induction step: which side won, over which sorted band labels."""
 
     kind: SplitKind
     winner: str
     loser: str
-    matrix: Matrix = field(compare=False, repr=False)
+    labels: tuple[str, ...] = field(compare=False, repr=False)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The elementary factor, built on access."""
+        return elementary_matrix(self.labels, self.winner, self.loser)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind.value, "winner": self.winner, "loser": self.loser}
@@ -193,41 +206,75 @@ class Stage:
         }
 
 
-def split(x: Exchange) -> tuple[Exchange, SplitStep]:
-    """One induction step, with the induced exchange from the return oracle.
+def _step(
+    perm: GeneralizedPermutation, widths: Mapping[str, int]
+) -> tuple[GeneralizedPermutation, dict[str, int], SplitStep]:
+    """One induction step on integer widths; returns (node, widths, step).
 
-    Raises the undefined-case errors when the critical bands coincide or
-    tie; verifies the elementary width relation exactly before returning.
+    The widths are numerators on one grid and the induced widths stay on
+    it.  Raises the undefined-case errors when the critical bands coincide
+    or tie, SplitInfeasible when the induced exchange loses the alphabet,
+    and InconsistentStage when the return oracle's checks or the width
+    relation ``old = E @ new`` fail.
     """
-    alpha_top, alpha_bottom = critical_bands(x.perm)
+    alpha_top, alpha_bottom = critical_bands(perm)
     if alpha_top == alpha_bottom:
         raise SplitUndefinedSameBand(f"band {alpha_top} occupies both critical positions")
-    w_top = x.widths[alpha_top]
-    w_bottom = x.widths[alpha_bottom]
+    w_top = widths[alpha_top]
+    w_bottom = widths[alpha_bottom]
     if w_top == w_bottom:
-        raise SplitUndefinedTie(f"critical widths tie at {w_top}")
+        raise SplitUndefinedTie(f"critical bands {alpha_top} and {alpha_bottom} tie in width")
     if w_top > w_bottom:
         kind, winner, loser = SplitKind.TOP_WINS, alpha_top, alpha_bottom
     else:
         kind, winner, loser = SplitKind.BOTTOM_WINS, alpha_bottom, alpha_top
 
-    cut = x.side_length - x.widths[loser]
-    induced = x.first_return_map(cut)
-    if induced.perm.alphabet != x.perm.alphabet:
+    cut = sum(widths[a] for a in perm.top) - widths[loser]
+    induced, induced_widths = first_return_on_grid(perm, widths, cut)
+    if induced.alphabet != perm.alphabet:
         raise SplitInfeasible(
-            f"induced exchange lost label correspondence: {induced.perm.alphabet}"
+            f"induced exchange lost label correspondence: {induced.alphabet}"
         )
     # old = E @ new with E = I + (winner row, loser column).
-    for band in x.perm.alphabet:
-        expected = induced.widths[band]
+    for band in perm.alphabet:
+        expected = induced_widths[band]
         if band == winner:
-            expected = expected + induced.widths[loser]
-        if x.widths[band] != expected:
+            expected += induced_widths[loser]
+        if widths[band] != expected:
             raise InconsistentStage(
-                f"width relation failed on band {band}: {x.widths[band]} vs {expected}"
+                f"width relation failed on band {band}: {widths[band]} vs {expected}"
             )
-    step = SplitStep(kind, winner, loser, elementary_matrix(sorted(x.perm.alphabet), winner, loser))
-    return induced, step
+    return induced, induced_widths, SplitStep(kind, winner, loser, perm.alphabet)
+
+
+def split(x: Exchange) -> tuple[Exchange, SplitStep]:
+    """One induction step, with the induced exchange from the return oracle.
+
+    Raises the undefined-case errors when the critical bands coincide or
+    tie; verifies the elementary width relation exactly before returning.
+    The step itself runs on the integer grid of ``x``'s widths.
+    """
+    denom = common_denominator(x.widths.values())
+    induced, widths, step = _step(x.perm, to_grid(x.widths, denom))
+    return Exchange(induced, {a: Fraction(v, denom) for a, v in widths.items()}), step
+
+
+def _walk(x: Exchange) -> Iterator[tuple[GeneralizedPermutation, dict[str, int], SplitStep]]:
+    """The expansion of ``x`` as (node, widths, step), one item per step.
+
+    Widths are numerators on the grid of ``x``'s common denominator.  An
+    undefined split raises out of the iterator.  The first step goes
+    through the public ``split`` (one ``Exchange`` round trip per
+    expansion) because the benchmark's tracer sees expansions only through
+    its ``rauzy.split`` span, and ``bench/test_bench.py`` checks that span
+    is hit; every later step stays on the grid.
+    """
+    denom = common_denominator(x.widths.values())
+    induced, step = split(x)
+    node, widths = induced.perm, to_grid(induced.widths, denom)
+    while True:
+        yield node, widths, step
+        node, widths, step = _step(node, widths)
 
 
 def expand(x: Exchange, n: int) -> Stage:
@@ -240,15 +287,15 @@ def expand(x: Exchange, n: int) -> Stage:
         raise InvalidInput("expansion depth must be nonnegative")
     labels = sorted(x.perm.alphabet)
     stage = Stage(nodes=[x.perm], steps=[], matrix=Matrix.identity(labels))
-    current = x
+    walk = _walk(x)
     for _ in range(n):
         try:
-            current, step = split(current)
+            node, _, step = next(walk)
         except SplitUndefined as err:
             stage.halted = err
             break
         stage.steps.append(step)
-        stage.nodes.append(current.perm)
+        stage.nodes.append(node)
         stage.matrix.add_column(step.winner, step.loser)
     return stage
 

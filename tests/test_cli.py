@@ -240,3 +240,15 @@ def test_invariant_violation_exit_code(monkeypatch, rotation_files, capsys):
     monkeypatch.setattr(cli.rauzy, "visit_counts", fake)
     code = cli.main(["visits", "--perm", perm, "--widths", widths, "--depth", "1"])
     assert code == 4
+
+
+def test_inconsistent_stage_exit_code(monkeypatch, rotation_files, capsys):
+    # a return chase that loses a piece falsifies the split's own checks
+    from linvex import exchange
+
+    perm, widths = rotation_files
+    real = exchange._chase
+    monkeypatch.setattr(exchange, "_chase", lambda *args: real(*args)[:-1])
+    code = cli.main(["split", "--perm", perm, "--widths", widths])
+    assert code == 4
+    assert "INVARIANT VIOLATION" in capsys.readouterr().err

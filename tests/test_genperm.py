@@ -25,6 +25,21 @@ def test_validate_classical_rotation():
     assert p.orientation_of("A") is Orientation.PRESERVING
 
 
+def test_class_tuples_match_the_class_map():
+    for d in range(1, 5):
+        for p in genperm.enumerate_permutations(d, realizable_only=False):
+            for orientation, members in (
+                (Orientation.PRESERVING, p.preserving_bands()),
+                (Orientation.REVERSING_TOP, p.reversing_top_bands()),
+                (Orientation.REVERSING_BOTTOM, p.reversing_bottom_bands()),
+            ):
+                assert members == tuple(a for a in p.alphabet if p.classes[a] is orientation)
+            assert p.is_non_classical == (
+                any(c is Orientation.REVERSING_TOP for c in p.classes.values())
+                and any(c is Orientation.REVERSING_BOTTOM for c in p.classes.values())
+            )
+
+
 def test_validate_non_classical_classes():
     p = validate(["A", "A", "B"], ["B", "C", "C"])
     assert p.is_non_classical and not p.is_classical

@@ -46,6 +46,12 @@ def test_propagation_matches_recomputation():
         assert state == modp.remainder_state(stage, p)
 
 
+def test_propagate_rejects_a_foreign_alphabet():
+    state = modp.initial_state(validate(["A", "A", "B"], ["B", "C", "C"]), 3)
+    with pytest.raises(InvalidInput):
+        modp.propagate(state, "B", "C", validate(["A", "A", "B"], ["B", "D", "D"]))
+
+
 def test_claim_initial_preserving_band():
     p = validate(["A", "A", "B"], ["B", "C", "C"])
     status = modp.check_claim_invariant(modp.initial_state(p, 3))

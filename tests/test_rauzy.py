@@ -7,16 +7,28 @@ from fractions import Fraction as F
 
 import pytest
 
-from linvex import genperm, rauzy
+from linvex import approx, diagram, exchange, genperm, rauzy
 from linvex.errors import (
+    InconsistentStage,
     PositiveMatrixRequired,
+    SplitInfeasible,
+    SplitUndefined,
     SplitUndefinedSameBand,
     SplitUndefinedTie,
 )
 from linvex.exchange import build
+from linvex.rationals import common_denominator, to_grid
 from linvex.rauzy import Matrix, SplitKind
 
-from conftest import random_fleet, sample_exchange
+from conftest import (
+    ALL_REVERSING,
+    CLASSICAL,
+    STUCK_FREE_NONCLASSICAL,
+    perm_pool,
+    random_fleet,
+    sample_exchange,
+    tower_fleet,
+)
 
 ROTATION = genperm.validate(["A", "B"], ["B", "A"])
 
@@ -269,3 +281,167 @@ def test_stage_json_round_trip_fields():
     assert blob["matrix"]["rows"] == [["1", "2"], ["0", "1"]]
     assert [s["winner"] for s in blob["steps"]] == ["A", "A"]
     assert blob["halted"] is None
+
+
+# --- the integer step against its oracles ------------------------------------
+
+
+def _random_grid_widths(perm, rng: random.Random) -> dict[str, int]:
+    """Positive integer widths satisfying the switch condition."""
+    widths = {a: rng.randrange(1, 24) for a in perm.alphabet}
+    top, bottom = perm.reversing_top_bands(), perm.reversing_bottom_bands()
+    excess = sum(widths[a] for a in top) - sum(widths[a] for a in bottom)
+    if excess > 0:
+        widths[rng.choice(bottom)] += excess
+    elif excess < 0:
+        widths[rng.choice(top)] -= excess
+    return widths
+
+
+def _exchange_oracle(x):
+    """The Rauzy step as the public API did it before the integer grid.
+
+    Critical comparison, then ``Exchange.first_return_map`` at the cut
+    ``L - w[loser]``; returns (induced exchange, kind, winner, loser).
+    """
+    alpha_top, alpha_bottom = genperm.critical_bands(x.perm)
+    if alpha_top == alpha_bottom:
+        raise SplitUndefinedSameBand(alpha_top)
+    if x.widths[alpha_top] == x.widths[alpha_bottom]:
+        raise SplitUndefinedTie(alpha_top)
+    if x.widths[alpha_top] > x.widths[alpha_bottom]:
+        kind, winner, loser = SplitKind.TOP_WINS, alpha_top, alpha_bottom
+    else:
+        kind, winner, loser = SplitKind.BOTTOM_WINS, alpha_bottom, alpha_top
+    induced = x.first_return_map(x.side_length - x.widths[loser])
+    if induced.perm.alphabet != x.perm.alphabet:
+        raise SplitInfeasible(induced.perm.alphabet)
+    return induced, kind, winner, loser
+
+
+def _insertion_rule(perm, widths):
+    """The Boissy-Lanneau step for generalized permutations, in O(d).
+
+    The loser leaves the end of its row and the winner loses the loser's
+    width.  The loser goes right after the winner's other end when that
+    end is on the loser's row, else just left of it on the winner's row.
+    """
+    alpha_top, alpha_bottom = perm.top[-1], perm.bottom[-1]
+    top_wins = widths[alpha_top] > widths[alpha_bottom]
+    winner, loser = (alpha_top, alpha_bottom) if top_wins else (alpha_bottom, alpha_top)
+    win_row, lose_row = (0, 1) if top_wins else (1, 0)
+    rows = [list(perm.top), list(perm.bottom)]
+    rows[lose_row].pop()
+    if winner in rows[lose_row]:
+        rows[lose_row].insert(rows[lose_row].index(winner) + 1, loser)
+    else:
+        rows[win_row].insert(rows[win_row].index(winner), loser)
+    new = dict(widths)
+    new[winner] -= widths[loser]
+    return genperm.validate(rows[0], rows[1]), new, winner, loser
+
+
+def _grid_cases():
+    """(perm, integer widths, denominator) over every node with d <= 5.
+
+    Each node contributes its direction witnesses and two seeded random
+    realizable width vectors on a random grid.
+    """
+    rng = random.Random(2009)
+    for d in range(1, 6):
+        for perm in genperm.enumerate_permutations(d):
+            for kind in SplitKind:
+                witness = rauzy.direction_witness(perm, kind)
+                if witness is not None:
+                    yield perm, {a: int(v) for a, v in witness.items()}, 1
+            for _ in range(2):
+                yield perm, _random_grid_widths(perm, rng), rng.randrange(1, 50)
+
+
+def _fleet_cases(depth: int = 30):
+    """Successive (perm, integer widths, denominator) along fleet expansions."""
+    pools = perm_pool(CLASSICAL + STUCK_FREE_NONCLASSICAL + ALL_REVERSING)
+    fleet = random_fleet(seed=41, count=30, pools=pools)
+    fleet += [x for _, x in tower_fleet(seed=43)[:10]]
+    for x in fleet:
+        denom = common_denominator(x.widths.values())
+        perm, widths = x.perm, to_grid(x.widths, denom)
+        for _ in range(depth):
+            yield perm, widths, denom
+            try:
+                perm, widths, _ = rauzy._step(perm, widths)
+            except SplitUndefined:
+                break
+
+
+def _compare_step_with_oracle(perm, widths, denom):
+    """Outcome of one comparison: None on agreement, else the halt class."""
+    x = build(perm, {a: F(v, denom) for a, v in widths.items()})
+    try:
+        induced, kind, winner, loser = _exchange_oracle(x)
+    except SplitUndefined as err:
+        with pytest.raises(type(err)):
+            rauzy._step(perm, widths)
+        return type(err)
+    node, new_widths, step = rauzy._step(perm, widths)
+    assert node == induced.perm
+    assert {a: F(v, denom) for a, v in new_widths.items()} == induced.widths
+    assert (step.kind, step.winner, step.loser) == (kind, winner, loser)
+    assert step.matrix == rauzy.elementary_matrix(sorted(perm.alphabet), winner, loser)
+    return None
+
+
+@pytest.mark.parametrize("cases", [_grid_cases, _fleet_cases])
+def test_integer_step_equals_first_return_oracle(cases):
+    outcomes: dict = {}
+    for perm, widths, denom in cases():
+        outcome = _compare_step_with_oracle(perm, widths, denom)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes[None] >= 400
+    if cases is _grid_cases:
+        assert outcomes.get(SplitUndefinedSameBand, 0) > 0
+        assert outcomes.get(SplitUndefinedTie, 0) > 0
+
+
+@pytest.mark.parametrize("cases", [_grid_cases, _fleet_cases])
+def test_integer_step_equals_insertion_rule(cases):
+    matched = 0
+    for perm, widths, _ in cases():
+        try:
+            node, new_widths, step = rauzy._step(perm, widths)
+        except SplitUndefined:
+            continue
+        assert _insertion_rule(perm, widths) == (node, new_widths, step.winner, step.loser)
+        matched += 1
+    assert matched >= 400
+
+
+def _drop_a_piece(monkeypatch, from_call: int) -> None:
+    """Make the return chase lose its last piece from the given call on."""
+    real = exchange._chase
+    calls = [0]
+
+    def lossy(layout, cut, budget):
+        calls[0] += 1
+        pieces = real(layout, cut, budget)
+        return pieces[:-1] if calls[0] >= from_call else pieces
+
+    monkeypatch.setattr(exchange, "_chase", lossy)
+
+
+@pytest.mark.parametrize("from_call", [1, 3])
+def test_lost_return_piece_is_inconsistent_not_a_halt(monkeypatch, from_call):
+    x = sample_exchange(genperm.validate(["A", "A", "B"], ["B", "C", "C"]), seed=7)
+    assert rauzy.expand(x, 5).depth == 5
+    _drop_a_piece(monkeypatch, from_call)
+    if from_call == 1:
+        with pytest.raises(InconsistentStage):
+            rauzy.split(x)
+        with pytest.raises(InconsistentStage):
+            diagram.node_edges(x.perm)
+    with pytest.raises(InconsistentStage):
+        rauzy.expand(x, 5)
+    monkeypatch.undo()
+    _drop_a_piece(monkeypatch, from_call)
+    with pytest.raises(InconsistentStage):
+        approx.find_cyclic_tower(x, F(1, 1000), budget=5)
