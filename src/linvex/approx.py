@@ -19,7 +19,10 @@ Rigidity defects integrate the displacement of an iterated map exactly:
 the n-th power is built as a refined piecewise isometry and each piece
 contributes a closed-form integral.  Across-side pieces are charged the
 full side length, a constant penalty that dominates any within-side
-displacement, so a vanishing defect still characterizes rigidity.
+displacement, so a vanishing defect still characterizes rigidity.  The
+pieces are composed in plain integers on the grid of the widths (the lcm
+D of their denominators), and each iterate's integral is one integer over
+4 D^2, converted to a Fraction once.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     PartitionBlowup,
     SplitUndefined,
 )
-from .exchange import Exchange, Side
+from .exchange import Exchange, Side, _flat_map
 from .genperm import GeneralizedPermutation
 from .rationals import common_denominator, format_fraction, to_grid
 
@@ -416,64 +419,76 @@ def _grid_ends(
     return tuple(out)
 
 
-_Piece = tuple[Side, Fraction, Fraction, Side, int, Fraction]
-# (src_side, lo, hi, out_side, slope, const): image = const + slope * t
+def _rigidity_defects(x: Exchange, ns: Sequence[int], max_pieces: int) -> list[Fraction]:
+    """Exact defects of the iterates ``ns`` (increasing, all >= 1).
+
+    One composition serves every requested iterate.  A piece of the n-th
+    iterate is (lo, hi, slope, const) on the flat grid of ``_flat_map``:
+    the points [lo, hi) go to const + slope * f.  The next iterate maps
+    each piece's image through the layout, locating the image once and
+    walking the breakpoints forward.  A defect is one integer over 4 D^2.
+    """
+    denom, length, bounds, slopes, shifts = _flat_map(x)
+    pieces = [
+        (bounds[p], bounds[p + 1], slopes[p], shifts[p]) for p in range(len(slopes))
+    ]
+    scale = 4 * denom * denom
+    defects = []
+    n = 1
+    for target in ns:
+        while n < target:
+            nxt = []
+            append = nxt.append
+            for lo, hi, slope, const in pieces:
+                if slope == 1:
+                    cursor, end = const + lo, const + hi
+                else:
+                    cursor, end = const - hi, const - lo
+                p = bisect_right(bounds, cursor) - 1
+                while True:
+                    seg = bounds[p + 1] if bounds[p + 1] < end else end
+                    pslope, pshift = slopes[p], shifts[p]
+                    if slope == 1:
+                        append((cursor - const, seg - const, pslope, pshift + pslope * const))
+                    else:
+                        append((const - seg, const - cursor, -pslope, pshift + pslope * const))
+                    if seg == end:
+                        break
+                    cursor = seg
+                    p += 1
+            if len(nxt) > max_pieces:
+                raise PartitionBlowup(f"iterated partition exceeded {max_pieces} pieces")
+            pieces = nxt
+            n += 1
+        defects.append(Fraction(_defect_numerator(pieces, length), scale))
+    return defects
 
 
-def _one_step_pieces(x: Exchange) -> list[_Piece]:
-    pieces: list[_Piece] = []
-    for side in (Side.TOP, Side.BOTTOM):
-        for p in x._positions[side]:
-            lo = x._pos_start[p]
-            hi = lo + x._pos_width[p]
-            pieces.append((side, lo, hi, x._apply_side[p], x._apply_slope[p], x._apply_const[p]))
-    return pieces
+def _defect_numerator(pieces: list[tuple[int, int, int, int]], length: int) -> int:
+    """The displacement integral of the pieces, times 4 D^2.
 
-
-def _compose_with_map(pieces: list[_Piece], x: Exchange, max_pieces: int) -> list[_Piece]:
-    out: list[_Piece] = []
-    for side, lo, hi, oside, slope, const in pieces:
+    A piece whose image lies on the other side is charged the side length.
+    Within a side a slope +1 piece moves every point by |const|, and a
+    slope -1 piece moves f by |const - 2 f|, a tent with kink at const / 2.
+    """
+    crossing = 0
+    total = 0
+    for lo, hi, slope, const in pieces:
+        top = lo < length
         if slope == 1:
-            img_lo, img_hi = const + lo, const + hi
-        else:
-            img_lo, img_hi = const - hi, const - lo
-        cursor = img_lo
-        while cursor < img_hi:
-            p = x.locate(oside, cursor)
-            seg_hi = min(img_hi, x._pos_start[p] + x._pos_width[p])
-            nslope = slope * x._apply_slope[p]
-            nconst = x._apply_const[p] + x._apply_slope[p] * const
-            if slope == 1:
-                s_lo, s_hi = cursor - const, seg_hi - const
+            if top != (const + lo < length):
+                crossing += hi - lo
             else:
-                s_lo, s_hi = const - seg_hi, const - cursor
-            out.append((side, s_lo, s_hi, x._apply_side[p], nslope, nconst))
-            cursor = seg_hi
-        if len(out) > max_pieces:
-            raise PartitionBlowup(f"iterated partition exceeded {max_pieces} pieces")
-    out.sort(key=lambda piece: (piece[0].value, piece[1]))
-    return out
-
-
-def _defect_of_pieces(pieces: list[_Piece], side_length: Fraction) -> Fraction:
-    total = Fraction(0)
-    for side, lo, hi, oside, slope, const in pieces:
-        length = hi - lo
-        if side is not oside:
-            total += side_length * length
-        elif slope == 1:
-            total += abs(const) * length
+                total += 4 * abs(const) * (hi - lo)
+        elif top != (const - hi < length):
+            crossing += hi - lo
         else:
-            # displacement is |const - 2 t|, a tent with kink at const / 2
-            kink = const / 2
-            if lo < kink < hi:
-                total += (kink - lo) * (const - 2 * lo) / 2
-                total += (hi - kink) * (2 * hi - const) / 2
+            a, b = const - 2 * lo, 2 * hi - const
+            if a > 0 and b > 0:
+                total += a * a + b * b
             else:
-                a = abs(const - 2 * lo)
-                b = abs(const - 2 * hi)
-                total += (a + b) * length / 2
-    return total
+                total += 2 * (abs(a) + abs(b)) * (hi - lo)
+    return total + 4 * length * crossing
 
 
 def rigidity_defect(
@@ -482,24 +497,14 @@ def rigidity_defect(
     """Exact integral of the displacement of the n-th iterate."""
     if n < 1:
         raise InvalidInput("rigidity defect needs n >= 1")
-    pieces = _one_step_pieces(x)
-    for _ in range(n - 1):
-        pieces = _compose_with_map(pieces, x, max_pieces)
-    return _defect_of_pieces(pieces, x.side_length)
+    return _rigidity_defects(x, [n], max_pieces)[0]
 
 
 def rigidity_profile(
     x: Exchange, n_max: int, max_pieces: int = DEFAULT_PIECE_BUDGET
 ) -> list[Fraction]:
     """Defects of all iterates 1 .. n_max, sharing the composed partition."""
-    if n_max < 1:
-        return []
-    pieces = _one_step_pieces(x)
-    out = [_defect_of_pieces(pieces, x.side_length)]
-    for _ in range(n_max - 1):
-        pieces = _compose_with_map(pieces, x, max_pieces)
-        out.append(_defect_of_pieces(pieces, x.side_length))
-    return out
+    return _rigidity_defects(x, range(1, n_max + 1), max_pieces)
 
 
 def find_rigidity_times(
@@ -532,8 +537,8 @@ def find_rigidity_times(
         if ladder_delta <= floor:
             break
         ladder_delta = ladder_delta / 2
-    records = []
-    for n in sorted(set(times) | heights):
-        defect = rigidity_defect(x, n, max_pieces=max_pieces)
-        records.append(RigidityRecord(n=n, defect=defect, flagged=defect < xi))
-    return records
+    ns = sorted(set(times) | heights)
+    return [
+        RigidityRecord(n=n, defect=defect, flagged=defect < xi)
+        for n, defect in zip(ns, _rigidity_defects(x, ns, max_pieces))
+    ]

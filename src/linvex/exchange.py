@@ -393,6 +393,26 @@ def _grid_layout(perm: GeneralizedPermutation, widths: Mapping[str, int]) -> _Gr
     return _GridLayout(starts, (0, n_top), out_side, slope, const, totals[0])
 
 
+def _flat_map(x: Exchange) -> tuple[int, int, list[int], list[int], list[int]]:
+    """The map of x with its two sides laid end to end, on the width grid.
+
+    The grid denominator D is the lcm of the width denominators.  Offset t
+    of side s (0 top, 1 bottom) is the integer point s * L + t of [0, 2L),
+    where L is the side length on the grid.  Position p covers
+    [bounds[p], bounds[p + 1]) and sends f to shift[p] + slope[p] * f;
+    ``bounds`` ends with 2L.  Returns (D, L, bounds, slope, shift).
+    """
+    denom = common_denominator(x.widths.values())
+    starts, _, out_side, slope, const, length = _grid_layout(x.perm, to_grid(x.widths, denom))
+    bounds = starts[0] + [length + s for s in starts[1]] + [2 * length]
+    n_top = len(starts[0])
+    shift = [
+        out_side[p] * length + const[p] - slope[p] * (length if p >= n_top else 0)
+        for p in range(len(const))
+    ]
+    return denom, length, bounds, slope, shift
+
+
 def _split_item(side, slo, shi, cs, clo, chi, slope, steps, at):
     """Split a work item at image ordinate ``at`` in (clo, chi)."""
     if slope == 1:
@@ -572,8 +592,8 @@ def first_return_on_grid(
 class IntegerLayout:
     """Exact integer-scaled copy of an exchange's layout and flow maps.
 
-    Every endpoint is a multiple of 1 / denominator, so orbits and
-    interval images are plain integer arithmetic with no precision loss.
+    Every endpoint is a multiple of 1 / denominator, so interval images
+    are plain integer arithmetic with no precision loss.
     """
 
     __slots__ = ("denominator", "length", "starts", "pos_of", "out_side", "slope", "const")
@@ -592,34 +612,6 @@ class IntegerLayout:
         self.out_side = list(x._apply_side)
         self.slope = list(x._apply_slope)
         self.const = [int(c * denom) for c in x._apply_const]
-
-    def locate(self, side: Side, offset: int) -> int:
-        return self.pos_of[side][bisect_right(self.starts[side], offset) - 1]
-
-    def step(self, side: Side, offset: int) -> tuple[Side, int] | None:
-        """One application of the map; None signals an endpoint hit."""
-        starts = self.starts[side]
-        idx = bisect_right(starts, offset) - 1
-        pos = self.pos_of[side][idx]
-        if self.slope[pos] == -1 and offset == starts[idx]:
-            return None
-        return self.out_side[pos], self.const[pos] + self.slope[pos] * offset
-
-
-def apply(x: Exchange, t: Point) -> Point:
-    return x.apply(t)
-
-
-def apply_inverse(x: Exchange, t: Point) -> Point:
-    return x.apply_inverse(t)
-
-
-def orbit(x: Exchange, t: Point, n: int) -> OrbitSegment:
-    return x.orbit(t, n)
-
-
-def first_return_map(x: Exchange, cut: Fraction, budget: int = DEFAULT_RETURN_BUDGET) -> Exchange:
-    return x.first_return_map(cut, budget)
 
 
 def norm(widths: Mapping[str, Fraction] | Iterable[Fraction]) -> Fraction:

@@ -19,12 +19,21 @@ import csv
 import io
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import approx, modp
-from .errors import DegenerateSample, InvalidInput
-from .exchange import Exchange, Side
+from .errors import (
+    BudgetExceeded,
+    DegenerateSample,
+    ExpansionHalted,
+    InvalidInput,
+    InvariantViolation,
+    NotReturning,
+    PartitionBlowup,
+)
+from .exchange import Exchange, _flat_map
 from .genperm import GeneralizedPermutation
 from .rationals import canonical_json_bytes, format_fraction
 
@@ -131,38 +140,54 @@ def sample_widths(cfg: SamplerConfig) -> list[dict[str, Fraction]]:
     return out
 
 
-def _random_start(layout, rng: random.Random) -> tuple[Side, int]:
-    side = Side.TOP if rng.randrange(2) == 0 else Side.BOTTOM
-    return side, rng.randrange(layout.length)
+def _random_start(length: int, rng: random.Random) -> int:
+    """A uniform grid point of the two sides laid end to end: side, then offset."""
+    side = rng.randrange(2)
+    return side * length + rng.randrange(length)
+
+
+def _orbit_cells(
+    flat_map, start: int, count: int, stride: int, cells: int, span: int
+) -> list[int] | None:
+    """Cells of ``count`` orbit points ``stride`` steps apart, or None.
+
+    The orbit of the flat point ``start`` (see ``exchange._flat_map``)
+    takes count * stride steps and records the point before every
+    stride-th step, binned as (f mod span) * cells // span.  None means
+    one of the steps hit an endpoint.
+    """
+    _, _, bounds, slopes, shifts = flat_map
+    f = start
+    out = []
+    append = out.append
+    substeps = range(stride)
+    for _ in range(count):
+        append(f % span * cells // span)
+        for _ in substeps:
+            p = bisect_right(bounds, f) - 1
+            if slopes[p] == 1:
+                f += shifts[p]
+            elif f == bounds[p]:
+                return None
+            else:
+                f = shifts[p] - f
+    return out
 
 
 def _occupancy_run(
     x: Exchange, start_rng: random.Random, iters: int, substeps: int, bins_per_side: int
 ) -> tuple[list[int], int]:
     """Iterate substeps-at-a-time and bin positions; returns counts, restarts."""
-    orbit = x.integer_layout()
-    counts = [0] * (2 * bins_per_side)
+    flat_map = _flat_map(x)
+    length = flat_map[1]
     restarts = 0
     while True:
-        side, offset = _random_start(orbit, start_rng)
-        done = 0
-        counts_try = [0] * (2 * bins_per_side)
-        ok = True
-        for _ in range(iters):
-            base = 0 if side is Side.TOP else bins_per_side
-            counts_try[base + offset * bins_per_side // orbit.length] += 1
-            for _ in range(substeps):
-                step = orbit.step(side, offset)
-                if step is None:
-                    ok = False
-                    break
-                side, offset = step
-            if not ok:
-                break
-            done += 1
-        if ok:
-            for i, c in enumerate(counts_try):
-                counts[i] = c
+        start = _random_start(length, start_rng)
+        cells = _orbit_cells(flat_map, start, iters, substeps, 2 * bins_per_side, 2 * length)
+        if cells is not None:
+            counts = [0] * (2 * bins_per_side)
+            for c in cells:
+                counts[c] += 1
             return counts, restarts
         restarts += 1
         if restarts > RESAMPLE_CAP:
@@ -202,7 +227,7 @@ def total_ergodicity_experiment(
     tower_outcome: dict
     try:
         result = modp.find_coprime_tower(x, tower_delta, p, budget=tower_budget)
-    except Exception as err:  # noqa: BLE001 - outcome recorded, not hidden
+    except (BudgetExceeded, ExpansionHalted, NotReturning) as err:
         tower_outcome = {"kind": type(err).__name__, "detail": str(err)}
     else:
         if isinstance(result, modp.StructuralObstruction):
@@ -218,7 +243,8 @@ def total_ergodicity_experiment(
 
     if iters > 0:
         counts, restarts = _occupancy_run(x, substream(seed, "birkhoff"), iters, p, bins)
-        assert sum(counts) == iters
+        if sum(counts) != iters:
+            raise InvariantViolation(f"orbit recorded {sum(counts)} of {iters} points")
         expected = iters / (2 * bins)
         max_dev = max(abs(c - expected) / expected for c in counts)
         records.append(
@@ -277,35 +303,24 @@ def product_experiment(
             aggregates={"insufficient": True},
             passed=None,
         )
-    orbits = (x1.integer_layout(), x2.integer_layout())
-    classical = (x1.perm.is_classical, x2.perm.is_classical)
+    maps = (_flat_map(x1), _flat_map(x2))
+    spans = [m[1] if x.perm.is_classical else 2 * m[1] for m, x in zip(maps, (x1, x2))]
     rng = substream(seed, "product")
-    counts = [0] * (boxes * boxes)
     for attempt in range(RESAMPLE_CAP):
-        state = [_random_start(orbits[0], rng), _random_start(orbits[1], rng)]
-        counts = [0] * (boxes * boxes)
-        ok = True
-        for _ in range(iters):
-            cell = 0
-            for k in (0, 1):
-                side, offset = state[k]
-                if classical[k]:
-                    cell = cell * boxes + offset * boxes // orbits[k].length
-                else:
-                    flat = offset + (orbits[k].length if side is Side.BOTTOM else 0)
-                    cell = cell * boxes + flat * boxes // (2 * orbits[k].length)
-            counts[cell] += 1
-            nxt0 = orbits[0].step(*state[0])
-            nxt1 = orbits[1].step(*state[1])
-            if nxt0 is None or nxt1 is None:
-                ok = False
-                break
-            state = [nxt0, nxt1]
-        if ok:
+        starts = [_random_start(m[1], rng) for m in maps]
+        first = _orbit_cells(maps[0], starts[0], iters, 1, boxes, spans[0])
+        if first is None:
+            continue
+        second = _orbit_cells(maps[1], starts[1], iters, 1, boxes, spans[1])
+        if second is not None:
             break
     else:
         raise DegenerateSample("joint orbit kept hitting endpoints")
-    assert sum(counts) == iters
+    counts = [0] * (boxes * boxes)
+    for a, b in zip(first, second):
+        counts[a * boxes + b] += 1
+    if sum(counts) != iters:
+        raise InvariantViolation(f"joint orbit recorded {sum(counts)} of {iters} points")
     expected = iters / (boxes * boxes)
     max_dev = max(abs(c - expected) / expected for c in counts)
     empty = sum(1 for c in counts if c == 0)
@@ -352,7 +367,7 @@ def rigidity_scan(
         x = Exchange(cfg.perm, widths)
         try:
             recs = approx.find_rigidity_times(x, xi, [], tower_budget=tower_budget)
-        except Exception as err:  # noqa: BLE001
+        except (BudgetExceeded, ExpansionHalted, NotReturning, PartitionBlowup) as err:
             records.append({"sample": index, "error": type(err).__name__})
             continue
         flagged = [r.n for r in recs if r.flagged]

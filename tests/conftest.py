@@ -86,6 +86,18 @@ def random_fleet(seed: int, count: int, pools=None, denominator_bound: int = 2**
     return fleet
 
 
+def random_grid_widths(perm, rng: random.Random) -> dict[str, int]:
+    """Positive integer widths satisfying the switch condition."""
+    widths = {a: rng.randrange(1, 24) for a in perm.alphabet}
+    top, bottom = perm.reversing_top_bands(), perm.reversing_bottom_bands()
+    excess = sum(widths[a] for a in top) - sum(widths[a] for a in bottom)
+    if excess > 0:
+        widths[rng.choice(bottom)] += excess
+    elif excess < 0:
+        widths[rng.choice(top)] -= excess
+    return widths
+
+
 def tower_fleet(seed: int):
     """The 50-sample tower fleet: 44 three-band, 4 four-band, 2 five-band."""
     pools = perm_pool(TOWER_FRIENDLY)

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from linvex import approx, genperm, rauzy
-from linvex.errors import BudgetExceeded, ExpansionHalted, InvalidInput
+from linvex.errors import BudgetExceeded, ExpansionHalted, InvalidInput, PartitionBlowup
 from linvex.exchange import Point, Side, build
 
-from conftest import random_fleet, sample_exchange, perm_pool, STUCK_FREE_NONCLASSICAL
+from conftest import (
+    STUCK_FREE_NONCLASSICAL,
+    perm_pool,
+    random_fleet,
+    random_grid_widths,
+    sample_exchange,
+)
 
 ROTATION = genperm.validate(["A", "B"], ["B", "A"])
 
@@ -237,3 +244,144 @@ def test_tower_quality_improves_as_delta_shrinks():
         assert report.passed
         achieved.append(report.achieved_delta)
     assert achieved[0] >= achieved[1] >= achieved[2]
+
+
+# --- the integer rigidity kernel against the Fraction composition -----------
+
+
+def _one_step_pieces(x):
+    """Pieces (src_side, lo, hi, out_side, slope, const) of the map itself."""
+    pieces = []
+    for side in (Side.TOP, Side.BOTTOM):
+        for p in x._positions[side]:
+            lo = x._pos_start[p]
+            hi = lo + x._pos_width[p]
+            pieces.append((side, lo, hi, x._apply_side[p], x._apply_slope[p], x._apply_const[p]))
+    return pieces
+
+
+def _compose_with_map(pieces, x, max_pieces):
+    """The pieces of T o P: each image is split at the map's breakpoints."""
+    out = []
+    for side, lo, hi, oside, slope, const in pieces:
+        if slope == 1:
+            img_lo, img_hi = const + lo, const + hi
+        else:
+            img_lo, img_hi = const - hi, const - lo
+        cursor = img_lo
+        while cursor < img_hi:
+            p = x.locate(oside, cursor)
+            seg_hi = min(img_hi, x._pos_start[p] + x._pos_width[p])
+            nslope = slope * x._apply_slope[p]
+            nconst = x._apply_const[p] + x._apply_slope[p] * const
+            if slope == 1:
+                s_lo, s_hi = cursor - const, seg_hi - const
+            else:
+                s_lo, s_hi = const - seg_hi, const - cursor
+            out.append((side, s_lo, s_hi, x._apply_side[p], nslope, nconst))
+            cursor = seg_hi
+        if len(out) > max_pieces:
+            raise PartitionBlowup(f"iterated partition exceeded {max_pieces} pieces")
+    out.sort(key=lambda piece: (piece[0].value, piece[1]))
+    return out
+
+
+def _defect_of_pieces(pieces, side_length):
+    total = F(0)
+    for side, lo, hi, oside, slope, const in pieces:
+        length = hi - lo
+        if side is not oside:
+            total += side_length * length
+        elif slope == 1:
+            total += abs(const) * length
+        else:
+            # displacement is |const - 2 t|, a tent with kink at const / 2
+            kink = const / 2
+            if lo < kink < hi:
+                total += (kink - lo) * (const - 2 * lo) / 2
+                total += (hi - kink) * (2 * hi - const) / 2
+            else:
+                a = abs(const - 2 * lo)
+                b = abs(const - 2 * hi)
+                total += (a + b) * length / 2
+    return total
+
+
+def _reference_profile(x, n_max, max_pieces=approx.DEFAULT_PIECE_BUDGET):
+    pieces = _one_step_pieces(x)
+    out = [_defect_of_pieces(pieces, x.side_length)]
+    for _ in range(n_max - 1):
+        pieces = _compose_with_map(pieces, x, max_pieces)
+        out.append(_defect_of_pieces(pieces, x.side_length))
+    return out
+
+
+def test_rigidity_kernel_equals_fraction_composition():
+    rng = random.Random(4)
+    cases = [(x, 12) for x in random_fleet(seed=31, count=12)]
+    for d in range(1, 5):
+        for perm in genperm.enumerate_permutations(d):
+            widths = random_grid_widths(perm, rng)
+            denom = rng.randrange(1, 50)
+            cases.append((build(perm, {a: F(v, denom) for a, v in widths.items()}), 6))
+    cases += [(rotation(q - b, b, q), q) for b, q in ((1, 7), (3, 11), (5, 13), (8, 21))]
+    for x, n_max in cases:
+        assert approx.rigidity_profile(x, n_max) == _reference_profile(x, n_max), x
+
+
+def test_defect_of_same_side_reversing_pieces():
+    # Every reversal of the map also swaps sides, so a slope -1 piece of an
+    # iterate always crosses; the tent terms are checked on pieces built by
+    # hand, with the kink const / 2 inside and outside the piece.
+    rng = random.Random(5)
+    length, denom = 60, 7
+    kinks = {"inside": 0, "outside": 0}
+    for _ in range(400):
+        side = rng.randrange(2)
+        lo = rng.randrange(length - 1)
+        hi = rng.randrange(lo + 1, length)
+        slope = rng.choice((1, -1))
+        if slope == 1:
+            const = rng.randrange(-lo, length - hi + 1)
+        else:
+            const = rng.randrange(hi, lo + length + 1)
+            kinks["inside" if 2 * lo < const < 2 * hi else "outside"] += 1
+        flat = side * length
+        flat_const = const + (1 - slope) * flat
+        numerator = approx._defect_numerator([(flat + lo, flat + hi, slope, flat_const)], length)
+        s = (Side.TOP, Side.BOTTOM)[side]
+        piece = (s, F(lo, denom), F(hi, denom), s, slope, F(const, denom))
+        assert F(numerator, 4 * denom * denom) == _defect_of_pieces([piece], F(length, denom))
+    assert kinks["inside"] > 50 and kinks["outside"] > 50, kinks
+
+
+def test_rigidity_kernel_partition_blowup_at_the_same_composition():
+    checked = 0
+    for x in random_fleet(seed=32, count=6):
+        pieces = _one_step_pieces(x)
+        for n in range(2, 10):
+            grown = _compose_with_map(pieces, x, approx.DEFAULT_PIECE_BUDGET)
+            if len(grown) > len(pieces):
+                break
+            pieces = grown
+        # the n-th iterate is the first whose composition grows past the cap
+        cap = len(pieces)
+        with pytest.raises(PartitionBlowup):
+            _reference_profile(x, n, max_pieces=cap)
+        with pytest.raises(PartitionBlowup, match=f"exceeded {cap} pieces"):
+            approx.rigidity_profile(x, n, max_pieces=cap)
+        with pytest.raises(PartitionBlowup):
+            approx.rigidity_defect(x, n, max_pieces=cap)
+        profile = approx.rigidity_profile(x, n - 1, max_pieces=cap)
+        assert profile == _reference_profile(x, n - 1, max_pieces=cap)
+        checked += 1
+    assert checked == 6
+
+
+def test_find_rigidity_times_equals_one_defect_per_time():
+    x = rotation(37, 9, 100)
+    records = approx.find_rigidity_times(x, F(1, 100), [1, 2, 3, 17])
+    profile = _reference_profile(x, max(r.n for r in records))
+    assert [r.defect for r in records] == [profile[r.n - 1] for r in records]
+    with pytest.raises(PartitionBlowup):
+        approx.find_rigidity_times(x, F(1, 100), [1, 40], max_pieces=3)

@@ -26,6 +26,7 @@ from conftest import (
     STUCK_FREE_NONCLASSICAL,
     perm_pool,
     random_fleet,
+    random_grid_widths,
     sample_exchange,
     tower_fleet,
 )
@@ -286,18 +287,6 @@ def test_stage_json_round_trip_fields():
 # --- the integer step against its oracles ------------------------------------
 
 
-def _random_grid_widths(perm, rng: random.Random) -> dict[str, int]:
-    """Positive integer widths satisfying the switch condition."""
-    widths = {a: rng.randrange(1, 24) for a in perm.alphabet}
-    top, bottom = perm.reversing_top_bands(), perm.reversing_bottom_bands()
-    excess = sum(widths[a] for a in top) - sum(widths[a] for a in bottom)
-    if excess > 0:
-        widths[rng.choice(bottom)] += excess
-    elif excess < 0:
-        widths[rng.choice(top)] -= excess
-    return widths
-
-
 def _exchange_oracle(x):
     """The Rauzy step as the public API did it before the integer grid.
 
@@ -355,7 +344,7 @@ def _grid_cases():
                 if witness is not None:
                     yield perm, {a: int(v) for a, v in witness.items()}, 1
             for _ in range(2):
-                yield perm, _random_grid_widths(perm, rng), rng.randrange(1, 50)
+                yield perm, random_grid_widths(perm, rng), rng.randrange(1, 50)
 
 
 def _fleet_cases(depth: int = 30):
