@@ -6,7 +6,14 @@ column norm, equal to the first-return time).  The verifier recomputes
 the tower's levels by exact interval images of the original map and
 grades the four tower properties: level disjointness from the base,
 linearity on every level, the fraction of total measure covered by the
-levels, and the overlap of the base with its height-iterate.
+levels, and the overlap of the base with its height-iterate.  It works on
+the flat integer map of ``exchange._flat_map``, the two sides laid end to
+end as [0, 2L) on the grid of the widths: the base becomes sorted flat
+intervals once, and each base interval's orbit is chased on its own, one
+bisect and one affine update per level, with the remainder of an image
+that crosses a breakpoint left on a stack.  A base must have height at
+least 1 and intervals on the grid with 0 <= lo < hi <= L, pairwise
+disjoint on each side; anything else is InvalidInput.
 
 The searcher walks the expansion and screens candidates with two exact
 measures that need no orbit iteration: the covered fraction is
@@ -148,117 +155,78 @@ class RigidityRecord:
         return {"n": self.n, "defect": format_fraction(self.defect), "flagged": self.flagged}
 
 
-def _image_of_int_interval(
-    layout, side: Side, lo: int, hi: int
-) -> tuple[list[tuple[Side, int, int]], bool]:
-    """Exact integer-scaled image of [lo, hi); mirrors image_of_interval."""
-    pieces: list[tuple[Side, int, int]] = []
-    starts = layout.starts[side]
-    cursor = lo
-    split = False
-    while cursor < hi:
-        idx = bisect_right(starts, cursor) - 1
-        pos = layout.pos_of[side][idx]
-        end_hi = starts[idx + 1] if idx + 1 < len(starts) else layout.length
-        seg_hi = hi if hi <= end_hi else end_hi
-        if seg_hi < hi:
-            split = True
-        const, slope = layout.const[pos], layout.slope[pos]
-        if slope == 1:
-            pieces.append((layout.out_side[pos], const + cursor, const + seg_hi))
-        else:
-            pieces.append((layout.out_side[pos], const - seg_hi, const - cursor))
-        cursor = seg_hi
-    return pieces, split
-
-
 def verify_tower(
     x: Exchange, tower: CyclicTower, step_budget: int = DEFAULT_VERIFY_BUDGET
 ) -> TowerVerification:
     """Check the four tower properties by exact interval iteration.
 
-    Levels are iterated on the integer-scaled layout (every endpoint is a
-    multiple of one over the common width denominator), so the arithmetic
-    stays exact at machine-integer speed.  Disjointness is measured over
-    interval interiors, so single shared endpoints do not count.
+    The base must be well formed: ``height`` >= 1, at least one interval,
+    every interval on the grid of the widths with 0 <= lo < hi <= L, and
+    the intervals pairwise disjoint on each side; otherwise InvalidInput.
+
+    Levels are iterated on the flat integer map of ``_flat_map`` (both
+    sides end to end on the grid of the widths), so the arithmetic stays
+    exact at machine-integer speed.  Each base interval's orbit is chased
+    on its own: an image that crosses a breakpoint leaves its remainder
+    on a stack with its level.  Disjointness is measured over interval
+    interiors, so single shared endpoints do not count.  ``step_budget``
+    bounds the pieces of levels 1 .. height - 1 summed over the levels.
     Property failures are reported in the verdicts, never raised; only
     exceeding the step budget raises.
     """
-    layout = x.integer_layout()
-    denom = layout.denominator
-
-    def scaled(v: Fraction) -> int:
-        scaled_v = v * denom
-        if scaled_v.denominator != 1:
-            raise InvalidInput("tower base does not live on the layout grid")
-        return int(scaled_v)
-
-    base = [(side, scaled(lo), scaled(hi)) for side, lo, hi in tower.base]
-    base_by_side: dict[Side, list[tuple[int, int]]] = {Side.TOP: [], Side.BOTTOM: []}
-    for side, lo, hi in base:
-        base_by_side[side].append((lo, hi))
-
-    def base_overlap(pieces: list[tuple[Side, int, int]]) -> int:
-        total = 0
-        for side, lo, hi in pieces:
-            for blo, bhi in base_by_side[side]:
-                lo2, hi2 = (lo if lo > blo else blo), (hi if hi < bhi else bhi)
-                if hi2 > lo2:
-                    total += hi2 - lo2
-        return total
-
-    current: list[tuple[Side, int, int]] = list(base)
+    denom, length, bounds, slopes, shifts = _flat_map(x)
+    base = _flat_base(tower, denom, length)
+    height = tower.height
+    last = height - 1
+    # Sorted, pairwise disjoint base intervals, with a 2L sentinel start:
+    # a piece [lo, hi) meets the base iff the first base interval ending
+    # after lo starts before hi.
+    base_lo = [lo for lo, _ in base] + [2 * length]
+    base_hi = [hi for _, hi in base]
     disjoint = True
     linear = True
     work = 0
-    base_measure_int = sum(hi - lo for _, lo, hi in base)
-    # hot loop: local bindings, single-piece fast path, and additive union
-    # accounting while the verified levels stay pairwise disjoint
-    starts = layout.starts
-    pos_of = layout.pos_of
-    out_side = layout.out_side
-    slopes = layout.slope
-    consts = layout.const
-    length = layout.length
-    for _ in range(1, tower.height):
-        nxt: list[tuple[Side, int, int]] = []
-        for side, lo, hi in current:
-            side_starts = starts[side]
-            idx = bisect_right(side_starts, lo) - 1
-            end_hi = side_starts[idx + 1] if idx + 1 < len(side_starts) else length
-            if hi <= end_hi:
-                pos = pos_of[side][idx]
-                const = consts[pos]
-                if slopes[pos] == 1:
-                    nxt.append((out_side[pos], const + lo, const + hi))
+    overlap_int = 0
+    for blo, bhi in base:
+        stack = [(blo, bhi, 0)]
+        while stack:
+            lo, hi, level = stack.pop()
+            # this piece and its images fill one piece of each later level;
+            # a tower of height 1 has no levels to count and never raises
+            work += last - level
+            if work > step_budget and level < last:
+                raise BudgetExceeded(
+                    f"tower verification exceeded {step_budget} interval steps"
+                )
+            for level in range(level, last):
+                p = bisect_right(bounds, lo) - 1
+                end = bounds[p + 1]
+                if hi > end:
+                    stack.append((end, hi, level))
+                    linear = False
+                    hi = end
+                shift = shifts[p]
+                if slopes[p] == 1:
+                    lo, hi = shift + lo, shift + hi
                 else:
-                    nxt.append((out_side[pos], const - hi, const - lo))
-            else:
-                pieces, _ = _image_of_int_interval(layout, side, lo, hi)
-                linear = False
-                nxt.extend(pieces)
-        current = nxt
-        work += len(current)
-        if work > step_budget:
-            raise BudgetExceeded(
-                f"tower verification exceeded {step_budget} interval steps"
-            )
-        if disjoint and base_overlap(current) > 0:
-            disjoint = False
-    final: list[tuple[Side, int, int]] = []
-    for side, lo, hi in current:
-        pieces, _ = _image_of_int_interval(layout, side, lo, hi)
-        final.extend(pieces)
+                    lo, hi = shift - hi, shift - lo
+                if disjoint and base_lo[bisect_right(base_hi, lo)] < hi:
+                    disjoint = False
+            for flo, fhi in _flat_image(bounds, slopes, shifts, lo, hi):
+                j = bisect_right(base_hi, flo)
+                while base_lo[j] < fhi:
+                    overlap_int += min(fhi, base_hi[j]) - max(flo, base_lo[j])
+                    j += 1
 
+    base_measure_int = sum(hi - lo for lo, hi in base)
     if disjoint:
         # level-vs-base disjointness for every offset k < height implies
         # pairwise level disjointness (a collision of levels i < j pulls
         # back through the measure-preserving map to a collision of the
         # base with level j - i), so the union measure is additive
-        union_int = tower.height * base_measure_int
+        union_int = height * base_measure_int
     else:
-        union_int = _full_union_measure(layout, base, tower.height, step_budget)
-    overlap_int = base_overlap(final)
+        union_int = _full_union_measure(bounds, slopes, shifts, base, height, step_budget)
     base_measure = Fraction(base_measure_int, denom)
     union = Fraction(union_int, denom)
     overlap = Fraction(overlap_int, denom)
@@ -276,51 +244,94 @@ def verify_tower(
     )
 
 
+def _flat_base(tower: CyclicTower, denom: int, length: int) -> list[tuple[int, int]]:
+    """The validated base of a certificate as sorted flat grid intervals."""
+    if tower.height < 1:
+        raise InvalidInput(f"tower height must be at least 1, got {tower.height}")
+    if not tower.base:
+        raise InvalidInput("tower base is empty")
+    offsets = {Side.TOP: 0, Side.BOTTOM: length}
+    base = []
+    for side, lo, hi in tower.base:
+        if side not in offsets:
+            raise InvalidInput(f"tower base side {side!r} is not a Side")
+        lo_int, hi_int = lo * denom, hi * denom
+        if lo_int.denominator != 1 or hi_int.denominator != 1:
+            raise InvalidInput("tower base does not live on the layout grid")
+        if not 0 <= lo_int < hi_int <= length:
+            raise InvalidInput(
+                f"tower base interval [{lo}, {hi}) on {side.value} is not inside "
+                f"[0, {Fraction(length, denom)}] with lo < hi"
+            )
+        base.append((offsets[side] + int(lo_int), offsets[side] + int(hi_int)))
+    base.sort()
+    for (_, prev_hi), (lo, _) in zip(base, base[1:]):
+        if lo < prev_hi:
+            raise InvalidInput("tower base intervals overlap")
+    return base
+
+
+def _flat_image(
+    bounds: list[int], slopes: list[int], shifts: list[int], lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """The image of the flat interval [lo, hi), one piece per position met."""
+    pieces = []
+    p = bisect_right(bounds, lo) - 1
+    while True:
+        end = bounds[p + 1]
+        seg = hi if hi < end else end
+        shift = shifts[p]
+        if slopes[p] == 1:
+            pieces.append((shift + lo, shift + seg))
+        else:
+            pieces.append((shift - seg, shift - lo))
+        if seg == hi:
+            return pieces
+        lo = seg
+        p += 1
+
+
 def _full_union_measure(
-    layout, base: list[tuple[Side, int, int]], height: int, step_budget: int
+    bounds: list[int],
+    slopes: list[int],
+    shifts: list[int],
+    base: list[tuple[int, int]],
+    height: int,
+    step_budget: int,
 ) -> int:
     """Union measure of all levels by explicit accumulation.
 
     Only needed when level disjointness fails, which degenerate towers do
-    at small heights; tall verified towers take the additive path.
+    at small heights; tall verified towers take the additive path.  The
+    levels are flat intervals, so merging across the flat point L joins a
+    top and a bottom interval without changing the measure.
     """
-    union: list[tuple[Side, int, int]] = list(base)
+    union = list(base)
     current = list(base)
     work = 0
     merge_cap = 4 * len(base) + 64
     for _ in range(1, height):
-        nxt: list[tuple[Side, int, int]] = []
-        for side, lo, hi in current:
-            pieces, _ = _image_of_int_interval(layout, side, lo, hi)
-            nxt.extend(pieces)
-        current = nxt
+        current = [
+            piece for lo, hi in current for piece in _flat_image(bounds, slopes, shifts, lo, hi)
+        ]
         union.extend(current)
         work += len(current)
         if work > step_budget:
             raise BudgetExceeded("union accumulation exceeded the step budget")
         if len(union) > merge_cap:
-            union = _merge_int_intervals(union)
+            union = _merge_intervals(union)
             merge_cap = max(merge_cap, 2 * len(union) + 64)
-    return sum(hi - lo for _, lo, hi in _merge_int_intervals(union))
+    return sum(hi - lo for lo, hi in _merge_intervals(union))
 
 
-def _merge_int_intervals(
-    intervals: Sequence[tuple[Side, int, int]]
-) -> list[tuple[Side, int, int]]:
-    merged: list[tuple[Side, int, int]] = []
-    for side in (Side.TOP, Side.BOTTOM):
-        spans = sorted((lo, hi) for s, lo, hi in intervals if s is side)
-        cur_lo: int | None = None
-        cur_hi = 0
-        for lo, hi in spans:
-            if cur_lo is None or lo > cur_hi:
-                if cur_lo is not None:
-                    merged.append((side, cur_lo, cur_hi))
-                cur_lo, cur_hi = lo, hi
-            elif hi > cur_hi:
-                cur_hi = hi
-        if cur_lo is not None:
-            merged.append((side, cur_lo, cur_hi))
+def _merge_intervals(intervals: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
     return merged
 
 

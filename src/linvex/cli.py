@@ -17,6 +17,7 @@ from .errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
     InconsistentStage,
+    InvalidInput,
     InvariantViolation,
     LinvexError,
     NotReturning,
@@ -139,8 +140,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_visits(args) -> int:
     x = _load_exchange(args.perm, args.widths)
-    counts = rauzy.visit_counts(x, args.depth)
     stage = rauzy.expand(x, args.depth)
+    counts = rauzy.visit_counts(x, stage)
     equal = counts == stage.matrix
     payload = {
         "depth": args.depth,
@@ -197,6 +198,13 @@ def _cmd_tower(args) -> int:
     return EXIT_OK
 
 
+def _side_from_json(value) -> Side:
+    try:
+        return Side(value)
+    except ValueError:
+        raise InvalidInput(f"tower base side {value!r} is neither 'Top' nor 'Bottom'") from None
+
+
 def _cmd_verify_tower(args) -> int:
     x = _load_exchange(args.perm, args.widths)
     data = _load_json(args.tower)
@@ -206,7 +214,7 @@ def _cmd_verify_tower(args) -> int:
         height=int(data["height"]),
         base=tuple(
             (
-                Side.TOP if item["side"] == "Top" else Side.BOTTOM,
+                _side_from_json(item["side"]),
                 parse_fraction(item["lo"]),
                 parse_fraction(item["hi"]),
             )
@@ -239,25 +247,24 @@ def _cmd_rigidity(args) -> int:
 def _cmd_modp_trace(args) -> int:
     x = _load_exchange(args.perm, args.widths)
     stage = rauzy.expand(x, args.steps)
+    # Column norms and their remainders are carried along the expansion:
+    # each step adds the winner's norm to the loser's.
+    norms = dict.fromkeys(x.perm.alphabet, 1)
+    state = modp.initial_state(x.perm, args.p)
     rows = []
     violation = None
-    for depth in range(stage.depth + 1):
-        partial = rauzy.Stage(
-            nodes=stage.nodes[: depth + 1],
-            steps=stage.steps[:depth],
-            matrix=rauzy.Matrix.identity(stage.matrix.labels),
-        )
-        for step in partial.steps:
-            partial.matrix.add_column(step.winner, step.loser)
-        state = modp.remainder_state(partial, args.p)
-        node = partial.end
+    for depth, node in enumerate(stage.nodes):
+        if depth:
+            step = stage.steps[depth - 1]
+            norms[step.loser] += norms[step.winner]
+            state = modp.propagate(state, step.winner, step.loser, node)
         for band in node.alphabet:
             rows.append(
                 {
                     "depth": depth,
                     "band": band,
                     "class": node.orientation_of(band).value,
-                    "column_norm": partial.matrix.column_norm(band),
+                    "column_norm": norms[band],
                     "remainder": state.remainder(band),
                 }
             )

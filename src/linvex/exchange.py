@@ -21,7 +21,6 @@ set.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -323,10 +322,6 @@ class Exchange:
             induced, {label: Fraction(v, denom) for label, v in induced_widths.items()}
         )
 
-    def integer_layout(self) -> "IntegerLayout":
-        """The layout scaled to a common denominator, for fast exact orbits."""
-        return IntegerLayout(self)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Exchange):
             return NotImplemented
@@ -587,31 +582,6 @@ def first_return_on_grid(
     top_row = [label_of_key[(0, piece[1])] for piece in by_side[0]]
     bottom_row = [label_of_key[(1, piece[1])] for piece in by_side[1]]
     return genperm.validate(top_row, bottom_row), induced_widths
-
-
-class IntegerLayout:
-    """Exact integer-scaled copy of an exchange's layout and flow maps.
-
-    Every endpoint is a multiple of 1 / denominator, so interval images
-    are plain integer arithmetic with no precision loss.
-    """
-
-    __slots__ = ("denominator", "length", "starts", "pos_of", "out_side", "slope", "const")
-
-    def __init__(self, x: Exchange):
-        denom = 1
-        for w in x.widths.values():
-            denom = denom * w.denominator // math.gcd(denom, w.denominator)
-        self.denominator = denom
-        self.length = int(x.side_length * denom)
-        self.starts: dict[Side, list[int]] = {}
-        self.pos_of: dict[Side, list[int]] = {}
-        for side in (Side.TOP, Side.BOTTOM):
-            self.starts[side] = [int(s * denom) for s in x._starts[side]]
-            self.pos_of[side] = list(x._positions[side])
-        self.out_side = list(x._apply_side)
-        self.slope = list(x._apply_slope)
-        self.const = [int(c * denom) for c in x._apply_const]
 
 
 def norm(widths: Mapping[str, Fraction] | Iterable[Fraction]) -> Fraction:

@@ -332,69 +332,58 @@ _PROBE_FRACTIONS = (
 )
 
 
-def visit_counts(x: Exchange, n: int, step_budget: int = 10**7) -> Matrix:
-    """Count band visits of depth-n return orbits, one probe per band.
+def _reached(x: Exchange, n: int | Stage) -> Stage:
+    """The stage ``n`` of x, or x expanded to depth n; raises a halt."""
+    stage = n if isinstance(n, Stage) else expand(x, n)
+    if stage.halted is not None:
+        raise stage.halted
+    return stage
 
-    For each band of the depth-n induced exchange, a probe point inside
-    one of its ends is iterated under the original map until it returns to
-    the truncated domain, counting how many times it lands in each
-    original band (the start point included, the return point excluded).
-    Probe points sit at interior fractions of the end and are re-sampled
-    on an endpoint hit.
+
+def _probe_visits(x: Exchange, induced: Exchange, band: str, step_budget: int) -> dict[str, int]:
+    """Original-band visits of one return orbit from the induced end of ``band``.
+
+    A probe point inside the band's first end in the induced exchange is
+    iterated under the original map until it returns to the truncated
+    domain, counting how many times it lands in each original band (the
+    start point included, the return point excluded), so the visits sum
+    to the return time.  Probe points sit at interior fractions of the end
+    and are re-sampled on an endpoint hit.
     """
-    stage = expand(x, n)
-    if stage.depth < n:
-        raise stage.halted  # type: ignore[misc]
-    induced = induced_exchange(stage, x)
-    cut = induced.side_length
-    labels = sorted(x.perm.alphabet)
-    index = {label: i for i, label in enumerate(labels)}
-    rows = [[0] * len(labels) for _ in labels]
-    for band in labels:
-        side, lo, hi = induced.end_intervals(band)[0]
-        for probe in _PROBE_FRACTIONS:
-            point = Point(side, lo + (hi - lo) * probe)
-            counts = [0] * len(labels)
-            try:
-                for _ in range(step_budget):
-                    counts[index[x.band_at(point.side, point.offset)]] += 1
-                    point = x.apply(point)
-                    if point.offset < cut:
-                        break
-                else:
-                    raise NotReturning(f"probe for band {band} did not return")
-            except EndpointHit:
-                continue
-            for row_label in labels:
-                rows[index[row_label]][index[band]] = counts[index[row_label]]
-            break
-        else:
-            raise EndpointHit(None, f"all probe points for band {band} hit endpoints")
-    return Matrix(labels, rows)
-
-
-def return_time(x: Exchange, n: int, band: str, step_budget: int = 10**7) -> int:
-    """First-return time of the depth-n end of ``band``, by direct orbit."""
-    stage = expand(x, n)
-    if stage.depth < n:
-        raise stage.halted  # type: ignore[misc]
-    induced = induced_exchange(stage, x)
     cut = induced.side_length
     side, lo, hi = induced.end_intervals(band)[0]
     for probe in _PROBE_FRACTIONS:
         point = Point(side, lo + (hi - lo) * probe)
-        steps = 0
+        counts = dict.fromkeys(x.perm.alphabet, 0)
         try:
-            while True:
+            for _ in range(step_budget):
+                counts[x.band_at(point.side, point.offset)] += 1
                 point = x.apply(point)
-                steps += 1
                 if point.offset < cut:
-                    return steps
-                if steps > step_budget:
-                    raise NotReturning(f"band {band} did not return in {step_budget}")
+                    return counts
         except EndpointHit:
             continue
+        raise NotReturning(f"probe for band {band} did not return in {step_budget} steps")
     raise EndpointHit(None, f"all probe points for band {band} hit endpoints")
+
+
+def visit_counts(x: Exchange, n: int | Stage, step_budget: int = 10**7) -> Matrix:
+    """Count band visits of depth-n return orbits, one probe per band.
+
+    ``n`` is a depth, or a stage of x already expanded to it (so a caller
+    holding the stage does not expand twice).  Column ``a`` holds the
+    visits of the return orbit of a probe inside band a's end at depth n.
+    """
+    induced = induced_exchange(_reached(x, n), x)
+    labels = sorted(x.perm.alphabet)
+    columns = {band: _probe_visits(x, induced, band, step_budget) for band in labels}
+    return Matrix(labels, [[columns[band][row] for band in labels] for row in labels])
+
+
+def return_time(x: Exchange, n: int | Stage, band: str, step_budget: int = 10**7) -> int:
+    """First-return time of the depth-n end of ``band``, by direct orbit."""
+    induced = induced_exchange(_reached(x, n), x)
+    return sum(_probe_visits(x, induced, band, step_budget).values())
 
 
 def max_entry_ratio(matrix: Matrix) -> Fraction:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from linvex import genperm, lab
-from linvex.exchange import Exchange
+from linvex.exchange import Exchange, Side
 
 # One line per acceptance criterion, echoed in the terminal summary so the
 # verdicts stay visible under output capture.
@@ -96,6 +97,33 @@ def random_grid_widths(perm, rng: random.Random) -> dict[str, int]:
     elif excess < 0:
         widths[rng.choice(top)] -= excess
     return widths
+
+
+class IntegerLayout:
+    """Exact integer-scaled copy of an exchange's layout and flow maps.
+
+    Every endpoint is a multiple of 1 / denominator, so interval images
+    are plain integer arithmetic with no precision loss.  The Side-keyed
+    reference layout of the differential tests, built from the Fraction
+    layout of ``Exchange`` independently of the library's flat grid map.
+    """
+
+    __slots__ = ("denominator", "length", "starts", "pos_of", "out_side", "slope", "const")
+
+    def __init__(self, x: Exchange):
+        denom = 1
+        for w in x.widths.values():
+            denom = denom * w.denominator // math.gcd(denom, w.denominator)
+        self.denominator = denom
+        self.length = int(x.side_length * denom)
+        self.starts: dict[Side, list[int]] = {}
+        self.pos_of: dict[Side, list[int]] = {}
+        for side in (Side.TOP, Side.BOTTOM):
+            self.starts[side] = [int(s * denom) for s in x._starts[side]]
+            self.pos_of[side] = list(x._positions[side])
+        self.out_side = list(x._apply_side)
+        self.slope = list(x._apply_slope)
+        self.const = [int(c * denom) for c in x._apply_const]
 
 
 def tower_fleet(seed: int):

@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linvex import approx, genperm, rauzy
+from linvex import approx, genperm, modp, rauzy
+from linvex.approx import DEFAULT_VERIFY_BUDGET, CyclicTower, TowerVerification
 from linvex.errors import BudgetExceeded, ExpansionHalted, InvalidInput, PartitionBlowup
-from linvex.exchange import Point, Side, build
+from linvex.exchange import Exchange, Point, Side, _flat_map, build
 
 from conftest import (
     STUCK_FREE_NONCLASSICAL,
+    IntegerLayout,
     perm_pool,
     random_fleet,
     random_grid_widths,
     sample_exchange,
+    tower_fleet,
 )
 
 ROTATION = genperm.validate(["A", "B"], ["B", "A"])
@@ -145,7 +152,6 @@ def test_rigidity_defect_rotation_exact_value():
 def test_rigidity_defect_matches_riemann_oracle():
     x = rotation(3, 1, 7)
     exact = approx.rigidity_defect(x, 1)
-    layout = x.integer_layout()
     samples = 200_000
     total = 0.0
     length = x.side_length
@@ -385,3 +391,338 @@ def test_find_rigidity_times_equals_one_defect_per_time():
     assert [r.defect for r in records] == [profile[r.n - 1] for r in records]
     with pytest.raises(PartitionBlowup):
         approx.find_rigidity_times(x, F(1, 100), [1, 40], max_pieces=3)
+
+
+# --- the flat-grid tower verifier against the Side-keyed level loop ----------
+#
+# The verifier as it ran on the Side-keyed integer layout, one list of
+# pieces per level, kept as the reference: every TowerVerification and
+# every BudgetExceeded must agree with it.
+
+
+def _reference_image(
+    layout, side: Side, lo: int, hi: int
+) -> tuple[list[tuple[Side, int, int]], bool]:
+    """Exact integer-scaled image of [lo, hi); mirrors image_of_interval."""
+    pieces: list[tuple[Side, int, int]] = []
+    starts = layout.starts[side]
+    cursor = lo
+    split = False
+    while cursor < hi:
+        idx = bisect_right(starts, cursor) - 1
+        pos = layout.pos_of[side][idx]
+        end_hi = starts[idx + 1] if idx + 1 < len(starts) else layout.length
+        seg_hi = hi if hi <= end_hi else end_hi
+        if seg_hi < hi:
+            split = True
+        const, slope = layout.const[pos], layout.slope[pos]
+        if slope == 1:
+            pieces.append((layout.out_side[pos], const + cursor, const + seg_hi))
+        else:
+            pieces.append((layout.out_side[pos], const - seg_hi, const - cursor))
+        cursor = seg_hi
+    return pieces, split
+
+
+def reference_verify_tower(
+    x: Exchange, tower: CyclicTower, step_budget: int = DEFAULT_VERIFY_BUDGET
+) -> TowerVerification:
+    """Check the four tower properties by exact interval iteration.
+
+    Levels are iterated on the integer-scaled layout (every endpoint is a
+    multiple of one over the common width denominator), so the arithmetic
+    stays exact at machine-integer speed.  Disjointness is measured over
+    interval interiors, so single shared endpoints do not count.
+    Property failures are reported in the verdicts, never raised; only
+    exceeding the step budget raises.
+    """
+    layout = IntegerLayout(x)
+    denom = layout.denominator
+
+    def scaled(v: F) -> int:
+        scaled_v = v * denom
+        if scaled_v.denominator != 1:
+            raise InvalidInput("tower base does not live on the layout grid")
+        return int(scaled_v)
+
+    base = [(side, scaled(lo), scaled(hi)) for side, lo, hi in tower.base]
+    base_by_side: dict[Side, list[tuple[int, int]]] = {Side.TOP: [], Side.BOTTOM: []}
+    for side, lo, hi in base:
+        base_by_side[side].append((lo, hi))
+
+    def base_overlap(pieces: list[tuple[Side, int, int]]) -> int:
+        total = 0
+        for side, lo, hi in pieces:
+            for blo, bhi in base_by_side[side]:
+                lo2, hi2 = (lo if lo > blo else blo), (hi if hi < bhi else bhi)
+                if hi2 > lo2:
+                    total += hi2 - lo2
+        return total
+
+    current: list[tuple[Side, int, int]] = list(base)
+    disjoint = True
+    linear = True
+    work = 0
+    base_measure_int = sum(hi - lo for _, lo, hi in base)
+    # hot loop: local bindings, single-piece fast path, and additive union
+    # accounting while the verified levels stay pairwise disjoint
+    starts = layout.starts
+    pos_of = layout.pos_of
+    out_side = layout.out_side
+    slopes = layout.slope
+    consts = layout.const
+    length = layout.length
+    for _ in range(1, tower.height):
+        nxt: list[tuple[Side, int, int]] = []
+        for side, lo, hi in current:
+            side_starts = starts[side]
+            idx = bisect_right(side_starts, lo) - 1
+            end_hi = side_starts[idx + 1] if idx + 1 < len(side_starts) else length
+            if hi <= end_hi:
+                pos = pos_of[side][idx]
+                const = consts[pos]
+                if slopes[pos] == 1:
+                    nxt.append((out_side[pos], const + lo, const + hi))
+                else:
+                    nxt.append((out_side[pos], const - hi, const - lo))
+            else:
+                pieces, _ = _reference_image(layout, side, lo, hi)
+                linear = False
+                nxt.extend(pieces)
+        current = nxt
+        work += len(current)
+        if work > step_budget:
+            raise BudgetExceeded(
+                f"tower verification exceeded {step_budget} interval steps"
+            )
+        if disjoint and base_overlap(current) > 0:
+            disjoint = False
+    final: list[tuple[Side, int, int]] = []
+    for side, lo, hi in current:
+        pieces, _ = _reference_image(layout, side, lo, hi)
+        final.extend(pieces)
+
+    if disjoint:
+        # level-vs-base disjointness for every offset k < height implies
+        # pairwise level disjointness (a collision of levels i < j pulls
+        # back through the measure-preserving map to a collision of the
+        # base with level j - i), so the union measure is additive
+        union_int = tower.height * base_measure_int
+    else:
+        union_int = _reference_union_measure(layout, base, tower.height, step_budget)
+    overlap_int = base_overlap(final)
+    base_measure = F(base_measure_int, denom)
+    union = F(union_int, denom)
+    overlap = F(overlap_int, denom)
+    total = x.total_measure
+    return TowerVerification(
+        disjoint_levels=disjoint,
+        linear_on_levels=linear,
+        union_fraction=union / total,
+        overlap_fraction=overlap / base_measure,
+        base_measure=base_measure,
+        total_measure=total,
+        union_measure=union,
+        overlap_measure=overlap,
+        delta=tower.delta,
+    )
+
+
+def _reference_union_measure(
+    layout, base: list[tuple[Side, int, int]], height: int, step_budget: int
+) -> int:
+    """Union measure of all levels by explicit accumulation.
+
+    Only needed when level disjointness fails, which degenerate towers do
+    at small heights; tall verified towers take the additive path.
+    """
+    union: list[tuple[Side, int, int]] = list(base)
+    current = list(base)
+    work = 0
+    merge_cap = 4 * len(base) + 64
+    for _ in range(1, height):
+        nxt: list[tuple[Side, int, int]] = []
+        for side, lo, hi in current:
+            pieces, _ = _reference_image(layout, side, lo, hi)
+            nxt.extend(pieces)
+        current = nxt
+        union.extend(current)
+        work += len(current)
+        if work > step_budget:
+            raise BudgetExceeded("union accumulation exceeded the step budget")
+        if len(union) > merge_cap:
+            union = _reference_merge(union)
+            merge_cap = max(merge_cap, 2 * len(union) + 64)
+    return sum(hi - lo for _, lo, hi in _reference_merge(union))
+
+
+def _reference_merge(
+    intervals: Sequence[tuple[Side, int, int]]
+) -> list[tuple[Side, int, int]]:
+    merged: list[tuple[Side, int, int]] = []
+    for side in (Side.TOP, Side.BOTTOM):
+        spans = sorted((lo, hi) for s, lo, hi in intervals if s is side)
+        cur_lo: int | None = None
+        cur_hi = 0
+        for lo, hi in spans:
+            if cur_lo is None or lo > cur_hi:
+                if cur_lo is not None:
+                    merged.append((side, cur_lo, cur_hi))
+                cur_lo, cur_hi = lo, hi
+            elif hi > cur_hi:
+                cur_hi = hi
+        if cur_lo is not None:
+            merged.append((side, cur_lo, cur_hi))
+    return merged
+
+
+def _reference_work(x: Exchange, tower: CyclicTower) -> int:
+    """The reference's interval steps: pieces of levels 1 .. height - 1."""
+    layout = IntegerLayout(x)
+    denom = layout.denominator
+    current = [(side, int(lo * denom), int(hi * denom)) for side, lo, hi in tower.base]
+    work = 0
+    for _ in range(1, tower.height):
+        current = [
+            piece for side, lo, hi in current for piece in _reference_image(layout, side, lo, hi)[0]
+        ]
+        work += len(current)
+    return work
+
+
+def _assert_verifies_like_reference(x: Exchange, tower: CyclicTower) -> TowerVerification:
+    want = reference_verify_tower(x, tower)
+    assert approx.verify_tower(x, tower) == want, (x, tower)
+    return want
+
+
+def _assert_budget_like_reference(x: Exchange, tower: CyclicTower) -> None:
+    """The exact work passes; one step less raises the reference's error."""
+    work = _reference_work(x, tower)
+    assert approx.verify_tower(x, tower, work) == reference_verify_tower(x, tower, work)
+    if work == 0:
+        # no level is counted, so not even a negative budget raises
+        assert approx.verify_tower(x, tower, -1) == reference_verify_tower(x, tower, -1)
+        return
+    with pytest.raises(BudgetExceeded) as want:
+        reference_verify_tower(x, tower, work - 1)
+    with pytest.raises(BudgetExceeded) as got:
+        approx.verify_tower(x, tower, work - 1)
+    assert str(got.value) == str(want.value)
+
+
+def test_verify_tower_equals_reference_on_searched_certificates():
+    samples = random_fleet(seed=41, count=16) + [x for _, x in tower_fleet(seed=7100)[::3]]
+    found = []
+    for x in samples:
+        for search in (
+            lambda: approx.find_cyclic_tower(x, F(1, 4), budget=48),
+            lambda: modp.find_coprime_tower(x, F(2, 5), 3, budget=48),
+        ):
+            try:
+                tower = search()
+            except (BudgetExceeded, ExpansionHalted):
+                continue
+            if isinstance(tower, modp.StructuralObstruction):
+                continue
+            assert _assert_verifies_like_reference(x, tower).passed
+            found.append((x, tower))
+    assert len(found) >= 20, len(found)
+    for x, tower in found[:4]:
+        _assert_budget_like_reference(x, tower)
+
+
+def _manual_towers(x: Exchange):
+    """Certificates for every band at depths 0-5, at the band's height, one
+    level more and twice as high (levels that split and meet the base)."""
+    for depth in range(6):
+        stage = rauzy.expand(x, depth)
+        if stage.depth < depth:
+            break
+        induced = rauzy.induced_exchange(stage, x)
+        for band in stage.end.alphabet:
+            height = stage.matrix.column_norm(band)
+            for h in (height, height + 1, 2 * height):
+                yield CyclicTower(
+                    band=band,
+                    depth=depth,
+                    height=h,
+                    base=induced.end_intervals(band),
+                    delta=F(1, 4),
+                    xi=1 - induced.widths[band] / induced.side_length,
+                )
+
+
+def _random_base_tower(x: Exchange, rng: random.Random) -> CyclicTower:
+    """A certificate whose base is flat intervals between random cuts of
+    [0, 2L], split at L into sides, with a random height up to 12."""
+    denom, length = _flat_map(x)[:2]
+    cuts = sorted(rng.sample(range(2 * length + 1), 2 * rng.randrange(1, 4)))
+    base = []
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        for side, offset in ((Side.TOP, 0), (Side.BOTTOM, length)):
+            a, b = max(lo - offset, 0), min(hi - offset, length)
+            if a < b:
+                base.append((side, F(a, denom), F(b, denom)))
+    return CyclicTower("?", 0, rng.randrange(1, 13), tuple(base), F(1, 4), F(1, 2))
+
+
+NODES = [perm for d in range(1, 5) for perm in genperm.enumerate_permutations(d)]
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_verify_tower_equals_reference_on_every_small_node(seed):
+    # one drawn seed per sweep keeps the example small; it seeds the widths,
+    # the grid denominators and the random bases of every node
+    rng = random.Random(seed)
+    seen = {"reversing": 0, "split": 0, "meets": 0, "passed": 0}
+    for perm in NODES:
+        widths = random_grid_widths(perm, rng)
+        denom = rng.randrange(1, 50)
+        x = build(perm, {a: F(v, denom) for a, v in widths.items()})
+        random_tower = _random_base_tower(x, rng)
+        for tower in [*_manual_towers(x), random_tower]:
+            report = _assert_verifies_like_reference(x, tower)
+            seen["reversing"] += len({side for side, _, _ in tower.base}) == 1
+            seen["split"] += not report.linear_on_levels
+            seen["meets"] += not report.disjoint_levels
+            seen["passed"] += report.passed
+        _assert_budget_like_reference(x, random_tower)
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "base, height",
+    [
+        (((Side.TOP, F(3, 7), F(5, 7)),), 2),  # hi beyond the side length 4/7
+        (((Side.BOTTOM, F(2, 7), F(5, 7)),), 1),  # the same on the bottom, height 1
+        (((Side.TOP, F(3, 7), F(2, 7)),), 2),  # reversed
+        (((Side.TOP, F(1, 7), F(1, 7)),), 2),  # empty interval
+        (((Side.TOP, F(-1, 7), F(1, 7)),), 2),  # negative lo
+        (((Side.TOP, F(0), F(2, 7)), (Side.TOP, F(1, 7), F(3, 7))), 2),  # overlap
+        (((Side.BOTTOM, F(0), F(1, 7)), (Side.BOTTOM, F(0), F(1, 7))), 2),  # repeated
+        (((Side.TOP, F(0), F(1, 14)),), 2),  # off the grid of the widths
+        (((Side.TOP, F(0), F(1, 7)),), 0),  # no levels
+        ((), 2),  # empty base
+    ],
+)
+def test_verify_tower_rejects_malformed_base(base, height):
+    x = rotation(3, 1, 7)
+    tower = CyclicTower("A", 0, height, base, F(1, 4), F(1, 2))
+    with pytest.raises(InvalidInput):
+        approx.verify_tower(x, tower)
+
+
+def test_verify_tower_accepts_touching_intervals_and_full_sides():
+    x = rotation(3, 1, 7)
+    touching = (
+        (Side.TOP, F(1, 7), F(4, 7)),
+        (Side.TOP, F(0), F(1, 7)),
+        (Side.BOTTOM, F(0), F(4, 7)),
+    )
+    for base in (touching, touching[2:], touching[:1]):
+        for height in (1, 2, 5):
+            tower = CyclicTower("A", 0, height, base, F(1, 4), F(1, 2))
+            _assert_verifies_like_reference(x, tower)
+            _assert_budget_like_reference(x, tower)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -252,3 +253,146 @@ def test_inconsistent_stage_exit_code(monkeypatch, rotation_files, capsys):
     code = cli.main(["split", "--perm", perm, "--widths", widths])
     assert code == 4
     assert "INVARIANT VIOLATION" in capsys.readouterr().err
+
+
+def test_visits_expands_once(monkeypatch, rotation_files, tmp_path, capsys):
+    from linvex import rauzy as rauzy_mod
+
+    perm, widths = rotation_files
+    real = rauzy_mod.expand
+    calls = []
+
+    def counting(x, n):
+        calls.append(n)
+        return real(x, n)
+
+    monkeypatch.setattr(rauzy_mod, "expand", counting)
+    out = tmp_path / "visits.json"
+    code = cli.main(
+        ["visits", "--perm", perm, "--widths", widths, "--depth", "2", "--out", str(out)]
+    )
+    assert code == 0 and calls == [2]
+    payload = json.loads(out.read_bytes())
+    assert payload["orbit_counts"] == payload["cocycle"]
+    assert payload["verdict"] == "EQUAL"
+
+
+@pytest.mark.parametrize(
+    "base, height",
+    [
+        ([("Top", "3/7", "5/7")], 2),  # hi beyond the side length 4/7
+        ([("Top", "3/7", "2/7")], 2),  # reversed
+        ([("Top", "-1/7", "1/7")], 2),  # negative lo
+        ([("Top", "0/1", "2/7"), ("Top", "1/7", "3/7")], 2),  # overlapping
+        ([("Top", "0/1", "1/7")], 0),  # no levels
+        ([("top", "0/1", "1/7")], 2),  # not a side name
+    ],
+)
+def test_verify_tower_rejects_malformed_base(rotation_files, tmp_path, capsys, base, height):
+    perm, widths = rotation_files
+    tower = tmp_path / "tower.json"
+    tower.write_bytes(
+        canonical_json_bytes(
+            {
+                "band": "A",
+                "depth": 0,
+                "height": height,
+                "base_intervals": [{"side": s, "lo": lo, "hi": hi} for s, lo, hi in base],
+                "delta": "1/4",
+                "xi": "1/2",
+            }
+        )
+    )
+    code = cli.main(["verify-tower", "--perm", perm, "--widths", widths, "--tower", str(tower)])
+    assert code == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _quadratic_modp_trace(args) -> int:
+    """The modp-trace command as it rebuilt the stage prefix at every depth."""
+    from linvex import modp, rauzy
+    from linvex.errors import InvariantViolation
+
+    x = cli._load_exchange(args.perm, args.widths)
+    stage = rauzy.expand(x, args.steps)
+    rows = []
+    violation = None
+    for depth in range(stage.depth + 1):
+        partial = rauzy.Stage(
+            nodes=stage.nodes[: depth + 1],
+            steps=stage.steps[:depth],
+            matrix=rauzy.Matrix.identity(stage.matrix.labels),
+        )
+        for step in partial.steps:
+            partial.matrix.add_column(step.winner, step.loser)
+        state = modp.remainder_state(partial, args.p)
+        node = partial.end
+        for band in node.alphabet:
+            rows.append(
+                {
+                    "depth": depth,
+                    "band": band,
+                    "class": node.orientation_of(band).value,
+                    "column_norm": partial.matrix.column_norm(band),
+                    "remainder": state.remainder(band),
+                }
+            )
+        if node.is_non_classical:
+            status = modp.check_claim_invariant(state)
+            if isinstance(status, modp.ClaimViolation):
+                violation = depth
+    header = f"{'depth':>5} {'band':>6} {'class':>16} {'|Q(a)|':>12} {'r':>4}"
+    sys.stdout.write(header + "\n")
+    for row in rows:
+        sys.stdout.write(
+            f"{row['depth']:>5} {row['band']:>6} {row['class']:>16} "
+            f"{row['column_norm']:>12} {row['remainder']:>4}\n"
+        )
+    cli._write_artifact(args.out, {"rows": rows, "violation_depth": violation})
+    if violation is not None:
+        raise InvariantViolation(
+            f"remainder invariant violated at depth {violation} for p={args.p}"
+        )
+    return cli.EXIT_OK
+
+
+@pytest.mark.parametrize("violate_at", [None, 17])
+def test_modp_trace_equals_stage_rebuild(
+    monkeypatch, nonclassical_files, tmp_path, capsys, violate_at
+):
+    # the one-pass table against the per-depth rebuild on a deep expansion;
+    # a forced claim violation (the n-th non-classical check) must give the
+    # same violation depth and exit code
+    from linvex import modp
+
+    perm, widths = nonclassical_files
+    real = modp.check_claim_invariant
+    runs = []
+    for name, command in (("rebuild", _quadratic_modp_trace), ("cli", None)):
+        if violate_at is not None:
+            calls = []
+
+            def check(state, calls=calls):
+                calls.append(state)
+                if len(calls) == violate_at:
+                    return modp.ClaimViolation(state=state)
+                return real(state)
+
+            monkeypatch.setattr(modp, "check_claim_invariant", check)
+        out = tmp_path / f"{name}.json"
+        argv = ["modp-trace", "--perm", perm, "--widths", widths, "--p", "3"]
+        argv += ["--steps", "40", "--out", str(out)]
+        if command is None:
+            code = cli.main(argv)
+        else:
+            args = cli.build_parser().parse_args(argv)
+            try:
+                code = command(args)
+            except cli.InvariantViolation:
+                code = cli.EXIT_VIOLATION
+        runs.append((code, capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+    artifact = json.loads(runs[1][2])
+    assert max(row["depth"] for row in artifact["rows"]) >= 30
+    assert (artifact["violation_depth"] is None) == (violate_at is None)
+    assert runs[1][0] == (cli.EXIT_OK if violate_at is None else cli.EXIT_VIOLATION)

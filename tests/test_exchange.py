@@ -13,7 +13,7 @@ from linvex.errors import (
     NonPositiveWidth,
     SwitchConditionViolated,
 )
-from linvex.exchange import Point, Side, build
+from linvex.exchange import Point, Side, _flat_map, build
 
 from conftest import random_fleet
 
@@ -73,10 +73,10 @@ def test_inverse_round_trip_random():
     rng = random.Random(12)
     checked = 0
     for x in fleet:
-        layout = x.integer_layout()
+        denom, length = _flat_map(x)[:2]
         for _ in range(1250):
             side = Side.TOP if rng.randrange(2) == 0 else Side.BOTTOM
-            t = Point(side, F(rng.randrange(layout.length), layout.denominator))
+            t = Point(side, F(rng.randrange(length), denom))
             try:
                 assert x.apply_inverse(x.apply(t)) == t
                 assert x.apply(x.apply_inverse(t)) == t
@@ -151,8 +151,7 @@ def test_first_return_tower_consistency():
     # subdivisions, so equality is checked pointwise on an exact grid
     rng = random.Random(99)
     for x in random_fleet(seed=6, count=6):
-        length = x.integer_layout().length
-        denom = x.integer_layout().denominator
+        denom, length = _flat_map(x)[:2]
         a = rng.randrange(length // 2, length)
         b = rng.randrange(length // 3, a)
         cut1, cut2 = F(a, denom), F(b, denom)
@@ -188,10 +187,10 @@ def test_first_return_fuzz_general_cuts():
     # pairing involution ever fails; fuzz it across arbitrary cuts
     rng = random.Random(2024)
     for x in random_fleet(seed=77, count=12):
-        layout = x.integer_layout()
+        denom, length = _flat_map(x)[:2]
         for _ in range(10):
-            cut_int = rng.randrange(1, layout.length + 1)
-            cut = F(cut_int, layout.denominator)
+            cut_int = rng.randrange(1, length + 1)
+            cut = F(cut_int, denom)
             induced = x.first_return_map(cut)
             assert induced.side_length == cut
             assert sum(induced.widths.values(), F(0)) == cut
@@ -203,14 +202,14 @@ def test_first_return_matches_pointwise_iteration():
     # compare against one application of the induced exchange
     rng = random.Random(71)
     for x in random_fleet(seed=16, count=6):
-        layout = x.integer_layout()
-        cut_int = rng.randrange(layout.length // 2, layout.length)
-        cut = F(cut_int, layout.denominator)
+        denom, length = _flat_map(x)[:2]
+        cut_int = rng.randrange(length // 2, length)
+        cut = F(cut_int, denom)
         induced = x.first_return_map(cut)
         checked = 0
         for _ in range(120):
             side = Side.TOP if rng.randrange(2) == 0 else Side.BOTTOM
-            t = Point(side, F(rng.randrange(cut_int), layout.denominator))
+            t = Point(side, F(rng.randrange(cut_int), denom))
             try:
                 expected = induced.apply(t)
                 point = x.apply(t)

@@ -12,7 +12,13 @@ from linvex.errors import BudgetExceeded, EndpointHit, InconsistentStage, Invari
 from linvex.exchange import Exchange, Point, Side, build
 from linvex.genperm import validate
 
-from conftest import CLASSICAL, STUCK_FREE_NONCLASSICAL, perm_pool, sample_exchange
+from conftest import (
+    CLASSICAL,
+    STUCK_FREE_NONCLASSICAL,
+    IntegerLayout,
+    perm_pool,
+    sample_exchange,
+)
 
 ROTATION = validate(["A", "B"], ["B", "A"])
 NONCLASSICAL = validate(["A", "A", "B"], ["B", "C", "C"])
@@ -166,7 +172,7 @@ def _reference_step(layout, side, offset):
 
 def _reference_product(x1, x2, boxes, iters, seed, tolerance=0.05, start=_reference_start):
     """The product experiment as a lock-step loop over both factors."""
-    orbits = (x1.integer_layout(), x2.integer_layout())
+    orbits = (IntegerLayout(x1), IntegerLayout(x2))
     classical = (x1.perm.is_classical, x2.perm.is_classical)
     rng = lab.substream(seed, "product")
     for attempt in range(lab.RESAMPLE_CAP):
@@ -205,7 +211,7 @@ def _reference_product(x1, x2, boxes, iters, seed, tolerance=0.05, start=_refere
 
 def _reference_occupancy(x, rng, iters, substeps, bins, start=_reference_start):
     """Counts and restarts of the p-th power orbit, stepped one point at a time."""
-    layout = x.integer_layout()
+    layout = IntegerLayout(x)
     restarts = 0
     while True:
         side, offset = start(layout, rng)
@@ -254,7 +260,7 @@ def _force_draws(monkeypatch, forced):
 
     def on_grid(entry):
         x, point = entry
-        layout = x.integer_layout()
+        layout = IntegerLayout(x)
         offset = point.offset * layout.denominator
         assert offset.denominator == 1
         return point.side, int(offset), layout.length
