@@ -7,8 +7,8 @@ the tower's levels by exact interval images of the original map and
 grades the four tower properties: level disjointness from the base,
 linearity on every level, the fraction of total measure covered by the
 levels, and the overlap of the base with its height-iterate.  It works on
-the flat integer map of ``exchange._flat_map``, the two sides laid end to
-end as [0, 2L) on the grid of the widths: the base becomes sorted flat
+the exchange's flat integer map, the two sides laid end to end as
+[0, 2L) on the grid of the widths: the base becomes sorted flat
 intervals once, and each base interval's orbit is chased on its own, one
 bisect and one affine update per level, with the remainder of an image
 that crosses a breakpoint left on a stack.  A base must have height at
@@ -48,7 +48,7 @@ from .errors import (
     PartitionBlowup,
     SplitUndefined,
 )
-from .exchange import Exchange, Side, _flat_map
+from .exchange import Exchange, Side
 from .genperm import GeneralizedPermutation
 from .rationals import common_denominator, format_fraction, to_grid
 
@@ -164,8 +164,8 @@ def verify_tower(
     every interval on the grid of the widths with 0 <= lo < hi <= L, and
     the intervals pairwise disjoint on each side; otherwise InvalidInput.
 
-    Levels are iterated on the flat integer map of ``_flat_map`` (both
-    sides end to end on the grid of the widths), so the arithmetic stays
+    Levels are iterated on the flat integer map ``x._flat`` (both sides
+    end to end on the grid of the widths), so the arithmetic stays
     exact at machine-integer speed.  Each base interval's orbit is chased
     on its own: an image that crosses a breakpoint leaves its remainder
     on a stack with its level.  Disjointness is measured over interval
@@ -174,7 +174,7 @@ def verify_tower(
     Property failures are reported in the verdicts, never raised; only
     exceeding the step budget raises.
     """
-    denom, length, bounds, slopes, shifts = _flat_map(x)
+    denom, length, bounds, slopes, shifts = x._flat
     base = _flat_base(tower, denom, length)
     height = tower.height
     last = height - 1
@@ -226,7 +226,7 @@ def verify_tower(
         # base with level j - i), so the union measure is additive
         union_int = height * base_measure_int
     else:
-        union_int = _full_union_measure(bounds, slopes, shifts, base, height, step_budget)
+        union_int = _full_union_measure(bounds, slopes, shifts, base, height)
     base_measure = Fraction(base_measure_int, denom)
     union = Fraction(union_int, denom)
     overlap = Fraction(overlap_int, denom)
@@ -297,27 +297,24 @@ def _full_union_measure(
     shifts: list[int],
     base: list[tuple[int, int]],
     height: int,
-    step_budget: int,
 ) -> int:
     """Union measure of all levels by explicit accumulation.
 
     Only needed when level disjointness fails, which degenerate towers do
     at small heights; tall verified towers take the additive path.  The
     levels are flat intervals, so merging across the flat point L joins a
-    top and a bottom interval without changing the measure.
+    top and a bottom interval without changing the measure.  Its pieces
+    are those of levels 1 .. height - 1 that ``verify_tower`` has already
+    charged to its step budget.
     """
     union = list(base)
     current = list(base)
-    work = 0
     merge_cap = 4 * len(base) + 64
     for _ in range(1, height):
         current = [
             piece for lo, hi in current for piece in _flat_image(bounds, slopes, shifts, lo, hi)
         ]
         union.extend(current)
-        work += len(current)
-        if work > step_budget:
-            raise BudgetExceeded("union accumulation exceeded the step budget")
         if len(union) > merge_cap:
             union = _merge_intervals(union)
             merge_cap = max(merge_cap, 2 * len(union) + 64)
@@ -434,12 +431,12 @@ def _rigidity_defects(x: Exchange, ns: Sequence[int], max_pieces: int) -> list[F
     """Exact defects of the iterates ``ns`` (increasing, all >= 1).
 
     One composition serves every requested iterate.  A piece of the n-th
-    iterate is (lo, hi, slope, const) on the flat grid of ``_flat_map``:
+    iterate is (lo, hi, slope, const) on the flat grid of ``x._flat``:
     the points [lo, hi) go to const + slope * f.  The next iterate maps
     each piece's image through the layout, locating the image once and
     walking the breakpoints forward.  A defect is one integer over 4 D^2.
     """
-    denom, length, bounds, slopes, shifts = _flat_map(x)
+    denom, length, bounds, slopes, shifts = x._flat
     pieces = [
         (bounds[p], bounds[p + 1], slopes[p], shifts[p]) for p in range(len(slopes))
     ]
@@ -479,8 +476,9 @@ def _defect_numerator(pieces: list[tuple[int, int, int, int]], length: int) -> i
     """The displacement integral of the pieces, times 4 D^2.
 
     A piece whose image lies on the other side is charged the side length.
-    Within a side a slope +1 piece moves every point by |const|, and a
-    slope -1 piece moves f by |const - 2 f|, a tent with kink at const / 2.
+    Within a side a slope +1 piece moves every point by |const|.  A slope
+    -1 piece always lands on the other side, because every reversal of
+    the map also swaps sides; one that stays raises InconsistentStage.
     """
     crossing = 0
     total = 0
@@ -494,11 +492,7 @@ def _defect_numerator(pieces: list[tuple[int, int, int, int]], length: int) -> i
         elif top != (const - hi < length):
             crossing += hi - lo
         else:
-            a, b = const - 2 * lo, 2 * hi - const
-            if a > 0 and b > 0:
-                total += a * a + b * b
-            else:
-                total += 2 * (abs(a) + abs(b)) * (hi - lo)
+            raise InconsistentStage(f"slope -1 piece [{lo}, {hi}) stays on its side")
     return total + 4 * length * crossing
 
 

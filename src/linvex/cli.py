@@ -42,7 +42,10 @@ _BUDGET_ERRORS = (BudgetExceeded, ClosureBudgetExceeded, NotReturning, Partition
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise InvalidInput(f"{path} is not a JSON file: {err}") from None
 
 
 def _load_perm(path: str) -> genperm.GeneralizedPermutation:
@@ -205,24 +208,32 @@ def _side_from_json(value) -> Side:
         raise InvalidInput(f"tower base side {value!r} is neither 'Top' nor 'Bottom'") from None
 
 
+def _tower_from_json(data) -> approx.CyclicTower:
+    try:
+        return approx.CyclicTower(
+            band=data["band"],
+            depth=int(data["depth"]),
+            height=int(data["height"]),
+            base=tuple(
+                (
+                    _side_from_json(item["side"]),
+                    parse_fraction(item["lo"]),
+                    parse_fraction(item["hi"]),
+                )
+                for item in data["base_intervals"]
+            ),
+            delta=parse_fraction(data["delta"]),
+            xi=parse_fraction(data["xi"]),
+        )
+    except KeyError as err:
+        raise InvalidInput(f"tower certificate lacks the key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise InvalidInput(f"malformed tower certificate: {err}") from None
+
+
 def _cmd_verify_tower(args) -> int:
     x = _load_exchange(args.perm, args.widths)
-    data = _load_json(args.tower)
-    tower = approx.CyclicTower(
-        band=data["band"],
-        depth=int(data["depth"]),
-        height=int(data["height"]),
-        base=tuple(
-            (
-                _side_from_json(item["side"]),
-                parse_fraction(item["lo"]),
-                parse_fraction(item["hi"]),
-            )
-            for item in data["base_intervals"]
-        ),
-        delta=parse_fraction(data["delta"]),
-        xi=parse_fraction(data["xi"]),
-    )
+    tower = _tower_from_json(_load_json(args.tower))
     report = approx.verify_tower(x, tower)
     payload = report.to_json_dict()
     _emit(payload)

@@ -7,8 +7,14 @@ map sends a point through its band to the other end (reversing the
 within-end offset when both ends are on the same side) and then swaps the
 two sides while keeping the absolute offset.
 
-All arithmetic is exact rational.  The induction steps subtract nearly
-equal widths, so floating point would corrupt the combinatorics.
+An exchange carries one exact layout, its flat integer map: the widths
+become integers on their common grid (step 1 / D, with D the lcm of their
+denominators) and the two sides are laid end to end as [0, 2L).  The
+first-return chase, tower verification, rigidity composition and orbit
+statistics all run on integers.  Fractions appear only at the API and
+JSON boundary: a point p / q is carried as an integer over the grid D q
+and converted back once.  The induction steps subtract nearly equal
+widths, so floating point would corrupt the combinatorics.
 
 Half-open endpoint convention: offset 0 inside an end whose partner lies
 on the same side has no half-open image (the reversal lands on the
@@ -26,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from . import genperm
 from .errors import (
@@ -66,24 +72,6 @@ class OrbitSegment:
     hit_endpoint: int | None = None
 
 
-class ReturnPiece(NamedTuple):
-    """One linearity piece of a first-return map.
-
-    The source interval [src_lo, src_hi) on src_side returns after
-    ``steps`` applications, landing on [out_lo, out_hi) of out_side with
-    derivative ``slope`` (+1 or -1).
-    """
-
-    src_side: Side
-    src_lo: Fraction
-    src_hi: Fraction
-    out_side: Side
-    out_lo: Fraction
-    out_hi: Fraction
-    slope: int
-    steps: int
-
-
 def validate_widths(
     perm: GeneralizedPermutation, widths: Mapping[str, Fraction]
 ) -> dict[str, Fraction]:
@@ -106,131 +94,91 @@ def validate_widths(
 
 
 class Exchange:
-    """An immutable labeled exchange: permutation, widths, derived layout."""
+    """An immutable labeled exchange: permutation, widths and flat integer map.
 
-    __slots__ = (
-        "perm",
-        "widths",
-        "side_length",
-        "_starts",
-        "_positions",
-        "_apply_side",
-        "_apply_slope",
-        "_apply_const",
-        "_flow_side",
-        "_pos_side",
-        "_pos_start",
-        "_pos_label",
-        "_pos_width",
-    )
+    ``_flat`` is (D, L, bounds, slopes, shifts): the grid denominator D
+    (the lcm of the width denominators), the side length L on the grid,
+    and the map with its two sides laid end to end.  Offset t of side s
+    (0 top, 1 bottom) is the flat point s * L + t of [0, 2L).  Position p
+    covers [bounds[p], bounds[p + 1]) and sends f to
+    shifts[p] + slopes[p] * f; ``bounds`` ends with 2L.
+    """
+
+    __slots__ = ("perm", "widths", "side_length", "_flat")
 
     def __init__(self, perm: GeneralizedPermutation, widths: Mapping[str, Fraction]):
         self.perm = perm
         self.widths = validate_widths(perm, widths)
-        # Both sides tile to the same total because each band contributes
-        # its width twice overall and the switch condition balances the
+        denom = common_denominator(self.widths.values())
+        starts, _, out_side, slopes, consts, length = _grid_layout(
+            perm, to_grid(self.widths, denom)
+        )
+        n_top = len(starts[0])
+        bounds = starts[0] + [length + s for s in starts[1]] + [2 * length]
+        shifts = [
+            out_side[p] * length + consts[p] - slopes[p] * (length if p >= n_top else 0)
+            for p in range(len(consts))
+        ]
+        # Both sides tile to the sum of the widths: each band contributes
+        # its width twice overall, and the switch condition balances the
         # reversing contributions.
-        self.side_length = sum(self.widths.values(), Fraction(0))
-
-        total = 2 * perm.band_count
-        pos_side: list[Side] = [Side.TOP] * total
-        pos_start: list[Fraction] = [Fraction(0)] * total
-        pos_label: list[str] = [""] * total
-        pos_width: list[Fraction] = [Fraction(0)] * total
-        starts: dict[Side, list[Fraction]] = {Side.TOP: [], Side.BOTTOM: []}
-        positions: dict[Side, list[int]] = {Side.TOP: [], Side.BOTTOM: []}
-
-        cursor = Fraction(0)
-        for i, label in enumerate(perm.top):
-            pos_side[i] = Side.TOP
-            pos_start[i] = cursor
-            pos_label[i] = label
-            pos_width[i] = self.widths[label]
-            starts[Side.TOP].append(cursor)
-            positions[Side.TOP].append(i)
-            cursor += self.widths[label]
-        top_total = cursor
-        cursor = Fraction(0)
-        for k, label in enumerate(perm.bottom):
-            i = len(perm.top) + k
-            pos_side[i] = Side.BOTTOM
-            pos_start[i] = cursor
-            pos_label[i] = label
-            pos_width[i] = self.widths[label]
-            starts[Side.BOTTOM].append(cursor)
-            positions[Side.BOTTOM].append(i)
-            cursor += self.widths[label]
-        if top_total != cursor or top_total != self.side_length:
-            raise InconsistentStage("layout does not tile both sides equally")
-
-        apply_side: list[Side] = [Side.TOP] * total
-        apply_slope: list[int] = [1] * total
-        apply_const: list[Fraction] = [Fraction(0)] * total
-        flow_side: list[Side] = [Side.TOP] * total
-        for p in range(total):
-            q = perm.involution[p]
-            same_side = pos_side[p] is pos_side[q]
-            flow_side[p] = pos_side[q]
-            apply_side[p] = pos_side[q].flipped()
-            if same_side:
-                apply_slope[p] = -1
-                apply_const[p] = pos_start[q] + pos_width[p] + pos_start[p]
-            else:
-                apply_slope[p] = 1
-                apply_const[p] = pos_start[q] - pos_start[p]
-
-        self._starts = {side: tuple(vals) for side, vals in starts.items()}
-        self._positions = {side: tuple(vals) for side, vals in positions.items()}
-        self._apply_side = tuple(apply_side)
-        self._apply_slope = tuple(apply_slope)
-        self._apply_const = tuple(apply_const)
-        self._flow_side = tuple(flow_side)
-        self._pos_side = tuple(pos_side)
-        self._pos_start = tuple(pos_start)
-        self._pos_label = tuple(pos_label)
-        self._pos_width = tuple(pos_width)
+        self.side_length = Fraction(length, denom)
+        self._flat = (denom, length, bounds, slopes, shifts)
 
     @property
     def total_measure(self) -> Fraction:
         return 2 * self.side_length
 
+    def _flat_point(self, side: Side, offset: Fraction) -> tuple[int, int, int]:
+        """(t, q, p): the point as the flat integer t over the grid D q, and
+        the position p containing it."""
+        denom, length, bounds, _, _ = self._flat
+        n, q = offset.numerator, offset.denominator
+        if n < 0 or n * denom >= length * q:
+            raise InvalidInput(f"offset {offset} outside [0, {self.side_length})")
+        t = n * denom
+        if side is Side.BOTTOM:
+            t += length * q
+        elif side is not Side.TOP:
+            raise InvalidInput(f"side {side!r} is not a Side")
+        return t, q, bisect_right(bounds, t, key=q.__mul__) - 1
+
     def locate(self, side: Side, offset: Fraction) -> int:
         """Global position index of the end containing the offset."""
-        if offset < 0 or offset >= self.side_length:
-            raise InvalidInput(f"offset {offset} outside [0, {self.side_length})")
-        idx = bisect_right(self._starts[side], offset) - 1
-        return self._positions[side][idx]
-
-    def band_at(self, side: Side, offset: Fraction) -> str:
-        return self._pos_label[self.locate(side, offset)]
+        return self._flat_point(side, offset)[2]
 
     def end_intervals(self, label: str) -> tuple[tuple[Side, Fraction, Fraction], ...]:
         """The one or two side intervals occupied by a band's ends."""
+        denom, length, bounds, _, _ = self._flat
+        n_top = len(self.perm.top)
         out = []
         for p in self.perm.positions_of(label):
-            lo = self._pos_start[p]
-            out.append((self._pos_side[p], lo, lo + self._pos_width[p]))
+            side, base = (Side.TOP, 0) if p < n_top else (Side.BOTTOM, length)
+            out.append(
+                (side, Fraction(bounds[p] - base, denom), Fraction(bounds[p + 1] - base, denom))
+            )
         return tuple(out)
 
     def apply(self, point: Point) -> Point:
-        p = self.locate(point.side, point.offset)
-        if self._apply_slope[p] == -1 and point.offset == self._pos_start[p]:
+        denom, length, bounds, slopes, shifts = self._flat
+        t, q, p = self._flat_point(point.side, point.offset)
+        if slopes[p] == 1:
+            f = shifts[p] * q + t
+        elif t == bounds[p] * q:
             raise EndpointHit(point)
-        return Point(
-            self._apply_side[p],
-            self._apply_const[p] + self._apply_slope[p] * point.offset,
-        )
+        else:
+            f = shifts[p] * q - t
+        if f < length * q:
+            return Point(Side.TOP, Fraction(f, denom * q))
+        return Point(Side.BOTTOM, Fraction(f - length * q, denom * q))
 
     def apply_inverse(self, point: Point) -> Point:
-        # The inverse swaps sides first, then flows along the band.
-        side = point.side.flipped()
-        p = self.locate(side, point.offset)
-        if self._apply_slope[p] == -1 and point.offset == self._pos_start[p]:
-            raise EndpointHit(point)
-        return Point(
-            self._flow_side[p],
-            self._apply_const[p] + self._apply_slope[p] * point.offset,
-        )
+        # T = sigma o F with F an involution, so T^-1 = F o sigma = sigma o T o sigma.
+        try:
+            side, offset = self.apply(Point(point.side.flipped(), point.offset))
+        except EndpointHit:
+            raise EndpointHit(point) from None
+        return Point(side.flipped(), offset)
 
     def orbit(self, start: Point, steps: int) -> OrbitSegment:
         if steps < 0:
@@ -245,67 +193,6 @@ class Exchange:
                 break
         return OrbitSegment(start=start, points=tuple(points), hit_endpoint=hit)
 
-    def image_of_interval(
-        self, side: Side, lo: Fraction, hi: Fraction
-    ) -> tuple[list[tuple[Side, Fraction, Fraction]], bool]:
-        """Exact image of [lo, hi) under one application.
-
-        Returns the image pieces and whether the interval had to be split
-        across several ends (i.e. the map is not linear on it).
-        """
-        if not (0 <= lo < hi <= self.side_length):
-            raise InvalidInput(f"bad interval [{lo}, {hi}) on {side}")
-        pieces: list[tuple[Side, Fraction, Fraction]] = []
-        cursor = lo
-        split = False
-        while cursor < hi:
-            p = self.locate(side, cursor)
-            end_hi = self._pos_start[p] + self._pos_width[p]
-            seg_hi = min(hi, end_hi)
-            if seg_hi < hi:
-                split = True
-            const, slope = self._apply_const[p], self._apply_slope[p]
-            if slope == 1:
-                pieces.append((self._apply_side[p], const + cursor, const + seg_hi))
-            else:
-                pieces.append((self._apply_side[p], const - seg_hi, const - cursor))
-            cursor = seg_hi
-        return pieces, split
-
-    def _scaled(self, cut: Fraction) -> tuple[int, dict[str, int], int]:
-        """Widths and cut on their common grid: (denominator, widths, cut)."""
-        if not (0 < cut <= self.side_length):
-            raise InvalidInput(f"cut {cut} outside (0, {self.side_length}]")
-        denom = common_denominator([cut, *self.widths.values()])
-        return denom, to_grid(self.widths, denom), cut.numerator * (denom // cut.denominator)
-
-    def first_return_pieces(
-        self, cut: Fraction, budget: int = DEFAULT_RETURN_BUDGET
-    ) -> list[ReturnPiece]:
-        """Chase subintervals of the truncated domain until first return.
-
-        The truncated domain is [0, cut) on each side.  Work items carry a
-        source interval together with its current affine image; items are
-        split exactly at layout breakpoints and at the cut, so every
-        recorded piece has a constant return time and slope +-1.
-        """
-        denom, widths, cut_int = self._scaled(Fraction(cut))
-        raw = _chase(_grid_layout(self.perm, widths), cut_int, budget)
-        sides = (Side.TOP, Side.BOTTOM)
-        return [
-            ReturnPiece(
-                sides[s0],
-                Fraction(a, denom),
-                Fraction(b, denom),
-                sides[s1],
-                Fraction(c, denom),
-                Fraction(d, denom),
-                slope,
-                steps,
-            )
-            for s0, a, b, s1, c, d, slope, steps in raw
-        ]
-
     def first_return_map(
         self, cut: Fraction, budget: int = DEFAULT_RETURN_BUDGET
     ) -> "Exchange":
@@ -316,8 +203,14 @@ class Exchange:
         reproduces the usual induction labels at a Rauzy cut.  Otherwise
         all bands get fresh canonical names.
         """
-        denom, widths, cut_int = self._scaled(Fraction(cut))
-        induced, induced_widths = first_return_on_grid(self.perm, widths, cut_int, budget)
+        cut = Fraction(cut)
+        if not (0 < cut <= self.side_length):
+            raise InvalidInput(f"cut {cut} outside (0, {self.side_length}]")
+        denom = common_denominator([cut, *self.widths.values()])
+        cut_int = cut.numerator * (denom // cut.denominator)
+        induced, induced_widths = first_return_on_grid(
+            self.perm, to_grid(self.widths, denom), cut_int, budget
+        )
         return Exchange(
             induced, {label: Fraction(v, denom) for label, v in induced_widths.items()}
         )
@@ -386,26 +279,6 @@ def _grid_layout(perm: GeneralizedPermutation, widths: Mapping[str, int]) -> _Gr
         else:
             const[p] = pos_start[q] - pos_start[p]
     return _GridLayout(starts, (0, n_top), out_side, slope, const, totals[0])
-
-
-def _flat_map(x: Exchange) -> tuple[int, int, list[int], list[int], list[int]]:
-    """The map of x with its two sides laid end to end, on the width grid.
-
-    The grid denominator D is the lcm of the width denominators.  Offset t
-    of side s (0 top, 1 bottom) is the integer point s * L + t of [0, 2L),
-    where L is the side length on the grid.  Position p covers
-    [bounds[p], bounds[p + 1]) and sends f to shift[p] + slope[p] * f;
-    ``bounds`` ends with 2L.  Returns (D, L, bounds, slope, shift).
-    """
-    denom = common_denominator(x.widths.values())
-    starts, _, out_side, slope, const, length = _grid_layout(x.perm, to_grid(x.widths, denom))
-    bounds = starts[0] + [length + s for s in starts[1]] + [2 * length]
-    n_top = len(starts[0])
-    shift = [
-        out_side[p] * length + const[p] - slope[p] * (length if p >= n_top else 0)
-        for p in range(len(const))
-    ]
-    return denom, length, bounds, slope, shift
 
 
 def _split_item(side, slo, shi, cs, clo, chi, slope, steps, at):

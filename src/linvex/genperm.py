@@ -23,7 +23,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .errors import LabelCountError, SideEmptyError
+from .errors import InvalidInput, LabelCountError, SideEmptyError
 from .rationals import canonical_json_bytes
 
 
@@ -188,7 +188,15 @@ def _validate_cached(
 
 
 def from_json_dict(data: Mapping) -> GeneralizedPermutation:
-    return validate(data["top"], data["bottom"])
+    """The permutation of ``{"top": [...], "bottom": [...]}``; InvalidInput
+    when a row is missing or is not a list."""
+    rows = []
+    for key in ("top", "bottom"):
+        row = data.get(key) if isinstance(data, Mapping) else None
+        if not isinstance(row, list):
+            raise InvalidInput(f'a permutation needs a "{key}" list of labels')
+        rows.append(row)
+    return validate(*rows)
 
 
 def critical_bands(perm: GeneralizedPermutation) -> tuple[str, str]:

@@ -33,7 +33,7 @@ from .errors import (
     NotReturning,
     PartitionBlowup,
 )
-from .exchange import Exchange, _flat_map
+from .exchange import Exchange
 from .genperm import GeneralizedPermutation
 from .rationals import canonical_json_bytes, format_fraction
 
@@ -151,10 +151,11 @@ def _orbit_cells(
 ) -> list[int] | None:
     """Cells of ``count`` orbit points ``stride`` steps apart, or None.
 
-    The orbit of the flat point ``start`` (see ``exchange._flat_map``)
-    takes count * stride steps and records the point before every
-    stride-th step, binned as (f mod span) * cells // span.  None means
-    one of the steps hit an endpoint.
+    The orbit of the flat point ``start`` under ``flat_map`` (an
+    exchange's ``_flat``, see ``exchange.Exchange``) takes count * stride
+    steps and records the point before every stride-th step, binned as
+    (f mod span) * cells // span.  None means one of the steps hit an
+    endpoint.
     """
     _, _, bounds, slopes, shifts = flat_map
     f = start
@@ -178,7 +179,7 @@ def _occupancy_run(
     x: Exchange, start_rng: random.Random, iters: int, substeps: int, bins_per_side: int
 ) -> tuple[list[int], int]:
     """Iterate substeps-at-a-time and bin positions; returns counts, restarts."""
-    flat_map = _flat_map(x)
+    flat_map = x._flat
     length = flat_map[1]
     restarts = 0
     while True:
@@ -303,7 +304,7 @@ def product_experiment(
             aggregates={"insufficient": True},
             passed=None,
         )
-    maps = (_flat_map(x1), _flat_map(x2))
+    maps = (x1._flat, x2._flat)
     spans = [m[1] if x.perm.is_classical else 2 * m[1] for m, x in zip(maps, (x1, x2))]
     rng = substream(seed, "product")
     for attempt in range(RESAMPLE_CAP):

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .errors import InvalidInput
+
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
     """Parse "p/q" (or a bare integer string) into an exact Fraction."""
@@ -18,7 +20,10 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"{text!r} is not a rational p/q") from None
 
 
 def format_fraction(value: Fraction | int) -> str:
@@ -51,6 +56,8 @@ def widths_to_json(widths: Mapping[str, Fraction]) -> dict[str, str]:
 
 
 def widths_from_json(data: Mapping[str, str]) -> dict[str, Fraction]:
+    if not isinstance(data, Mapping):
+        raise InvalidInput("widths must be an object of band labels to p/q strings")
     return {str(label): parse_fraction(value) for label, value in data.items()}
 
 

@@ -351,13 +351,14 @@ def _probe_visits(x: Exchange, induced: Exchange, band: str, step_budget: int) -
     and are re-sampled on an endpoint hit.
     """
     cut = induced.side_length
+    labels = x.perm.top + x.perm.bottom
     side, lo, hi = induced.end_intervals(band)[0]
     for probe in _PROBE_FRACTIONS:
         point = Point(side, lo + (hi - lo) * probe)
         counts = dict.fromkeys(x.perm.alphabet, 0)
         try:
             for _ in range(step_budget):
-                counts[x.band_at(point.side, point.offset)] += 1
+                counts[labels[x.locate(point.side, point.offset)]] += 1
                 point = x.apply(point)
                 if point.offset < cut:
                     return counts

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from fractions import Fraction as F
 
 import pytest
 
 from linvex import genperm, lab
-from linvex.exchange import Exchange, Side
+from linvex.errors import EndpointHit, InconsistentStage, InvalidInput
+from linvex.exchange import Exchange, Point, Side
 
 # One line per acceptance criterion, echoed in the terminal summary so the
 # verdicts stay visible under output capture.
@@ -99,31 +102,161 @@ def random_grid_widths(perm, rng: random.Random) -> dict[str, int]:
     return widths
 
 
+class FractionLayout:
+    """The layout of an exchange in Fractions, built from its rows and widths.
+
+    The test-side reference for the library's flat integer map, sharing no
+    code with it.  Per global position p it holds the end's side, start,
+    width and label; the side the map sends it to (``apply_side``) and the
+    affine map there, offset t going to ``apply_const[p] +
+    apply_slope[p] * t``; and the side of the band's other end
+    (``flow_side``).  ``starts`` and ``positions`` list each side's ends
+    left to right.
+    """
+
+    def __init__(self, perm, widths):
+        self.perm = perm
+        self.widths = {label: F(widths[label]) for label in perm.alphabet}
+        self.side_length = sum(self.widths.values(), F(0))
+
+        total = 2 * perm.band_count
+        pos_side: list[Side] = [Side.TOP] * total
+        pos_start: list[F] = [F(0)] * total
+        pos_label: list[str] = [""] * total
+        pos_width: list[F] = [F(0)] * total
+        starts: dict[Side, list[F]] = {Side.TOP: [], Side.BOTTOM: []}
+        positions: dict[Side, list[int]] = {Side.TOP: [], Side.BOTTOM: []}
+
+        cursor = F(0)
+        for i, label in enumerate(perm.top):
+            pos_side[i] = Side.TOP
+            pos_start[i] = cursor
+            pos_label[i] = label
+            pos_width[i] = self.widths[label]
+            starts[Side.TOP].append(cursor)
+            positions[Side.TOP].append(i)
+            cursor += self.widths[label]
+        top_total = cursor
+        cursor = F(0)
+        for k, label in enumerate(perm.bottom):
+            i = len(perm.top) + k
+            pos_side[i] = Side.BOTTOM
+            pos_start[i] = cursor
+            pos_label[i] = label
+            pos_width[i] = self.widths[label]
+            starts[Side.BOTTOM].append(cursor)
+            positions[Side.BOTTOM].append(i)
+            cursor += self.widths[label]
+        if top_total != cursor or top_total != self.side_length:
+            raise InconsistentStage("layout does not tile both sides equally")
+
+        apply_side: list[Side] = [Side.TOP] * total
+        apply_slope: list[int] = [1] * total
+        apply_const: list[F] = [F(0)] * total
+        flow_side: list[Side] = [Side.TOP] * total
+        for p in range(total):
+            q = perm.involution[p]
+            same_side = pos_side[p] is pos_side[q]
+            flow_side[p] = pos_side[q]
+            apply_side[p] = pos_side[q].flipped()
+            if same_side:
+                apply_slope[p] = -1
+                apply_const[p] = pos_start[q] + pos_width[p] + pos_start[p]
+            else:
+                apply_slope[p] = 1
+                apply_const[p] = pos_start[q] - pos_start[p]
+
+        self.starts = {side: tuple(vals) for side, vals in starts.items()}
+        self.positions = {side: tuple(vals) for side, vals in positions.items()}
+        self.apply_side = tuple(apply_side)
+        self.apply_slope = tuple(apply_slope)
+        self.apply_const = tuple(apply_const)
+        self.flow_side = tuple(flow_side)
+        self.pos_side = tuple(pos_side)
+        self.pos_start = tuple(pos_start)
+        self.pos_label = tuple(pos_label)
+        self.pos_width = tuple(pos_width)
+
+    def locate(self, side: Side, offset: F) -> int:
+        """Global position index of the end containing the offset."""
+        if offset < 0 or offset >= self.side_length:
+            raise InvalidInput(f"offset {offset} outside [0, {self.side_length})")
+        idx = bisect_right(self.starts[side], offset) - 1
+        return self.positions[side][idx]
+
+    def end_intervals(self, label: str) -> tuple[tuple[Side, F, F], ...]:
+        out = []
+        for p in self.perm.positions_of(label):
+            lo = self.pos_start[p]
+            out.append((self.pos_side[p], lo, lo + self.pos_width[p]))
+        return tuple(out)
+
+    def apply(self, point: Point) -> Point:
+        p = self.locate(point.side, point.offset)
+        if self.apply_slope[p] == -1 and point.offset == self.pos_start[p]:
+            raise EndpointHit(point)
+        return Point(
+            self.apply_side[p], self.apply_const[p] + self.apply_slope[p] * point.offset
+        )
+
+    def apply_inverse(self, point: Point) -> Point:
+        # The inverse swaps sides first, then flows along the band.
+        side = point.side.flipped()
+        p = self.locate(side, point.offset)
+        if self.apply_slope[p] == -1 and point.offset == self.pos_start[p]:
+            raise EndpointHit(point)
+        return Point(
+            self.flow_side[p], self.apply_const[p] + self.apply_slope[p] * point.offset
+        )
+
+    def image_of_interval(
+        self, side: Side, lo: F, hi: F
+    ) -> tuple[list[tuple[Side, F, F]], bool]:
+        """Exact image of [lo, hi) under one application, and whether the
+        interval had to be split across several ends."""
+        pieces: list[tuple[Side, F, F]] = []
+        cursor = lo
+        split = False
+        while cursor < hi:
+            p = self.locate(side, cursor)
+            seg_hi = min(hi, self.pos_start[p] + self.pos_width[p])
+            if seg_hi < hi:
+                split = True
+            const, slope = self.apply_const[p], self.apply_slope[p]
+            if slope == 1:
+                pieces.append((self.apply_side[p], const + cursor, const + seg_hi))
+            else:
+                pieces.append((self.apply_side[p], const - seg_hi, const - cursor))
+            cursor = seg_hi
+        return pieces, split
+
+
 class IntegerLayout:
     """Exact integer-scaled copy of an exchange's layout and flow maps.
 
     Every endpoint is a multiple of 1 / denominator, so interval images
     are plain integer arithmetic with no precision loss.  The Side-keyed
-    reference layout of the differential tests, built from the Fraction
-    layout of ``Exchange`` independently of the library's flat grid map.
+    reference layout of the differential tests, scaled from
+    ``FractionLayout`` independently of the library's flat grid map.
     """
 
     __slots__ = ("denominator", "length", "starts", "pos_of", "out_side", "slope", "const")
 
     def __init__(self, x: Exchange):
+        ref = FractionLayout(x.perm, x.widths)
         denom = 1
-        for w in x.widths.values():
+        for w in ref.widths.values():
             denom = denom * w.denominator // math.gcd(denom, w.denominator)
         self.denominator = denom
-        self.length = int(x.side_length * denom)
+        self.length = int(ref.side_length * denom)
         self.starts: dict[Side, list[int]] = {}
         self.pos_of: dict[Side, list[int]] = {}
         for side in (Side.TOP, Side.BOTTOM):
-            self.starts[side] = [int(s * denom) for s in x._starts[side]]
-            self.pos_of[side] = list(x._positions[side])
-        self.out_side = list(x._apply_side)
-        self.slope = list(x._apply_slope)
-        self.const = [int(c * denom) for c in x._apply_const]
+            self.starts[side] = [int(s * denom) for s in ref.starts[side]]
+            self.pos_of[side] = list(ref.positions[side])
+        self.out_side = list(ref.apply_side)
+        self.slope = list(ref.apply_slope)
+        self.const = [int(c * denom) for c in ref.apply_const]
 
 
 def tower_fleet(seed: int):

@@ -13,11 +13,18 @@ from hypothesis import strategies as st
 
 from linvex import approx, genperm, modp, rauzy
 from linvex.approx import DEFAULT_VERIFY_BUDGET, CyclicTower, TowerVerification
-from linvex.errors import BudgetExceeded, ExpansionHalted, InvalidInput, PartitionBlowup
-from linvex.exchange import Exchange, Point, Side, _flat_map, build
+from linvex.errors import (
+    BudgetExceeded,
+    ExpansionHalted,
+    InconsistentStage,
+    InvalidInput,
+    PartitionBlowup,
+)
+from linvex.exchange import Exchange, Point, Side, build
 
 from conftest import (
     STUCK_FREE_NONCLASSICAL,
+    FractionLayout,
     IntegerLayout,
     perm_pool,
     random_fleet,
@@ -255,18 +262,20 @@ def test_tower_quality_improves_as_delta_shrinks():
 # --- the integer rigidity kernel against the Fraction composition -----------
 
 
-def _one_step_pieces(x):
+def _one_step_pieces(ref):
     """Pieces (src_side, lo, hi, out_side, slope, const) of the map itself."""
     pieces = []
     for side in (Side.TOP, Side.BOTTOM):
-        for p in x._positions[side]:
-            lo = x._pos_start[p]
-            hi = lo + x._pos_width[p]
-            pieces.append((side, lo, hi, x._apply_side[p], x._apply_slope[p], x._apply_const[p]))
+        for p in ref.positions[side]:
+            lo = ref.pos_start[p]
+            hi = lo + ref.pos_width[p]
+            pieces.append(
+                (side, lo, hi, ref.apply_side[p], ref.apply_slope[p], ref.apply_const[p])
+            )
     return pieces
 
 
-def _compose_with_map(pieces, x, max_pieces):
+def _compose_with_map(pieces, ref, max_pieces):
     """The pieces of T o P: each image is split at the map's breakpoints."""
     out = []
     for side, lo, hi, oside, slope, const in pieces:
@@ -276,15 +285,15 @@ def _compose_with_map(pieces, x, max_pieces):
             img_lo, img_hi = const - hi, const - lo
         cursor = img_lo
         while cursor < img_hi:
-            p = x.locate(oside, cursor)
-            seg_hi = min(img_hi, x._pos_start[p] + x._pos_width[p])
-            nslope = slope * x._apply_slope[p]
-            nconst = x._apply_const[p] + x._apply_slope[p] * const
+            p = ref.locate(oside, cursor)
+            seg_hi = min(img_hi, ref.pos_start[p] + ref.pos_width[p])
+            nslope = slope * ref.apply_slope[p]
+            nconst = ref.apply_const[p] + ref.apply_slope[p] * const
             if slope == 1:
                 s_lo, s_hi = cursor - const, seg_hi - const
             else:
                 s_lo, s_hi = const - seg_hi, const - cursor
-            out.append((side, s_lo, s_hi, x._apply_side[p], nslope, nconst))
+            out.append((side, s_lo, s_hi, ref.apply_side[p], nslope, nconst))
             cursor = seg_hi
         if len(out) > max_pieces:
             raise PartitionBlowup(f"iterated partition exceeded {max_pieces} pieces")
@@ -314,10 +323,11 @@ def _defect_of_pieces(pieces, side_length):
 
 
 def _reference_profile(x, n_max, max_pieces=approx.DEFAULT_PIECE_BUDGET):
-    pieces = _one_step_pieces(x)
+    ref = FractionLayout(x.perm, x.widths)
+    pieces = _one_step_pieces(ref)
     out = [_defect_of_pieces(pieces, x.side_length)]
     for _ in range(n_max - 1):
-        pieces = _compose_with_map(pieces, x, max_pieces)
+        pieces = _compose_with_map(pieces, ref, max_pieces)
         out.append(_defect_of_pieces(pieces, x.side_length))
     return out
 
@@ -337,8 +347,9 @@ def test_rigidity_kernel_equals_fraction_composition():
 
 def test_defect_of_same_side_reversing_pieces():
     # Every reversal of the map also swaps sides, so a slope -1 piece of an
-    # iterate always crosses; the tent terms are checked on pieces built by
-    # hand, with the kink const / 2 inside and outside the piece.
+    # iterate always crosses, and the kernel rejects one that stays on its
+    # side (kink const / 2 inside or outside the piece) as inconsistent;
+    # same-side slope +1 pieces still match the Fraction reference.
     rng = random.Random(5)
     length, denom = 60, 7
     kinks = {"inside": 0, "outside": 0}
@@ -354,7 +365,12 @@ def test_defect_of_same_side_reversing_pieces():
             kinks["inside" if 2 * lo < const < 2 * hi else "outside"] += 1
         flat = side * length
         flat_const = const + (1 - slope) * flat
-        numerator = approx._defect_numerator([(flat + lo, flat + hi, slope, flat_const)], length)
+        flat_piece = (flat + lo, flat + hi, slope, flat_const)
+        if slope == -1:
+            with pytest.raises(InconsistentStage):
+                approx._defect_numerator([flat_piece], length)
+            continue
+        numerator = approx._defect_numerator([flat_piece], length)
         s = (Side.TOP, Side.BOTTOM)[side]
         piece = (s, F(lo, denom), F(hi, denom), s, slope, F(const, denom))
         assert F(numerator, 4 * denom * denom) == _defect_of_pieces([piece], F(length, denom))
@@ -364,9 +380,10 @@ def test_defect_of_same_side_reversing_pieces():
 def test_rigidity_kernel_partition_blowup_at_the_same_composition():
     checked = 0
     for x in random_fleet(seed=32, count=6):
-        pieces = _one_step_pieces(x)
+        ref = FractionLayout(x.perm, x.widths)
+        pieces = _one_step_pieces(ref)
         for n in range(2, 10):
-            grown = _compose_with_map(pieces, x, approx.DEFAULT_PIECE_BUDGET)
+            grown = _compose_with_map(pieces, ref, approx.DEFAULT_PIECE_BUDGET)
             if len(grown) > len(pieces):
                 break
             pieces = grown
@@ -403,7 +420,7 @@ def test_find_rigidity_times_equals_one_defect_per_time():
 def _reference_image(
     layout, side: Side, lo: int, hi: int
 ) -> tuple[list[tuple[Side, int, int]], bool]:
-    """Exact integer-scaled image of [lo, hi); mirrors image_of_interval."""
+    """Exact integer-scaled image of [lo, hi); mirrors FractionLayout.image_of_interval."""
     pieces: list[tuple[Side, int, int]] = []
     starts = layout.starts[side]
     cursor = lo
@@ -656,7 +673,7 @@ def _manual_towers(x: Exchange):
 def _random_base_tower(x: Exchange, rng: random.Random) -> CyclicTower:
     """A certificate whose base is flat intervals between random cuts of
     [0, 2L], split at L into sides, with a random height up to 12."""
-    denom, length = _flat_map(x)[:2]
+    denom, length = x._flat[:2]
     cuts = sorted(rng.sample(range(2 * length + 1), 2 * rng.randrange(1, 4)))
     base = []
     for lo, hi in zip(cuts[::2], cuts[1::2]):

@@ -226,6 +226,61 @@ def test_usage_error_exit_code(rotation_files):
     assert exc.value.code == 2
 
 
+_TOWER = {
+    "band": "A",
+    "depth": 0,
+    "height": 2,
+    "base_intervals": [{"side": "Top", "lo": "0/1", "hi": "1/7"}],
+    "delta": "1/4",
+    "xi": "1/2",
+}
+
+
+def _tower_bytes(**changes) -> bytes:
+    tower = {**_TOWER, **changes}
+    return canonical_json_bytes({k: v for k, v in tower.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "command, name, content",
+    [
+        pytest.param("validate", "perm", b'{"bottom":["A"]}', id="perm-without-top"),
+        pytest.param("validate", "perm", b'{"top":"AB","bottom":["B","A"]}', id="row-not-list"),
+        pytest.param("validate", "perm", b'["A","B"]', id="perm-not-object"),
+        pytest.param("split", "perm", b"\xff\xfe", id="perm-not-utf8"),
+        pytest.param("split", "widths", b'["3/7","1/7"]', id="widths-not-object"),
+        pytest.param("split", "widths", b'{"A":"3/7","B":"one"}', id="width-not-rational"),
+        pytest.param("verify-tower", "tower", b"not json {", id="tower-not-json"),
+        pytest.param("verify-tower", "tower", _tower_bytes(band=None), id="tower-without-band"),
+        pytest.param("verify-tower", "tower", _tower_bytes(height="two"), id="height-not-int"),
+        pytest.param("verify-tower", "tower", _tower_bytes(delta="1/0"), id="delta-over-zero"),
+        pytest.param(
+            "verify-tower",
+            "tower",
+            _tower_bytes(base_intervals=[["Top", "0/1", "1/7"]]),
+            id="base-interval-not-object",
+        ),
+    ],
+)
+def test_malformed_json_is_a_domain_error(
+    rotation_files, tmp_path, capsys, command, name, content
+):
+    perm, widths = rotation_files
+    tower = tmp_path / "tower.json"
+    tower.write_bytes(canonical_json_bytes(_TOWER))
+    paths = {"perm": perm, "widths": widths, "tower": str(tower)}
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    paths[name] = str(bad)
+    argv = [command, "--perm", paths["perm"]]
+    if command != "validate":
+        argv += ["--widths", paths["widths"]]
+    if command == "verify-tower":
+        argv += ["--tower", paths["tower"]]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invariant_violation_exit_code(monkeypatch, rotation_files, capsys):
     # force the verdict path that signals a falsified invariant
     from linvex import rauzy as rauzy_mod

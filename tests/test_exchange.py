@@ -6,16 +6,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linvex import genperm
 from linvex.errors import (
     EndpointHit,
+    InvalidInput,
     NonPositiveWidth,
     SwitchConditionViolated,
 )
-from linvex.exchange import Point, Side, _flat_map, build
+from linvex.exchange import OrbitSegment, Point, Side, _chase, _grid_layout, build
 
-from conftest import random_fleet
+from conftest import FractionLayout, random_fleet, random_grid_widths
 
 
 ROTATION = genperm.validate(["A", "B"], ["B", "A"])
@@ -73,7 +76,7 @@ def test_inverse_round_trip_random():
     rng = random.Random(12)
     checked = 0
     for x in fleet:
-        denom, length = _flat_map(x)[:2]
+        denom, length = x._flat[:2]
         for _ in range(1250):
             side = Side.TOP if rng.randrange(2) == 0 else Side.BOTTOM
             t = Point(side, F(rng.randrange(length), denom))
@@ -89,7 +92,7 @@ def test_inverse_round_trip_random():
 def test_per_piece_slopes_are_unit():
     for x in random_fleet(seed=3, count=10):
         for pos in range(2 * x.perm.band_count):
-            assert x._apply_slope[pos] in (1, -1)
+            assert x._flat[3][pos] in (1, -1)
 
 
 def test_orbit_rotation_prefix():
@@ -116,10 +119,11 @@ def test_orbit_reports_endpoint_hit_at_start():
 
 def test_measure_preservation_on_pieces():
     for x in random_fleet(seed=4, count=8):
+        ref = FractionLayout(x.perm, x.widths)
         for side in (Side.TOP, Side.BOTTOM):
-            starts = list(x._starts[side]) + [x.side_length]
+            starts = list(ref.starts[side]) + [ref.side_length]
             for lo, hi in zip(starts, starts[1:]):
-                pieces, split = x.image_of_interval(side, lo, hi)
+                pieces, split = ref.image_of_interval(side, lo, hi)
                 assert not split
                 assert sum(b - a for _, a, b in pieces) == hi - lo
 
@@ -137,12 +141,13 @@ def test_first_return_identity_cut():
 
 
 def test_first_return_measure_conservation():
-    x = rotation_37()
-    pieces = x.first_return_pieces(F(2, 7))
-    for side in (Side.TOP, Side.BOTTOM):
-        mine = [p for p in pieces if p.src_side is side]
-        assert sum(p.src_hi - p.src_lo for p in mine) == F(2, 7)
-        assert sum(p.out_hi - p.out_lo for p in mine) == F(2, 7)
+    # the (3/7, 1/7) rotation on the grid of sevenths, cut at 2/7; pieces
+    # are (src_side, src_lo, src_hi, out_side, out_lo, out_hi, slope, steps)
+    pieces = _chase(_grid_layout(ROTATION, {"A": 3, "B": 1}), 2, 10**6)
+    for side in (0, 1):
+        mine = [p for p in pieces if p[0] == side]
+        assert sum(p[2] - p[1] for p in mine) == 2
+        assert sum(p[5] - p[4] for p in mine) == 2
 
 
 def test_first_return_tower_consistency():
@@ -151,7 +156,7 @@ def test_first_return_tower_consistency():
     # subdivisions, so equality is checked pointwise on an exact grid
     rng = random.Random(99)
     for x in random_fleet(seed=6, count=6):
-        denom, length = _flat_map(x)[:2]
+        denom, length = x._flat[:2]
         a = rng.randrange(length // 2, length)
         b = rng.randrange(length // 3, a)
         cut1, cut2 = F(a, denom), F(b, denom)
@@ -187,7 +192,7 @@ def test_first_return_fuzz_general_cuts():
     # pairing involution ever fails; fuzz it across arbitrary cuts
     rng = random.Random(2024)
     for x in random_fleet(seed=77, count=12):
-        denom, length = _flat_map(x)[:2]
+        denom, length = x._flat[:2]
         for _ in range(10):
             cut_int = rng.randrange(1, length + 1)
             cut = F(cut_int, denom)
@@ -202,7 +207,7 @@ def test_first_return_matches_pointwise_iteration():
     # compare against one application of the induced exchange
     rng = random.Random(71)
     for x in random_fleet(seed=16, count=6):
-        denom, length = _flat_map(x)[:2]
+        denom, length = x._flat[:2]
         cut_int = rng.randrange(length // 2, length)
         cut = F(cut_int, denom)
         induced = x.first_return_map(cut)
@@ -223,3 +228,80 @@ def test_first_return_matches_pointwise_iteration():
             assert point == expected, (x, cut, t)
             checked += 1
         assert checked > 100
+
+
+# --- the flat integer map against the Fraction layout -----------------------
+
+NODES = [perm for d in range(1, 5) for perm in genperm.enumerate_permutations(d)]
+
+
+def _outcome(f, *args):
+    """The value of f(*args), or the type and payload of the error it raised."""
+    try:
+        return f(*args)
+    except EndpointHit as err:
+        return EndpointHit, err.point, str(err)
+    except InvalidInput as err:
+        return InvalidInput, str(err)
+
+
+def _reference_orbit(ref, start, steps):
+    points = [start]
+    for k in range(steps):
+        try:
+            points.append(ref.apply(points[-1]))
+        except EndpointHit:
+            return OrbitSegment(start, tuple(points), k)
+    return OrbitSegment(start, tuple(points), None)
+
+
+def _probe_offsets(ref, denom, rng):
+    """Every breakpoint of each side and an off-grid point just below it,
+    on-grid and off-grid points, and offsets outside [0, L)."""
+    length = ref.side_length
+    eps = F(1, 3 * denom * 2**20)
+    for side in (Side.TOP, Side.BOTTOM):
+        breaks = list(ref.starts[side])
+        offsets = breaks + [b - eps for b in breaks[1:] + [length]]
+        offsets += [F(rng.randrange(int(length * denom)), denom) for _ in range(3)]
+        offsets += [length * F(rng.randrange(1, 2**30), 2**30) for _ in range(3)]
+        offsets += [-eps, length, length + F(1, denom)]
+        for offset in offsets:
+            yield Point(side, offset)
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_flat_map_equals_fraction_layout_on_every_small_node(seed):
+    # one drawn seed per sweep seeds the widths, grid denominators and
+    # probe points of every node
+    rng = random.Random(seed)
+    seen = {"mapped": 0, "endpoint": 0, "outside": 0, "orbit_hit": 0}
+    for perm in NODES:
+        widths = random_grid_widths(perm, rng)
+        denom = rng.randrange(1, 50)
+        x = build(perm, {a: F(v, denom) for a, v in widths.items()})
+        ref = FractionLayout(perm, x.widths)
+        assert x.side_length == ref.side_length
+        for label in perm.alphabet:
+            assert x.end_intervals(label) == ref.end_intervals(label)
+        for point in _probe_offsets(ref, denom, rng):
+            assert _outcome(x.locate, *point) == _outcome(ref.locate, *point), (x, point)
+            image = _outcome(x.apply, point)
+            assert image == _outcome(ref.apply, point), (x, point)
+            preimage = _outcome(x.apply_inverse, point)
+            assert preimage == _outcome(ref.apply_inverse, point), (x, point)
+            if isinstance(preimage, Point):
+                assert x.apply(preimage) == point
+            if isinstance(image, Point):
+                seen["mapped"] += 1
+                assert x.apply_inverse(image) == point
+            elif image[0] is EndpointHit:
+                seen["endpoint"] += 1
+            else:
+                seen["outside"] += 1
+                continue
+            orbit = x.orbit(point, 6)
+            assert orbit == _reference_orbit(ref, point, 6), (x, point)
+            seen["orbit_hit"] += orbit.hit_endpoint is not None
+    assert min(seen.values()) > 0, seen
