@@ -27,9 +27,10 @@ the n-th power is built as a refined piecewise isometry and each piece
 contributes a closed-form integral.  Across-side pieces are charged the
 full side length, a constant penalty that dominates any within-side
 displacement, so a vanishing defect still characterizes rigidity.  The
-pieces are composed in plain integers on the grid of the widths (the lcm
-D of their denominators), and each iterate's integral is one integer over
-4 D^2, converted to a Fraction once.
+pieces are composed by the exchange's one composition kernel,
+``exchange._compose``, in plain integers on the grid of the widths (the
+lcm D of their denominators), and each iterate's integral is one integer
+over 4 D^2, converted to a Fraction once.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import (
     PartitionBlowup,
     SplitUndefined,
 )
-from .exchange import Exchange, Side
+from .exchange import Exchange, Side, _compose, _image
 from .genperm import GeneralizedPermutation
 from .rationals import common_denominator, format_fraction, to_grid
 
@@ -168,11 +169,12 @@ def verify_tower(
     end to end on the grid of the widths), so the arithmetic stays
     exact at machine-integer speed.  Each base interval's orbit is chased
     on its own: an image that crosses a breakpoint leaves its remainder
-    on a stack with its level.  Disjointness is measured over interval
-    interiors, so single shared endpoints do not count.  ``step_budget``
-    bounds the pieces of levels 1 .. height - 1 summed over the levels.
-    Property failures are reported in the verdicts, never raised; only
-    exceeding the step budget raises.
+    on a stack with its level.  The last level's image, for the return
+    overlap, is taken by ``exchange._compose``.  Disjointness is
+    measured over interval interiors, so single shared endpoints do not
+    count.  ``step_budget`` bounds the pieces of levels 1 .. height - 1
+    summed over the levels.  Property failures are reported in the
+    verdicts, never raised; only exceeding the step budget raises.
     """
     denom, length, bounds, slopes, shifts = x._flat
     base = _flat_base(tower, denom, length)
@@ -212,7 +214,8 @@ def verify_tower(
                     lo, hi = shift - hi, shift - lo
                 if disjoint and base_lo[bisect_right(base_hi, lo)] < hi:
                     disjoint = False
-            for flo, fhi in _flat_image(bounds, slopes, shifts, lo, hi):
+            for piece in _compose([(lo, hi, 1, 0)], bounds, slopes, shifts):
+                flo, fhi = _image(*piece)
                 j = bisect_right(base_hi, flo)
                 while base_lo[j] < fhi:
                     overlap_int += min(fhi, base_hi[j]) - max(flo, base_lo[j])
@@ -271,26 +274,6 @@ def _flat_base(tower: CyclicTower, denom: int, length: int) -> list[tuple[int, i
     return base
 
 
-def _flat_image(
-    bounds: list[int], slopes: list[int], shifts: list[int], lo: int, hi: int
-) -> list[tuple[int, int]]:
-    """The image of the flat interval [lo, hi), one piece per position met."""
-    pieces = []
-    p = bisect_right(bounds, lo) - 1
-    while True:
-        end = bounds[p + 1]
-        seg = hi if hi < end else end
-        shift = shifts[p]
-        if slopes[p] == 1:
-            pieces.append((shift + lo, shift + seg))
-        else:
-            pieces.append((shift - seg, shift - lo))
-        if seg == hi:
-            return pieces
-        lo = seg
-        p += 1
-
-
 def _full_union_measure(
     bounds: list[int],
     slopes: list[int],
@@ -301,20 +284,19 @@ def _full_union_measure(
     """Union measure of all levels by explicit accumulation.
 
     Only needed when level disjointness fails, which degenerate towers do
-    at small heights; tall verified towers take the additive path.  The
-    levels are flat intervals, so merging across the flat point L joins a
-    top and a bottom interval without changing the measure.  Its pieces
-    are those of levels 1 .. height - 1 that ``verify_tower`` has already
-    charged to its step budget.
+    at small heights; tall verified towers take the additive path.  Each
+    level is the images of the base's pieces composed once more by
+    ``exchange._compose``.  The levels are flat intervals, so merging
+    across the flat point L joins a top and a bottom interval without
+    changing the measure.  Its pieces are those of levels 1 .. height - 1
+    that ``verify_tower`` has already charged to its step budget.
     """
     union = list(base)
-    current = list(base)
+    pieces = [(lo, hi, 1, 0) for lo, hi in base]
     merge_cap = 4 * len(base) + 64
     for _ in range(1, height):
-        current = [
-            piece for lo, hi in current for piece in _flat_image(bounds, slopes, shifts, lo, hi)
-        ]
-        union.extend(current)
+        pieces = _compose(pieces, bounds, slopes, shifts)
+        union.extend(_image(*piece) for piece in pieces)
         if len(union) > merge_cap:
             union = _merge_intervals(union)
             merge_cap = max(merge_cap, 2 * len(union) + 64)
@@ -432,9 +414,9 @@ def _rigidity_defects(x: Exchange, ns: Sequence[int], max_pieces: int) -> list[F
 
     One composition serves every requested iterate.  A piece of the n-th
     iterate is (lo, hi, slope, const) on the flat grid of ``x._flat``:
-    the points [lo, hi) go to const + slope * f.  The next iterate maps
-    each piece's image through the layout, locating the image once and
-    walking the breakpoints forward.  A defect is one integer over 4 D^2.
+    the points [lo, hi) go to const + slope * f.  ``exchange._compose``
+    takes the pieces of one iterate to the next.  A defect is one
+    integer over 4 D^2.
     """
     denom, length, bounds, slopes, shifts = x._flat
     pieces = [
@@ -445,28 +427,9 @@ def _rigidity_defects(x: Exchange, ns: Sequence[int], max_pieces: int) -> list[F
     n = 1
     for target in ns:
         while n < target:
-            nxt = []
-            append = nxt.append
-            for lo, hi, slope, const in pieces:
-                if slope == 1:
-                    cursor, end = const + lo, const + hi
-                else:
-                    cursor, end = const - hi, const - lo
-                p = bisect_right(bounds, cursor) - 1
-                while True:
-                    seg = bounds[p + 1] if bounds[p + 1] < end else end
-                    pslope, pshift = slopes[p], shifts[p]
-                    if slope == 1:
-                        append((cursor - const, seg - const, pslope, pshift + pslope * const))
-                    else:
-                        append((const - seg, const - cursor, -pslope, pshift + pslope * const))
-                    if seg == end:
-                        break
-                    cursor = seg
-                    p += 1
-            if len(nxt) > max_pieces:
+            pieces = _compose(pieces, bounds, slopes, shifts)
+            if len(pieces) > max_pieces:
                 raise PartitionBlowup(f"iterated partition exceeded {max_pieces} pieces")
-            pieces = nxt
             n += 1
         defects.append(Fraction(_defect_numerator(pieces, length), scale))
     return defects

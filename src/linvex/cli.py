@@ -208,12 +208,21 @@ def _side_from_json(value) -> Side:
         raise InvalidInput(f"tower base side {value!r} is neither 'Top' nor 'Bottom'") from None
 
 
+def _json_int(data, key: str) -> int:
+    """An integer field of a JSON object; a float, string or bool is
+    InvalidInput rather than coerced."""
+    value = data[key]
+    if type(value) is not int:
+        raise InvalidInput(f'"{key}" must be an integer, got {value!r}')
+    return value
+
+
 def _tower_from_json(data) -> approx.CyclicTower:
     try:
         return approx.CyclicTower(
             band=data["band"],
-            depth=int(data["depth"]),
-            height=int(data["height"]),
+            depth=_json_int(data, "depth"),
+            height=_json_int(data, "height"),
             base=tuple(
                 (
                     _side_from_json(item["side"]),

@@ -9,12 +9,14 @@ two sides while keeping the absolute offset.
 
 An exchange carries one exact layout, its flat integer map: the widths
 become integers on their common grid (step 1 / D, with D the lcm of their
-denominators) and the two sides are laid end to end as [0, 2L).  The
-first-return chase, tower verification, rigidity composition and orbit
-statistics all run on integers.  Fractions appear only at the API and
-JSON boundary: a point p / q is carried as an integer over the grid D q
-and converted back once.  The induction steps subtract nearly equal
-widths, so floating point would corrupt the combinatorics.
+denominators) and the two sides are laid end to end as [0, 2L).
+``_grid_layout`` is the one builder of that map, and ``_compose`` is the
+one kernel that pushes pieces (lo, hi, slope, const) a step through it:
+the first-return chase, tower images and rigidity composition all use
+it, and orbit statistics run on the same integers.  Fractions appear
+only at the API and JSON boundary: a point p / q is carried as an integer
+over the grid D q and converted back once.  The induction steps subtract
+nearly equal widths, so floating point would corrupt the combinatorics.
 
 Half-open endpoint convention: offset 0 inside an end whose partner lies
 on the same side has no half-open image (the reversal lands on the
@@ -28,7 +30,6 @@ set.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .errors import (
     SwitchConditionViolated,
 )
 from .genperm import GeneralizedPermutation
-from .rationals import common_denominator, format_fraction, one_norm, to_grid
+from .rationals import common_denominator, format_fraction, to_grid
 
 DEFAULT_RETURN_BUDGET = 10**6
 
@@ -97,11 +98,12 @@ class Exchange:
     """An immutable labeled exchange: permutation, widths and flat integer map.
 
     ``_flat`` is (D, L, bounds, slopes, shifts): the grid denominator D
-    (the lcm of the width denominators), the side length L on the grid,
-    and the map with its two sides laid end to end.  Offset t of side s
-    (0 top, 1 bottom) is the flat point s * L + t of [0, 2L).  Position p
-    covers [bounds[p], bounds[p + 1]) and sends f to
-    shifts[p] + slopes[p] * f; ``bounds`` ends with 2L.
+    (the lcm of the width denominators) followed by ``_grid_layout`` of
+    the widths on that grid, the side length L and the map with its two
+    sides laid end to end.  Offset t of side s (0 top, 1 bottom) is the
+    flat point s * L + t of [0, 2L).  Position p covers [bounds[p],
+    bounds[p + 1]) and sends f to shifts[p] + slopes[p] * f; ``bounds``
+    ends with 2L.
     """
 
     __slots__ = ("perm", "widths", "side_length", "_flat")
@@ -110,20 +112,8 @@ class Exchange:
         self.perm = perm
         self.widths = validate_widths(perm, widths)
         denom = common_denominator(self.widths.values())
-        starts, _, out_side, slopes, consts, length = _grid_layout(
-            perm, to_grid(self.widths, denom)
-        )
-        n_top = len(starts[0])
-        bounds = starts[0] + [length + s for s in starts[1]] + [2 * length]
-        shifts = [
-            out_side[p] * length + consts[p] - slopes[p] * (length if p >= n_top else 0)
-            for p in range(len(consts))
-        ]
-        # Both sides tile to the sum of the widths: each band contributes
-        # its width twice overall, and the switch condition balances the
-        # reversing contributions.
-        self.side_length = Fraction(length, denom)
-        self._flat = (denom, length, bounds, slopes, shifts)
+        self._flat = (denom, *_grid_layout(perm, to_grid(self.widths, denom)))
+        self.side_length = Fraction(self._flat[1], denom)
 
     @property
     def total_measure(self) -> Fraction:
@@ -232,116 +222,120 @@ def build(perm: GeneralizedPermutation, widths: Mapping[str, Fraction]) -> Excha
     return Exchange(perm, widths)
 
 
-class _GridLayout(NamedTuple):
-    """Integer layout of a permutation with integer widths.
+def _grid_layout(
+    perm: GeneralizedPermutation, widths: Mapping[str, int]
+) -> tuple[int, list[int], list[int], list[int]]:
+    """The flat integer map of a permutation with integer widths.
 
-    Sides are 0 (top) and 1 (bottom); the end at index ``idx`` of side
-    ``s`` is global position ``offset[s] + idx``, and the map sends offset
-    t of position p to ``const[p] + slope[p] * t`` on ``out_side[p]``.
+    Returns (L, bounds, slopes, shifts): the side length and the map with
+    both sides laid end to end as [0, 2L), the layout ``Exchange._flat``
+    carries after its denominator.  Position p covers [bounds[p],
+    bounds[p + 1]) and sends f to shifts[p] + slopes[p] * f: through the
+    band to its other end q, then across to the other side.
     """
-
-    starts: tuple[list[int], list[int]]
-    offset: tuple[int, int]
-    out_side: list[int]
-    slope: list[int]
-    const: list[int]
-    length: int
-
-
-def _grid_layout(perm: GeneralizedPermutation, widths: Mapping[str, int]) -> _GridLayout:
-    rows = (perm.top, perm.bottom)
-    starts: tuple[list[int], list[int]] = ([], [])
-    totals = []
-    for side, row in enumerate(rows):
-        cursor = 0
-        side_starts = starts[side]
-        for label in row:
-            side_starts.append(cursor)
-            cursor += widths[label]
-        totals.append(cursor)
-    if totals[0] != totals[1]:
-        raise InconsistentStage("layout does not tile both sides equally")
+    bounds = [0]
+    for label in perm.top + perm.bottom:
+        bounds.append(bounds[-1] + widths[label])
     n_top = len(perm.top)
-    labels = perm.top + perm.bottom
-    pos_start = starts[0] + starts[1]
-    total = len(labels)
-    out_side = [0] * total
-    slope = [1] * total
-    const = [0] * total
-    involution = perm.involution
-    for p in range(total):
-        q = involution[p]
-        q_bottom = q >= n_top
-        out_side[p] = 0 if q_bottom else 1
-        if (p >= n_top) == q_bottom:
-            slope[p] = -1
-            const[p] = pos_start[q] + widths[labels[p]] + pos_start[p]
+    length = bounds[n_top]
+    if 2 * length != bounds[-1]:
+        raise InconsistentStage("layout does not tile both sides equally")
+    slopes = []
+    shifts = []
+    for p, q in enumerate(perm.involution):
+        # where the partner end q starts once swapped to the other side
+        swapped = bounds[q] + length if q < n_top else bounds[q] - length
+        if (p < n_top) == (q < n_top):
+            slopes.append(-1)
+            shifts.append(swapped + bounds[p + 1])
         else:
-            const[p] = pos_start[q] - pos_start[p]
-    return _GridLayout(starts, (0, n_top), out_side, slope, const, totals[0])
+            slopes.append(1)
+            shifts.append(swapped - bounds[p])
+    return length, bounds, slopes, shifts
 
 
-def _split_item(side, slo, shi, cs, clo, chi, slope, steps, at):
-    """Split a work item at image ordinate ``at`` in (clo, chi)."""
+def _image(lo: int, hi: int, slope: int, const: int) -> tuple[int, int]:
+    """The flat interval a piece (lo, hi, slope, const) maps [lo, hi) onto."""
     if slope == 1:
-        mid = slo + (at - clo)
-        return [
-            (side, slo, mid, cs, clo, at, slope, steps),
-            (side, mid, shi, cs, at, chi, slope, steps),
-        ]
-    mid = slo + (chi - at)
-    return [
-        (side, slo, mid, cs, at, chi, slope, steps),
-        (side, mid, shi, cs, clo, at, slope, steps),
-    ]
+        return const + lo, const + hi
+    return const - hi, const - lo
 
 
-def _chase(layout: _GridLayout, cut: int, budget: int) -> list[tuple]:
-    """Integer first-return chase to the cut; sides are 0 (top) and 1 (bottom).
+def _compose(
+    pieces: Iterable[tuple[int, int, int, int]],
+    bounds: list[int],
+    slopes: list[int],
+    shifts: list[int],
+) -> list[tuple[int, int, int, int]]:
+    """One more step of the flat map after each piece.
 
-    Returns pieces (src_side, src_lo, src_hi, out_side, out_lo, out_hi,
-    slope, steps) on the layout's grid.
+    A piece (lo, hi, slope, const) sends [lo, hi) to const + slope * f.
+    Each piece's image is located once and walked forward through the
+    breakpoints, so a piece splits into one piece per position its image
+    meets, each carrying the composed affine map.
     """
-    starts, offset, out_side, slopes, consts, length = layout
-    work: deque = deque()
-    for side_idx in (0, 1):
-        edges = [0]
-        edges.extend(s for s in starts[side_idx] if 0 < s < cut)
-        edges.append(cut)
-        for lo, hi in zip(edges, edges[1:]):
-            work.append((side_idx, lo, hi, side_idx, lo, hi, 1, 0))
-
-    done: list[tuple] = []
-    while work:
-        item = work.popleft()
-        side, slo, shi, cs, clo, chi, slope, steps = item
-        if steps > 0:
-            if chi <= cut:
-                done.append(item)
-                continue
-            if clo < cut:
-                work.extend(_split_item(*item, at=cut))
-                continue
-        if steps >= budget:
-            raise NotReturning(
-                f"piece [{slo}, {shi}) on side {side} exceeded {budget} steps"
-            )
-        side_starts = starts[cs]
-        idx = bisect_right(side_starts, clo) - 1
-        end_hi = side_starts[idx + 1] if idx + 1 < len(side_starts) else length
-        if chi > end_hi:
-            work.extend(_split_item(*item, at=end_hi))
-            continue
-        p = offset[cs] + idx
-        const, pslope = consts[p], slopes[p]
-        if pslope == 1:
-            nlo, nhi = const + clo, const + chi
+    out = []
+    append = out.append
+    for lo, hi, slope, const in pieces:
+        if slope == 1:
+            cursor, end = const + lo, const + hi
         else:
-            nlo, nhi = const - chi, const - clo
-        work.append(
-            (side, slo, shi, out_side[p], nlo, nhi, slope * pslope, steps + 1)
-        )
-    return done
+            cursor, end = const - hi, const - lo
+        p = bisect_right(bounds, cursor) - 1
+        while True:
+            seg = bounds[p + 1] if bounds[p + 1] < end else end
+            pslope, pshift = slopes[p], shifts[p]
+            if slope == 1:
+                append((cursor - const, seg - const, pslope, pshift + pslope * const))
+            else:
+                append((const - seg, const - cursor, -pslope, pshift + pslope * const))
+            if seg == end:
+                break
+            cursor = seg
+            p += 1
+    return out
+
+
+def _chase(
+    flat: tuple[int, list[int], list[int], list[int]], cut: int, budget: int
+) -> list[tuple[int, int, int, int]]:
+    """Integer first-return chase to [0, cut) on each side of a flat map.
+
+    ``flat`` is (L, bounds, slopes, shifts) from ``_grid_layout``; the
+    domain is [0, cut) and [L, L + cut).  Returns the pieces (lo, hi,
+    slope, const) of the return map, each sending [lo, hi) to
+    const + slope * f.  Every round composes the pieces still out with
+    one more step.  An image lies on one side, so it meets the domain in
+    a prefix: that part returns and the rest goes round again.
+    """
+    length, bounds, slopes, shifts = flat
+    pieces = [(0, cut, 1, 0), (length, length + cut, 1, 0)]
+    done = []
+    for _ in range(budget):
+        out = []
+        for piece in _compose(pieces, bounds, slopes, shifts):
+            lo, hi, slope, const = piece
+            a, b = _image(*piece)
+            end = (length if a >= length else 0) + cut
+            if b <= end:
+                done.append(piece)
+            elif a >= end:
+                out.append(piece)
+            elif slope == 1:
+                done.append((lo, end - const, slope, const))
+                out.append((end - const, hi, slope, const))
+            else:
+                done.append((const - end, hi, slope, const))
+                out.append((lo, const - end, slope, const))
+        if not out:
+            return done
+        pieces = out
+    lo, hi = pieces[0][:2]
+    side = 1 if lo >= length else 0
+    raise NotReturning(
+        f"piece [{lo - side * length}, {hi - side * length}) on side {side} "
+        f"exceeded {budget} steps"
+    )
 
 
 def first_return_on_grid(
@@ -354,53 +348,49 @@ def first_return_on_grid(
 
     The integer core of ``Exchange.first_return_map``: widths and cut live
     on one grid, and the induced widths stay on it.  The return pieces are
-    checked to tile both sides up to the cut, to be isometries, and to pair
-    up under the induced flow as a fixed-point-free involution; a failure
-    raises InconsistentStage.  Tiling both sides to the same length also
+    checked to tile both sides up to the cut and to pair up under the
+    induced flow as a fixed-point-free involution; a failure raises
+    InconsistentStage.  A piece has slope +1 or -1, so its image has its
+    length by construction.  Tiling both sides to the same length also
     gives the induced switch condition, and every piece is nonempty.
     """
-    layout = _grid_layout(perm, widths)
-    pieces = _chase(layout, cut, budget)
-    by_side: dict[int, list[tuple]] = {0: [], 1: []}
+    flat = _grid_layout(perm, widths)
+    length, bounds = flat[0], flat[1]
+    pieces = sorted(_chase(flat, cut, budget))
+    index: dict[int, tuple[int, int, int, int]] = {}
+    cursor = 0
     for piece in pieces:
-        by_side[piece[0]].append(piece)
-    index: dict[tuple[int, int], tuple] = {}
-    for side in (0, 1):
-        by_side[side].sort(key=lambda r: r[1])
-        cursor = 0
-        for piece in by_side[side]:
-            _, slo, shi, _, olo, ohi, _, _ = piece
-            if slo != cursor:
-                raise InconsistentStage("return pieces do not tile the domain")
-            if ohi - olo != shi - slo:
-                raise InconsistentStage("return piece is not an isometry")
-            cursor = shi
-            index[(side, slo)] = piece
-        if cursor != cut:
-            raise InconsistentStage("return pieces do not reach the cut")
+        if cursor == cut:
+            # the top side is tiled; the bottom one starts at flat L
+            cursor = length
+        if piece[0] != cursor:
+            raise InconsistentStage("return pieces do not tile the domain")
+        cursor = piece[1]
+        index[piece[0]] = piece
+    if cursor != length + cut:
+        raise InconsistentStage("return pieces do not reach the cut")
 
     # Pair each piece with its partner under the flow part of the induced
     # map (the image with the side flipped back).  The induced map of an
     # exchange is again an exchange, so this pairing must be a
     # fixed-point-free involution on pieces.
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    partner: dict[int, int] = {}
     for piece in pieces:
-        key = (piece[0], piece[1])
-        pkey = (1 - piece[3], piece[4])
-        mate = index.get(pkey)
-        if mate is None or mate[2] != piece[5]:
+        lo, hi = _image(*piece)
+        flip = -length if lo >= length else length
+        mate = index.get(lo + flip)
+        if mate is None or mate[1] != hi + flip:
             raise InconsistentStage("induced flow does not pair pieces")
-        if pkey == key:
+        if mate[0] == piece[0]:
             raise InconsistentStage("a piece pairs with itself")
-        partner[key] = pkey
-    for key, pkey in partner.items():
-        if partner.get(pkey) != key:
+        partner[piece[0]] = mate[0]
+    for key, mate in partner.items():
+        if partner.get(mate) != key:
             raise InconsistentStage("induced flow pairing is not an involution")
 
-    bands: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    seen: set[tuple[int, int]] = set()
-    ordered_keys = [(side, piece[1]) for side in (0, 1) for piece in by_side[side]]
-    for key in ordered_keys:
+    bands: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for key in index:
         if key in seen:
             continue
         mate = partner[key]
@@ -408,19 +398,16 @@ def first_return_on_grid(
         seen.add(mate)
         bands.append((key, mate))
 
-    old_ends: dict[tuple[int, int, int], str] = {}
-    for side, row in enumerate((perm.top, perm.bottom)):
-        for lo, label in zip(layout.starts[side], row):
-            old_ends[(side, lo, lo + widths[label])] = label
-
+    old_ends = {
+        (bounds[p], bounds[p + 1]): label for p, label in enumerate(perm.top + perm.bottom)
+    }
     claimed: dict[int, str] = {}
     used: dict[str, int] = {}
     inherited = True
     for i, (key, mate) in enumerate(bands):
         labels = set()
         for piece_key in (key, mate):
-            piece = index[piece_key]
-            found = old_ends.get((piece[0], piece[1], piece[2]))
+            found = old_ends.get(index[piece_key][:2])
             if found is not None:
                 labels.add(found)
         if len(labels) > 1:
@@ -443,21 +430,14 @@ def first_return_on_grid(
     if not inherited or len(claimed) != len(bands):
         claimed = {i: f"b{i + 1}" for i in range(len(bands))}
 
-    label_of_key: dict[tuple[int, int], str] = {}
+    label_of_key: dict[int, str] = {}
     induced_widths: dict[str, int] = {}
     for i, (key, mate) in enumerate(bands):
         label = claimed[i]
         label_of_key[key] = label
         label_of_key[mate] = label
-        piece = index[key]
-        induced_widths[label] = piece[2] - piece[1]
+        induced_widths[label] = index[key][1] - key
 
-    top_row = [label_of_key[(0, piece[1])] for piece in by_side[0]]
-    bottom_row = [label_of_key[(1, piece[1])] for piece in by_side[1]]
+    top_row = [label_of_key[key] for key in index if key < length]
+    bottom_row = [label_of_key[key] for key in index if key >= length]
     return genperm.validate(top_row, bottom_row), induced_widths
-
-
-def norm(widths: Mapping[str, Fraction] | Iterable[Fraction]) -> Fraction:
-    if isinstance(widths, Mapping):
-        return one_norm(widths.values())
-    return one_norm(widths)

@@ -189,12 +189,16 @@ def _validate_cached(
 
 def from_json_dict(data: Mapping) -> GeneralizedPermutation:
     """The permutation of ``{"top": [...], "bottom": [...]}``; InvalidInput
-    when a row is missing or is not a list."""
+    when a row is missing, is not a list or holds a label that is not a
+    string."""
     rows = []
     for key in ("top", "bottom"):
         row = data.get(key) if isinstance(data, Mapping) else None
         if not isinstance(row, list):
             raise InvalidInput(f'a permutation needs a "{key}" list of labels')
+        for label in row:
+            if not isinstance(label, str):
+                raise InvalidInput(f'label {label!r} in "{key}" is not a string')
         rows.append(row)
     return validate(*rows)
 

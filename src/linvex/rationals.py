@@ -32,14 +32,6 @@ def format_fraction(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def one_norm(values: Iterable[Fraction]) -> Fraction:
-    """Sum of absolute values; additive on nonnegative vectors."""
-    total = Fraction(0)
-    for v in values:
-        total += abs(v)
-    return total
-
-
 def common_denominator(values: Iterable[Fraction]) -> int:
     """Least common multiple of the denominators: the grid of the values."""
     return math.lcm(*(v.denominator for v in values))

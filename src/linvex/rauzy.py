@@ -60,9 +60,6 @@ class Matrix:
         n = len(labels)
         return cls(labels, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.labels, [row[:] for row in self.rows])
-
     def entry(self, row_label: str, col_label: str) -> int:
         return self.rows[self._index[row_label]][self._index[col_label]]
 

@@ -5,13 +5,16 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import deque
 from fractions import Fraction as F
+from typing import Mapping, NamedTuple
 
 import pytest
 
 from linvex import genperm, lab
-from linvex.errors import EndpointHit, InconsistentStage, InvalidInput
-from linvex.exchange import Exchange, Point, Side
+from linvex.errors import EndpointHit, InconsistentStage, InvalidInput, NotReturning
+from linvex.exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, Side
+from linvex.genperm import GeneralizedPermutation
 
 # One line per acceptance criterion, echoed in the terminal summary so the
 # verdicts stay visible under output capture.
@@ -257,6 +260,239 @@ class IntegerLayout:
         self.out_side = list(ref.apply_side)
         self.slope = list(ref.apply_slope)
         self.const = [int(c * denom) for c in ref.apply_const]
+
+
+# --- reference first-return oracle ------------------------------------------
+#
+# A side-keyed integer first-return chase that shares no code with the
+# library's flat one: each side is tiled on its own, and a work item
+# carries its source and image sides explicitly.  The differential tests
+# compare ``linvex.exchange.first_return_on_grid`` against it.
+
+
+class _GridLayout(NamedTuple):
+    """Integer layout of a permutation with integer widths.
+
+    Sides are 0 (top) and 1 (bottom); the end at index ``idx`` of side
+    ``s`` is global position ``offset[s] + idx``, and the map sends offset
+    t of position p to ``const[p] + slope[p] * t`` on ``out_side[p]``.
+    """
+
+    starts: tuple[list[int], list[int]]
+    offset: tuple[int, int]
+    out_side: list[int]
+    slope: list[int]
+    const: list[int]
+    length: int
+
+
+def _grid_layout(perm: GeneralizedPermutation, widths: Mapping[str, int]) -> _GridLayout:
+    rows = (perm.top, perm.bottom)
+    starts: tuple[list[int], list[int]] = ([], [])
+    totals = []
+    for side, row in enumerate(rows):
+        cursor = 0
+        side_starts = starts[side]
+        for label in row:
+            side_starts.append(cursor)
+            cursor += widths[label]
+        totals.append(cursor)
+    if totals[0] != totals[1]:
+        raise InconsistentStage("layout does not tile both sides equally")
+    n_top = len(perm.top)
+    labels = perm.top + perm.bottom
+    pos_start = starts[0] + starts[1]
+    total = len(labels)
+    out_side = [0] * total
+    slope = [1] * total
+    const = [0] * total
+    involution = perm.involution
+    for p in range(total):
+        q = involution[p]
+        q_bottom = q >= n_top
+        out_side[p] = 0 if q_bottom else 1
+        if (p >= n_top) == q_bottom:
+            slope[p] = -1
+            const[p] = pos_start[q] + widths[labels[p]] + pos_start[p]
+        else:
+            const[p] = pos_start[q] - pos_start[p]
+    return _GridLayout(starts, (0, n_top), out_side, slope, const, totals[0])
+
+
+def _split_item(side, slo, shi, cs, clo, chi, slope, steps, at):
+    """Split a work item at image ordinate ``at`` in (clo, chi)."""
+    if slope == 1:
+        mid = slo + (at - clo)
+        return [
+            (side, slo, mid, cs, clo, at, slope, steps),
+            (side, mid, shi, cs, at, chi, slope, steps),
+        ]
+    mid = slo + (chi - at)
+    return [
+        (side, slo, mid, cs, at, chi, slope, steps),
+        (side, mid, shi, cs, clo, at, slope, steps),
+    ]
+
+
+def _chase(layout: _GridLayout, cut: int, budget: int) -> list[tuple]:
+    """Integer first-return chase to the cut; sides are 0 (top) and 1 (bottom).
+
+    Returns pieces (src_side, src_lo, src_hi, out_side, out_lo, out_hi,
+    slope, steps) on the layout's grid.
+    """
+    starts, offset, out_side, slopes, consts, length = layout
+    work: deque = deque()
+    for side_idx in (0, 1):
+        edges = [0]
+        edges.extend(s for s in starts[side_idx] if 0 < s < cut)
+        edges.append(cut)
+        for lo, hi in zip(edges, edges[1:]):
+            work.append((side_idx, lo, hi, side_idx, lo, hi, 1, 0))
+
+    done: list[tuple] = []
+    while work:
+        item = work.popleft()
+        side, slo, shi, cs, clo, chi, slope, steps = item
+        if steps > 0:
+            if chi <= cut:
+                done.append(item)
+                continue
+            if clo < cut:
+                work.extend(_split_item(*item, at=cut))
+                continue
+        if steps >= budget:
+            raise NotReturning(
+                f"piece [{slo}, {shi}) on side {side} exceeded {budget} steps"
+            )
+        side_starts = starts[cs]
+        idx = bisect_right(side_starts, clo) - 1
+        end_hi = side_starts[idx + 1] if idx + 1 < len(side_starts) else length
+        if chi > end_hi:
+            work.extend(_split_item(*item, at=end_hi))
+            continue
+        p = offset[cs] + idx
+        const, pslope = consts[p], slopes[p]
+        if pslope == 1:
+            nlo, nhi = const + clo, const + chi
+        else:
+            nlo, nhi = const - chi, const - clo
+        work.append(
+            (side, slo, shi, out_side[p], nlo, nhi, slope * pslope, steps + 1)
+        )
+    return done
+
+
+def reference_first_return_on_grid(
+    perm: GeneralizedPermutation,
+    widths: Mapping[str, int],
+    cut: int,
+    budget: int = DEFAULT_RETURN_BUDGET,
+) -> tuple[GeneralizedPermutation, dict[str, int]]:
+    """The induced permutation and integer widths on [0, cut) of each side.
+
+    The integer core of ``Exchange.first_return_map``: widths and cut live
+    on one grid, and the induced widths stay on it.  The return pieces are
+    checked to tile both sides up to the cut, to be isometries, and to pair
+    up under the induced flow as a fixed-point-free involution; a failure
+    raises InconsistentStage.  Tiling both sides to the same length also
+    gives the induced switch condition, and every piece is nonempty.
+    """
+    layout = _grid_layout(perm, widths)
+    pieces = _chase(layout, cut, budget)
+    by_side: dict[int, list[tuple]] = {0: [], 1: []}
+    for piece in pieces:
+        by_side[piece[0]].append(piece)
+    index: dict[tuple[int, int], tuple] = {}
+    for side in (0, 1):
+        by_side[side].sort(key=lambda r: r[1])
+        cursor = 0
+        for piece in by_side[side]:
+            _, slo, shi, _, olo, ohi, _, _ = piece
+            if slo != cursor:
+                raise InconsistentStage("return pieces do not tile the domain")
+            if ohi - olo != shi - slo:
+                raise InconsistentStage("return piece is not an isometry")
+            cursor = shi
+            index[(side, slo)] = piece
+        if cursor != cut:
+            raise InconsistentStage("return pieces do not reach the cut")
+
+    # Pair each piece with its partner under the flow part of the induced
+    # map (the image with the side flipped back).  The induced map of an
+    # exchange is again an exchange, so this pairing must be a
+    # fixed-point-free involution on pieces.
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    for piece in pieces:
+        key = (piece[0], piece[1])
+        pkey = (1 - piece[3], piece[4])
+        mate = index.get(pkey)
+        if mate is None or mate[2] != piece[5]:
+            raise InconsistentStage("induced flow does not pair pieces")
+        if pkey == key:
+            raise InconsistentStage("a piece pairs with itself")
+        partner[key] = pkey
+    for key, pkey in partner.items():
+        if partner.get(pkey) != key:
+            raise InconsistentStage("induced flow pairing is not an involution")
+
+    bands: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    seen: set[tuple[int, int]] = set()
+    ordered_keys = [(side, piece[1]) for side in (0, 1) for piece in by_side[side]]
+    for key in ordered_keys:
+        if key in seen:
+            continue
+        mate = partner[key]
+        seen.add(key)
+        seen.add(mate)
+        bands.append((key, mate))
+
+    old_ends: dict[tuple[int, int, int], str] = {}
+    for side, row in enumerate((perm.top, perm.bottom)):
+        for lo, label in zip(layout.starts[side], row):
+            old_ends[(side, lo, lo + widths[label])] = label
+
+    claimed: dict[int, str] = {}
+    used: dict[str, int] = {}
+    inherited = True
+    for i, (key, mate) in enumerate(bands):
+        labels = set()
+        for piece_key in (key, mate):
+            piece = index[piece_key]
+            found = old_ends.get((piece[0], piece[1], piece[2]))
+            if found is not None:
+                labels.add(found)
+        if len(labels) > 1:
+            inherited = False
+            break
+        if labels:
+            label = labels.pop()
+            if label in used:
+                inherited = False
+                break
+            used[label] = i
+            claimed[i] = label
+    if inherited:
+        leftover_bands = [i for i in range(len(bands)) if i not in claimed]
+        leftover_labels = [a for a in perm.alphabet if a not in used]
+        if len(leftover_bands) == len(leftover_labels) == 1:
+            claimed[leftover_bands[0]] = leftover_labels[0]
+        elif leftover_bands or leftover_labels:
+            inherited = False
+    if not inherited or len(claimed) != len(bands):
+        claimed = {i: f"b{i + 1}" for i in range(len(bands))}
+
+    label_of_key: dict[tuple[int, int], str] = {}
+    induced_widths: dict[str, int] = {}
+    for i, (key, mate) in enumerate(bands):
+        label = claimed[i]
+        label_of_key[key] = label
+        label_of_key[mate] = label
+        piece = index[key]
+        induced_widths[label] = piece[2] - piece[1]
+
+    top_row = [label_of_key[(0, piece[1])] for piece in by_side[0]]
+    bottom_row = [label_of_key[(1, piece[1])] for piece in by_side[1]]
+    return genperm.validate(top_row, bottom_row), induced_widths
 
 
 def tower_fleet(seed: int):

@@ -252,7 +252,12 @@ def _tower_bytes(**changes) -> bytes:
         pytest.param("split", "widths", b'{"A":"3/7","B":"one"}', id="width-not-rational"),
         pytest.param("verify-tower", "tower", b"not json {", id="tower-not-json"),
         pytest.param("verify-tower", "tower", _tower_bytes(band=None), id="tower-without-band"),
+        pytest.param(
+            "validate", "perm", b'{"top":[null,null,1],"bottom":[1,2,2]}', id="labels-not-strings"
+        ),
         pytest.param("verify-tower", "tower", _tower_bytes(height="two"), id="height-not-int"),
+        pytest.param("verify-tower", "tower", _tower_bytes(height=2.9), id="height-not-integral"),
+        pytest.param("verify-tower", "tower", _tower_bytes(depth=True), id="depth-bool"),
         pytest.param("verify-tower", "tower", _tower_bytes(delta="1/0"), id="delta-over-zero"),
         pytest.param(
             "verify-tower",

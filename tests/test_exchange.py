@@ -13,12 +13,29 @@ from linvex import genperm
 from linvex.errors import (
     EndpointHit,
     InvalidInput,
+    LinvexError,
     NonPositiveWidth,
+    NotReturning,
     SwitchConditionViolated,
 )
-from linvex.exchange import OrbitSegment, Point, Side, _chase, _grid_layout, build
+from linvex.exchange import (
+    DEFAULT_RETURN_BUDGET,
+    OrbitSegment,
+    Point,
+    Side,
+    _chase,
+    _grid_layout,
+    _image,
+    build,
+    first_return_on_grid,
+)
 
-from conftest import FractionLayout, random_fleet, random_grid_widths
+from conftest import (
+    FractionLayout,
+    random_fleet,
+    random_grid_widths,
+    reference_first_return_on_grid,
+)
 
 
 ROTATION = genperm.validate(["A", "B"], ["B", "A"])
@@ -142,12 +159,14 @@ def test_first_return_identity_cut():
 
 def test_first_return_measure_conservation():
     # the (3/7, 1/7) rotation on the grid of sevenths, cut at 2/7; pieces
-    # are (src_side, src_lo, src_hi, out_side, out_lo, out_hi, slope, steps)
-    pieces = _chase(_grid_layout(ROTATION, {"A": 3, "B": 1}), 2, 10**6)
-    for side in (0, 1):
-        mine = [p for p in pieces if p[0] == side]
-        assert sum(p[2] - p[1] for p in mine) == 2
-        assert sum(p[5] - p[4] for p in mine) == 2
+    # are flat (lo, hi, slope, const), the bottom side starting at L = 4
+    length, cut = 4, 2
+    pieces = _chase(_grid_layout(ROTATION, {"A": 3, "B": 1}), cut, 10**6)
+    for side in (0, length):
+        mine = [p for p in pieces if side <= p[0] < side + length]
+        assert sum(p[1] - p[0] for p in mine) == cut
+    domain = list(range(cut)) + list(range(length, length + cut))
+    assert sorted(f for p in pieces for f in range(*_image(*p))) == domain
 
 
 def test_first_return_tower_consistency():
@@ -305,3 +324,50 @@ def test_flat_map_equals_fraction_layout_on_every_small_node(seed):
             assert orbit == _reference_orbit(ref, point, 6), (x, point)
             seen["orbit_hit"] += orbit.hit_endpoint is not None
     assert min(seen.values()) > 0, seen
+
+
+# --- the flat first-return chase against the side-keyed reference ------------
+
+
+def _return_outcome(f, perm, widths, cut, budget):
+    """The induced (perm, widths), or the class of the error raised."""
+    try:
+        return f(perm, widths, cut, budget)
+    except LinvexError as err:
+        return type(err)
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_first_return_equals_side_keyed_reference_on_every_small_node(seed):
+    # one drawn seed per sweep seeds the widths and random cuts of every
+    # node; cuts are L, the Rauzy cut and two random ones
+    rng = random.Random(seed)
+    seen = {"inherited": 0, "fresh": 0, NotReturning: 0}
+    for perm in NODES:
+        widths = random_grid_widths(perm, rng)
+        length = sum(widths[a] for a in perm.top)
+        critical = genperm.critical_bands(perm)
+        rauzy_cut = length - min(widths[a] for a in critical)
+        cuts = [length, rauzy_cut, rng.randrange(1, length + 1), rng.randrange(1, length + 1)]
+        for cut in cuts:
+            if cut < 1:
+                continue
+            for budget in (1, 2, 3, 5, DEFAULT_RETURN_BUDGET):
+                args = (perm, widths, cut, budget)
+                mine = _return_outcome(first_return_on_grid, *args)
+                assert mine == _return_outcome(reference_first_return_on_grid, *args), args
+                if isinstance(mine, tuple):
+                    fresh = set(mine[0].alphabet) != set(perm.alphabet)
+                    seen["fresh" if fresh else "inherited"] += 1
+                else:
+                    seen[mine] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_not_returning_names_the_side_local_piece():
+    # the (3/7, 1/7) rotation cut at 1/7: [0, 1) on the top side needs
+    # four steps to come back
+    with pytest.raises(NotReturning) as err:
+        first_return_on_grid(ROTATION, {"A": 3, "B": 1}, 1, 2)
+    assert str(err.value) == "piece [0, 1) on side 0 exceeded 2 steps"

@@ -236,17 +236,6 @@ def test_jacobian_ratio_bounded_by_column_balance():
             assert F(1) / bound <= ratio <= bound
 
 
-def test_norm_additivity():
-    from linvex.exchange import norm
-
-    rng = random.Random(31)
-    for _ in range(50):
-        y = {chr(65 + i): F(rng.randrange(1, 100), 97) for i in range(4)}
-        yp = {chr(65 + i): F(rng.randrange(1, 100), 97) for i in range(4)}
-        total = {k: y[k] + yp[k] for k in y}
-        assert norm(total) == norm(y) + norm(yp)
-
-
 def test_direction_witness_classical_both_ways():
     for kind in SplitKind:
         w = rauzy.direction_witness(ROTATION, kind)
