@@ -161,9 +161,10 @@ def verify_tower(
 ) -> TowerVerification:
     """Check the four tower properties by exact interval iteration.
 
-    The base must be well formed: ``height`` >= 1, at least one interval,
-    every interval on the grid of the widths with 0 <= lo < hi <= L, and
-    the intervals pairwise disjoint on each side; otherwise InvalidInput.
+    The certificate must be well formed: ``band`` a band of x, ``depth``
+    >= 0, ``height`` >= 1, at least one base interval, every interval on
+    the grid of the widths with 0 <= lo < hi <= L, and the intervals
+    pairwise disjoint on each side; otherwise InvalidInput.
 
     Levels are iterated on the flat integer map ``x._flat`` (both sides
     end to end on the grid of the widths), so the arithmetic stays
@@ -176,6 +177,10 @@ def verify_tower(
     summed over the levels.  Property failures are reported in the
     verdicts, never raised; only exceeding the step budget raises.
     """
+    if tower.band not in x.perm.alphabet:
+        raise InvalidInput(f"tower band {tower.band!r} is not a band of {x.perm}")
+    if tower.depth < 0:
+        raise InvalidInput(f"tower depth must be nonnegative, got {tower.depth}")
     denom, length, bounds, slopes, shifts = x._flat
     base = _flat_base(tower, denom, length)
     height = tower.height

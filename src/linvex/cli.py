@@ -219,6 +219,8 @@ def _json_int(data, key: str) -> int:
 
 def _tower_from_json(data) -> approx.CyclicTower:
     try:
+        if not isinstance(data["band"], str):
+            raise InvalidInput(f'the tower band {data["band"]!r} is not a string')
         return approx.CyclicTower(
             band=data["band"],
             depth=_json_int(data, "depth"),

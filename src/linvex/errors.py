@@ -57,7 +57,12 @@ class SplitUndefinedTie(SplitUndefined):
 
 
 class SplitInfeasible(SplitUndefined):
-    """The step would produce widths violating positivity or the switch."""
+    """The step would produce widths violating positivity or the switch.
+
+    The Rauzy step no longer raises it: the chase to a Rauzy cut always
+    returns one piece per induced end.  It stays in the hierarchy for
+    callers that catch it.
+    """
 
 
 class InconsistentStage(LinvexError):

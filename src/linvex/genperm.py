@@ -35,7 +35,11 @@ class Orientation(Enum):
 
 @dataclass(frozen=True)
 class GeneralizedPermutation:
-    """A validated two-row labeling; equality and hashing use the rows only."""
+    """A validated two-row labeling; equality and hashing use the rows only.
+
+    The hash is the tuple hash of the two rows, stored once by
+    ``_validate_cached``, so set and dict orders match the dataclass hash.
+    """
 
     top: tuple[str, ...]
     bottom: tuple[str, ...]
@@ -46,6 +50,10 @@ class GeneralizedPermutation:
     preserving: tuple[str, ...] = field(compare=False, repr=False)
     reversing_top: tuple[str, ...] = field(compare=False, repr=False)
     reversing_bottom: tuple[str, ...] = field(compare=False, repr=False)
+    _hash: int = field(compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def band_count(self) -> int:
@@ -184,6 +192,7 @@ def _validate_cached(
         preserving=members(Orientation.PRESERVING),
         reversing_top=members(Orientation.REVERSING_TOP),
         reversing_bottom=members(Orientation.REVERSING_BOTTOM),
+        _hash=hash((top, bottom)),
     )
 
 

@@ -1,19 +1,21 @@
 """Rauzy induction as an exact combinatorial-arithmetic step.
 
 One induction step compares the widths of the two critical bands (the
-rightmost on each side).  The wider band keeps its critical position and
-loses the narrower band's width; the induced permutation and widths are
-computed by the first-return oracle of the exchange module rather than by
-a combinatorial insertion table, and the elementary matrix relation
-``old = E @ new`` is checked on every step.
+rightmost on each side).  The wider band (the winner) keeps its critical
+position and loses the narrower band's width; the narrower band (the
+loser) moves by the Boissy-Lanneau insertion rule, in O(d).  Every step,
+not a sample, is then checked against the first-return chase of the
+exchange module: the chase of the old map to the truncated domain must
+give the induced map position by position, and every band but the winner
+must keep one of its old ends.  A disagreement raises InconsistentStage.
 
 Widths live on one integer grid: widths only ever subtract, so the common
 denominator of the starting widths never changes along an expansion, and
-every step (chase, reconstruction checks, alphabet check, width relation)
-runs on the integer numerators.  An ``Exchange`` is materialized only at
-the API boundary: the public ``split`` converts in and out, and stages,
-towers and diagram edges convert back to fractions only for the values
-they emit.
+every step (insertion, chase, audit) runs on the integer numerators and
+the flat integer map, which each step hands to the next.  An
+``Exchange`` is materialized only at the API boundary: the public
+``split`` converts in and out, and stages, towers and diagram edges
+convert back to fractions only for the values they emit.
 
 A stage is a finite splitting sequence with its accumulated integer
 matrix, the product of the elementary step factors.  The product is
@@ -35,14 +37,14 @@ from .errors import (
     InvalidInput,
     NotReturning,
     PositiveMatrixRequired,
-    SplitInfeasible,
     SplitUndefined,
     SplitUndefinedSameBand,
     SplitUndefinedTie,
 )
-from .exchange import Exchange, Point, first_return_on_grid
+from . import exchange, genperm
+from .exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, _grid_layout
 from .genperm import GeneralizedPermutation, Orientation, critical_bands
-from .rationals import common_denominator, format_fraction, to_grid
+from .rationals import format_fraction, to_grid
 
 
 class Matrix:
@@ -203,16 +205,62 @@ class Stage:
         }
 
 
+def _insert(perm: GeneralizedPermutation, top_wins: bool) -> GeneralizedPermutation:
+    """The target node of a step, by the Boissy-Lanneau insertion rule.
+
+    The loser leaves the end of its row.  It goes right after the winner's
+    other end when that end is on the loser's row, else just left of it on
+    the winner's row.
+    """
+    top, bottom = list(perm.top), list(perm.bottom)
+    win_row, lose_row = (top, bottom) if top_wins else (bottom, top)
+    winner = win_row[-1]
+    loser = lose_row.pop()
+    if winner in lose_row:
+        lose_row.insert(lose_row.index(winner) + 1, loser)
+    else:
+        win_row.insert(win_row.index(winner), loser)
+    return genperm._validate_cached(tuple(top), tuple(bottom))
+
+
 def _step(
     perm: GeneralizedPermutation, widths: Mapping[str, int]
 ) -> tuple[GeneralizedPermutation, dict[str, int], SplitStep]:
     """One induction step on integer widths; returns (node, widths, step).
 
     The widths are numerators on one grid and the induced widths stay on
-    it.  Raises the undefined-case errors when the critical bands coincide
-    or tie, SplitInfeasible when the induced exchange loses the alphabet,
-    and InconsistentStage when the return oracle's checks or the width
-    relation ``old = E @ new`` fail.
+    it.  The step is computed by the insertion rule and checked against
+    the first-return chase on every call (see ``_kernel_step``).  Raises
+    the undefined-case errors when the critical bands coincide or tie,
+    and InconsistentStage when the check fails.  It no longer raises
+    SplitInfeasible: the chase to a Rauzy cut returns one piece per end
+    of the induced map, so a step cannot lose the alphabet (the old
+    check never fired on the 11,304 non-halting steps of the d <= 5
+    sweep and the test fleets).
+    """
+    return _kernel_step(perm, widths, _grid_layout(perm, widths))[:3]
+
+
+def _kernel_step(
+    perm: GeneralizedPermutation,
+    widths: Mapping[str, int],
+    flat: tuple[int, list[int], list[int], list[int]],
+) -> tuple[GeneralizedPermutation, dict[str, int], SplitStep, tuple]:
+    """``_step`` on the flat map ``flat`` of (perm, widths); also returns
+    the induced flat map, which the next step takes.
+
+    The critical comparison picks the winner and the loser, ``_insert``
+    moves the loser, and the winner loses the loser's width, so the
+    relation ``old = E @ new`` holds by construction.  Every step is then
+    audited, and a failed audit raises InconsistentStage:
+    - the first-return chase of the old map to the cut ``L - w[loser]``
+      must equal the induced flat map position by position (bounds,
+      slopes and shifts), compared in the old coordinates, where the
+      induced bottom side sits ``w[loser]`` higher;
+    - every band but the winner must keep one end bitwise equal to one
+      of its own old ends, the label-inheritance rule of
+      ``first_return_on_grid``.  This catches a swap of two labels of
+      equal width, which leaves the flat map unchanged.
     """
     alpha_top, alpha_bottom = critical_bands(perm)
     if alpha_top == alpha_bottom:
@@ -222,56 +270,69 @@ def _step(
     if w_top == w_bottom:
         raise SplitUndefinedTie(f"critical bands {alpha_top} and {alpha_bottom} tie in width")
     if w_top > w_bottom:
-        kind, winner, loser = SplitKind.TOP_WINS, alpha_top, alpha_bottom
+        kind, winner, loser, w_loser = SplitKind.TOP_WINS, alpha_top, alpha_bottom, w_bottom
     else:
-        kind, winner, loser = SplitKind.BOTTOM_WINS, alpha_bottom, alpha_top
+        kind, winner, loser, w_loser = SplitKind.BOTTOM_WINS, alpha_bottom, alpha_top, w_top
 
-    cut = sum(widths[a] for a in perm.top) - widths[loser]
-    induced, induced_widths = first_return_on_grid(perm, widths, cut)
-    if induced.alphabet != perm.alphabet:
-        raise SplitInfeasible(
-            f"induced exchange lost label correspondence: {induced.alphabet}"
-        )
-    # old = E @ new with E = I + (winner row, loser column).
-    for band in perm.alphabet:
-        expected = induced_widths[band]
-        if band == winner:
-            expected += induced_widths[loser]
-        if widths[band] != expected:
-            raise InconsistentStage(
-                f"width relation failed on band {band}: {widths[band]} vs {expected}"
-            )
-    return induced, induced_widths, SplitStep(kind, winner, loser, perm.alphabet)
+    target = _insert(perm, kind is SplitKind.TOP_WINS)
+    if target.alphabet != perm.alphabet:
+        raise InconsistentStage(f"the step changed the alphabet to {target.alphabet}")
+    induced_widths = dict(widths)
+    induced_widths[winner] -= w_loser
+    induced_flat = _grid_layout(target, induced_widths)
+
+    # The induced map in the old coordinates, where its bottom side sits
+    # w[loser] higher: a preserving end f -> c + f stays on its side, so c
+    # is unchanged; a reversing end f -> c - f swaps sides, so c grows by
+    # w[loser].
+    _, new_bounds, new_slopes, new_shifts = induced_flat
+    n_top = len(target.top)
+    los = new_bounds[:n_top] + [b + w_loser for b in new_bounds[n_top:-1]]
+    his = new_bounds[1 : n_top + 1] + [b + w_loser for b in new_bounds[n_top + 1 :]]
+    consts = [c + w_loser if s == -1 else c for s, c in zip(new_slopes, new_shifts)]
+    length, bounds = flat[0], flat[1]
+    pieces = sorted(exchange._chase(flat, length - w_loser, DEFAULT_RETURN_BUDGET))
+    if pieces != list(zip(los, his, new_slopes, consts)):
+        raise InconsistentStage(f"the step from {perm} disagrees with the return chase")
+    old_ends = set(zip(bounds, bounds[1:], perm.top + perm.bottom))
+    new_ends = zip(los, his, target.top + target.bottom)
+    kept = {label for _, _, label in old_ends.intersection(new_ends)}
+    kept.add(winner)
+    if len(kept) != len(perm.alphabet):
+        raise InconsistentStage(f"the step from {perm} moved a band off its old ends")
+    return target, induced_widths, SplitStep(kind, winner, loser, perm.alphabet), induced_flat
 
 
 def split(x: Exchange) -> tuple[Exchange, SplitStep]:
-    """One induction step, with the induced exchange from the return oracle.
+    """One induction step, checked against the return chase.
 
     Raises the undefined-case errors when the critical bands coincide or
-    tie; verifies the elementary width relation exactly before returning.
-    The step itself runs on the integer grid of ``x``'s widths.
+    tie.  The step itself runs on the integer grid and the flat map of
+    ``x`` (see ``_kernel_step``).
     """
-    denom = common_denominator(x.widths.values())
-    induced, widths, step = _step(x.perm, to_grid(x.widths, denom))
+    denom = x._flat[0]
+    induced, widths, step, _ = _kernel_step(x.perm, to_grid(x.widths, denom), x._flat[1:])
     return Exchange(induced, {a: Fraction(v, denom) for a, v in widths.items()}), step
 
 
 def _walk(x: Exchange) -> Iterator[tuple[GeneralizedPermutation, dict[str, int], SplitStep]]:
     """The expansion of ``x`` as (node, widths, step), one item per step.
 
-    Widths are numerators on the grid of ``x``'s common denominator.  An
-    undefined split raises out of the iterator.  The first step goes
-    through the public ``split`` (one ``Exchange`` round trip per
-    expansion) because the benchmark's tracer sees expansions only through
-    its ``rauzy.split`` span, and ``bench/test_bench.py`` checks that span
-    is hit; every later step stays on the grid.
+    Widths are numerators on the grid of ``x``'s common denominator, and
+    each step hands its induced flat map to the next.  An undefined split
+    raises out of the iterator.  The first step goes through the public
+    ``split`` (one ``Exchange`` round trip per expansion) because the
+    benchmark's tracer sees expansions only through its ``rauzy.split``
+    span, and ``bench/test_bench.py`` checks that span is hit; every
+    later step stays on the grid.
     """
-    denom = common_denominator(x.widths.values())
+    denom = x._flat[0]
     induced, step = split(x)
     node, widths = induced.perm, to_grid(induced.widths, denom)
+    flat = _grid_layout(node, widths)
     while True:
         yield node, widths, step
-        node, widths, step = _step(node, widths)
+        node, widths, step, flat = _kernel_step(node, widths, flat)
 
 
 def expand(x: Exchange, n: int) -> Stage:

@@ -671,8 +671,9 @@ def _manual_towers(x: Exchange):
 
 
 def _random_base_tower(x: Exchange, rng: random.Random) -> CyclicTower:
-    """A certificate whose base is flat intervals between random cuts of
-    [0, 2L], split at L into sides, with a random height up to 12."""
+    """A certificate for the first band of x whose base is flat intervals
+    between random cuts of [0, 2L], split at L into sides, with a random
+    height up to 12."""
     denom, length = x._flat[:2]
     cuts = sorted(rng.sample(range(2 * length + 1), 2 * rng.randrange(1, 4)))
     base = []
@@ -681,7 +682,8 @@ def _random_base_tower(x: Exchange, rng: random.Random) -> CyclicTower:
             a, b = max(lo - offset, 0), min(hi - offset, length)
             if a < b:
                 base.append((side, F(a, denom), F(b, denom)))
-    return CyclicTower("?", 0, rng.randrange(1, 13), tuple(base), F(1, 4), F(1, 2))
+    band = x.perm.alphabet[0]
+    return CyclicTower(band, 0, rng.randrange(1, 13), tuple(base), F(1, 4), F(1, 2))
 
 
 NODES = [perm for d in range(1, 5) for perm in genperm.enumerate_permutations(d)]

@@ -136,6 +136,25 @@ def test_tower_roundtrip(nonclassical_files, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "changes", [{"band": 5}, {"band": "Z"}, {"depth": -1}], ids=["band-5", "band-Z", "depth-neg"]
+)
+def test_verify_tower_rejects_an_edited_band_or_depth(
+    nonclassical_files, tmp_path, capsys, changes
+):
+    perm, widths = nonclassical_files
+    out = tmp_path / "tower.json"
+    argv = ["--perm", perm, "--widths", widths]
+    assert cli.main(["tower", *argv, "--delta", "2/5", "--out", str(out)]) == 0
+    tower = json.loads(out.read_bytes())
+    out.write_bytes(canonical_json_bytes({**tower, **changes}))
+    capsys.readouterr()
+    assert cli.main(["verify-tower", *argv, "--tower", str(out)]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_budget_exit_code(nonclassical_files, capsys):
     perm, widths = nonclassical_files
     code = cli.main(

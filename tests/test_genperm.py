@@ -179,3 +179,11 @@ def test_json_round_trip_is_byte_stable():
     again = genperm.from_json_dict(json.loads(blob))
     assert again == p
     assert again.to_json_bytes() == blob
+
+
+def test_hash_is_the_tuple_hash_of_the_rows():
+    # The stored hash must equal the generated dataclass hash, so set and
+    # dict orders, and every artifact built from them, stay the same.
+    for d in range(1, 5):
+        for p in genperm.enumerate_permutations(d, realizable_only=False):
+            assert hash(p) == hash((p.top, p.bottom))

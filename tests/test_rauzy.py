@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -423,3 +427,91 @@ def test_lost_return_piece_is_inconsistent_not_a_halt(monkeypatch, from_call):
     _drop_a_piece(monkeypatch, from_call)
     with pytest.raises(InconsistentStage):
         approx.find_cyclic_tower(x, F(1, 1000), budget=5)
+
+
+def _insert_one_slot_off(perm, top_wins):
+    """The insertion rule with the loser put on the wrong side of the
+    winner's other end."""
+    top, bottom = list(perm.top), list(perm.bottom)
+    win_row, lose_row = (top, bottom) if top_wins else (bottom, top)
+    winner = win_row[-1]
+    loser = lose_row.pop()
+    if winner in lose_row:
+        lose_row.insert(lose_row.index(winner), loser)
+    else:
+        win_row.insert(win_row.index(winner) + 1, loser)
+    return genperm.validate(top, bottom)
+
+
+def test_wrong_insertion_is_inconsistent_everywhere(monkeypatch):
+    x = sample_exchange(genperm.validate(["A", "A", "B"], ["B", "C", "C"]), seed=7)
+    assert rauzy.expand(x, 5).depth == 5
+    monkeypatch.setattr(rauzy, "_insert", _insert_one_slot_off)
+    with pytest.raises(InconsistentStage, match="disagrees with the return chase"):
+        rauzy.split(x)
+    with pytest.raises(InconsistentStage):
+        rauzy.expand(x, 5)
+    with pytest.raises(InconsistentStage):
+        diagram.node_edges(x.perm)
+    with pytest.raises(InconsistentStage):
+        approx.find_cyclic_tower(x, F(1, 1000), budget=5)
+
+
+def test_swapped_equal_width_labels_are_caught_on_a_witness_edge(monkeypatch):
+    # The top-wins witness of A A B | B C C is A 1, B 2, C 1: B wins, and
+    # A, B, C all have width 1 after the step.  Swapping A and C in the
+    # target leaves the induced flat map unchanged, so only the
+    # label-inheritance check can see it.
+    perm = genperm.validate(["A", "A", "B"], ["B", "C", "C"])
+    witness = rauzy.direction_witness(perm, SplitKind.TOP_WINS)
+    widths = {a: int(v) for a, v in witness.items()}
+    target, new_widths, step = rauzy._step(perm, widths)
+    assert (step.winner, new_widths) == ("B", {"A": 1, "B": 1, "C": 1})
+    swap = {"A": "C", "C": "A"}
+    real = rauzy._insert
+
+    def swapping(p, top_wins):
+        node = real(p, top_wins)
+        return genperm.validate(
+            [swap.get(a, a) for a in node.top], [swap.get(a, a) for a in node.bottom]
+        )
+
+    swapped = swapping(perm, True)
+    assert swapped != target
+    assert exchange._grid_layout(swapped, new_widths) == exchange._grid_layout(target, new_widths)
+    monkeypatch.setattr(rauzy, "_insert", swapping)
+    with pytest.raises(InconsistentStage, match="moved a band off its old ends"):
+        rauzy._step(perm, widths)
+    with pytest.raises(InconsistentStage):
+        diagram.node_edges(perm)
+
+
+_OPTIMIZED_AUDIT = """
+import sys
+from fractions import Fraction as F
+from linvex import genperm, rauzy
+from linvex.errors import InconsistentStage
+from linvex.exchange import build
+from test_rauzy import _insert_one_slot_off
+
+assert False, "assert statements must be stripped under -O"
+x = build(genperm.validate(["A", "A", "B"], ["B", "C", "C"]), {"A": F(1), "B": F(2), "C": F(1)})
+rauzy.split(x)
+rauzy._insert = _insert_one_slot_off
+try:
+    rauzy.split(x)
+except InconsistentStage:
+    print("caught", sys.flags.optimize)
+"""
+
+
+def test_audit_does_not_rely_on_assert():
+    src = Path(rauzy.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_AUDIT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "caught 1\n"
