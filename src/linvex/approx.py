@@ -2,18 +2,26 @@
 
 A cyclic tower certificate names a band at some induction depth, the two
 base subintervals its ends occupy, and the tower height (the band's
-column norm, equal to the first-return time).  The verifier recomputes
-the tower's levels by exact interval images of the original map and
-grades the four tower properties: level disjointness from the base,
-linearity on every level, the fraction of total measure covered by the
-levels, and the overlap of the base with its height-iterate.  It works on
-the exchange's flat integer map, the two sides laid end to end as
-[0, 2L) on the grid of the widths: the base becomes sorted flat
-intervals once, and each base interval's orbit is chased on its own, one
-bisect and one affine update per level, with the remainder of an image
-that crosses a breakpoint left on a stack.  A base must have height at
-least 1 and intervals on the grid with 0 <= lo < hi <= L, pairwise
-disjoint on each side; anything else is InvalidInput.
+column norm, equal to the first-return time).  The verifier grades the
+four tower properties by exact interval images of the original map:
+level disjointness from the base, linearity on every level, the fraction
+of total measure covered by the levels, and the overlap of the base with
+its height-iterate.  It works on the exchange's flat integer map, the
+two sides laid end to end as [0, 2L) on the grid of the widths.  A base
+must have height at least 1 and intervals on the grid with
+0 <= lo < hi <= L, pairwise disjoint on each side; anything else is
+InvalidInput.
+
+The verifier has two paths with equal reports.  The replay, the
+authority, chases each base interval's orbit through all height - 1
+levels, one bisect and one affine update per level, with the remainder
+of an image that crosses a breakpoint left on a stack.  A tower much
+taller than its depth first tries a ladder: a few nested first-return
+maps, each the exact return of the previous one to a smaller cut domain
+that still contains the base, with a return time per piece.  The base
+then takes a handful of steps under the last map instead of height
+steps under the original one.  The cuts are hints from the expansion
+and are never trusted; when the ladder cannot decide, the replay runs.
 
 The searcher walks the expansion and screens candidates with two exact
 measures that need no orbit iteration: the covered fraction is
@@ -46,10 +54,11 @@ from .errors import (
     ExpansionHalted,
     InconsistentStage,
     InvalidInput,
+    NotReturning,
     PartitionBlowup,
     SplitUndefined,
 )
-from .exchange import Exchange, Side, _compose, _image
+from .exchange import Exchange, Side, _chase, _compose, _image
 from .genperm import GeneralizedPermutation
 from .rationals import common_denominator, format_fraction, to_grid
 
@@ -166,16 +175,26 @@ def verify_tower(
     the grid of the widths with 0 <= lo < hi <= L, and the intervals
     pairwise disjoint on each side; otherwise InvalidInput.
 
-    Levels are iterated on the flat integer map ``x._flat`` (both sides
-    end to end on the grid of the widths), so the arithmetic stays
-    exact at machine-integer speed.  Each base interval's orbit is chased
-    on its own: an image that crosses a breakpoint leaves its remainder
-    on a stack with its level.  The last level's image, for the return
-    overlap, is taken by ``exchange._compose``.  Disjointness is
-    measured over interval interiors, so single shared endpoints do not
-    count.  ``step_budget`` bounds the pieces of levels 1 .. height - 1
-    summed over the levels.  Property failures are reported in the
-    verdicts, never raised; only exceeding the step budget raises.
+    A tower taller than 64 (depth + 1) goes down the ladder first
+    (``_verify_on_ladder``): its base runs under the first return to a
+    nested cut domain that contains it.  The replay decides every other
+    tower and every tower the ladder cannot decide, and the two give
+    equal reports.  The replay iterates levels on the flat integer map
+    ``x._flat`` (both sides end to end on the grid of the widths), so
+    the arithmetic stays exact at machine-integer speed.  Each base
+    interval's orbit is chased on its own: an image that crosses a
+    breakpoint leaves its remainder on a stack with its level.  The last
+    level's image, for the return overlap, is taken by
+    ``exchange._compose``.  Disjointness is measured over interval
+    interiors, so single shared endpoints do not count.
+
+    ``step_budget`` bounds the replay's pieces of levels 1 .. height - 1
+    summed over the levels.  The ladder charges the replay's work on a
+    linear tower, len(base) * (height - 1), and raises the same
+    BudgetExceeded when that is over budget; its own piece-steps must
+    also fit the budget, or the replay runs.  Property failures are
+    reported in the verdicts, never raised; only exceeding the step
+    budget raises.
     """
     if tower.band not in x.perm.alphabet:
         raise InvalidInput(f"tower band {tower.band!r} is not a band of {x.perm}")
@@ -185,6 +204,14 @@ def verify_tower(
     base = _flat_base(tower, denom, length)
     height = tower.height
     last = height - 1
+    if height > _LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1):
+        # Every base interval fills at least one piece of each level, so
+        # the replay would spend at least this much and raise.
+        if len(base) * last > step_budget:
+            raise _over_budget(step_budget)
+        report = _verify_on_ladder(x, tower, base, step_budget)
+        if report is not None:
+            return report
     # Sorted, pairwise disjoint base intervals, with a 2L sentinel start:
     # a piece [lo, hi) meets the base iff the first base interval ending
     # after lo starts before hi.
@@ -202,9 +229,7 @@ def verify_tower(
             # a tower of height 1 has no levels to count and never raises
             work += last - level
             if work > step_budget and level < last:
-                raise BudgetExceeded(
-                    f"tower verification exceeded {step_budget} interval steps"
-                )
+                raise _over_budget(step_budget)
             for level in range(level, last):
                 p = bisect_right(bounds, lo) - 1
                 end = bounds[p + 1]
@@ -221,21 +246,46 @@ def verify_tower(
                     disjoint = False
             for piece in _compose([(lo, hi, 1, 0)], bounds, slopes, shifts):
                 flo, fhi = _image(*piece)
-                j = bisect_right(base_hi, flo)
-                while base_lo[j] < fhi:
-                    overlap_int += min(fhi, base_hi[j]) - max(flo, base_lo[j])
-                    j += 1
+                overlap_int += _base_overlap(flo, fhi, base_lo, base_hi)
 
-    base_measure_int = sum(hi - lo for lo, hi in base)
     if disjoint:
         # level-vs-base disjointness for every offset k < height implies
         # pairwise level disjointness (a collision of levels i < j pulls
         # back through the measure-preserving map to a collision of the
         # base with level j - i), so the union measure is additive
-        union_int = height * base_measure_int
+        union_int = height * sum(hi - lo for lo, hi in base)
     else:
         union_int = _full_union_measure(bounds, slopes, shifts, base, height)
-    base_measure = Fraction(base_measure_int, denom)
+    return _verification(x, tower, base, disjoint, linear, union_int, overlap_int)
+
+
+def _over_budget(step_budget: int) -> BudgetExceeded:
+    return BudgetExceeded(f"tower verification exceeded {step_budget} interval steps")
+
+
+def _base_overlap(lo: int, hi: int, base_lo: list[int], base_hi: list[int]) -> int:
+    """The measure of [lo, hi) inside the base, given as sorted starts
+    with a sentinel and ends."""
+    overlap = 0
+    j = bisect_right(base_hi, lo)
+    while base_lo[j] < hi:
+        overlap += min(hi, base_hi[j]) - max(lo, base_lo[j])
+        j += 1
+    return overlap
+
+
+def _verification(
+    x: Exchange,
+    tower: CyclicTower,
+    base: list[tuple[int, int]],
+    disjoint: bool,
+    linear: bool,
+    union_int: int,
+    overlap_int: int,
+) -> TowerVerification:
+    """The report for a flat base and measures on the grid of x."""
+    denom = x._flat[0]
+    base_measure = Fraction(sum(hi - lo for lo, hi in base), denom)
     union = Fraction(union_int, denom)
     overlap = Fraction(overlap_int, denom)
     total = x.total_measure
@@ -250,6 +300,158 @@ def verify_tower(
         overlap_measure=overlap,
         delta=tower.delta,
     )
+
+
+# Below this height per unit of depth the walk to the certificate's depth
+# costs more than the replay, so only taller towers try the ladder.
+_LADDER_HEIGHT_PER_DEPTH = 64
+# Consecutive ladder cuts shrink by at least this factor, so each rung's
+# chase stays short and a ladder has few rungs.
+_LADDER_CUT_RATIO = 8
+
+# A rung: (P, bounds, slopes, shifts, times), a first-return map on its
+# own flat coordinates [0, 2P), laid out like ``Exchange._flat`` after the
+# denominator; piece p returns after times[p] steps of the original map.
+_Rung = tuple[int, list[int], list[int], list[int], list[int]]
+
+
+def _verify_on_ladder(
+    x: Exchange, tower: CyclicTower, base: list[tuple[int, int]], step_budget: int
+) -> TowerVerification | None:
+    """The report of a tower verified on a ladder of first-return maps, or
+    None when the ladder cannot decide.
+
+    ``base`` is the validated flat base.  The cuts come from the
+    expansion of x (``_ladder_cuts``) and are only hints: each rung is
+    the exact first return of the previous rung's map, starting from
+    ``x._flat``, to [0, cut) and [L, L + cut), with a return time per
+    piece, and the last cut domain contains the base.  Each base
+    interval then steps under the last rung, adding up return times.
+    A rung piece never meets a breakpoint of the original map on its
+    way, and its levels between two returns lie outside the cut domain,
+    so outside the base.  Hence, when every base image stays inside one
+    rung piece, meets the base only at time ``height`` and lands on that
+    time exactly, the levels are linear and disjoint from the base, the
+    union is height times the base, and the overlap is measured at time
+    ``height``.  Otherwise the ladder gives up, as it does when its
+    piece-steps (one per rung piece per step of the previous rung, and
+    one per base step) exceed ``step_budget``.  With no usable cut the
+    base steps under the original map itself.
+    """
+    _, length, bounds, slopes, shifts = x._flat
+    # the base's right end on its side: every cut domain must contain it
+    need = max(hi - (length if lo >= length else 0) for lo, hi in base)
+    rung: _Rung = (length, bounds, slopes, shifts, [1] * len(slopes))
+    work = 0
+    for cut in _ladder_cuts(x, tower.depth, need):
+        try:
+            rung, steps = _next_rung(rung, cut, step_budget - work)
+        except NotReturning:
+            return None
+        work += steps
+        if work > step_budget:
+            return None
+
+    cut, bounds, slopes, shifts, times = rung
+    drop = length - cut
+    rbase = [(lo, hi) if lo < length else (lo - drop, hi - drop) for lo, hi in base]
+    base_lo = [lo for lo, _ in rbase] + [2 * cut]
+    base_hi = [hi for _, hi in rbase]
+    height = tower.height
+    overlap_int = 0
+    for lo, hi in rbase:
+        level = 0
+        while level < height:
+            p = bisect_right(bounds, lo) - 1
+            if hi > bounds[p + 1]:
+                return None
+            work += 1
+            if work > step_budget:
+                return None
+            level += times[p]
+            shift = shifts[p]
+            if slopes[p] == 1:
+                lo, hi = shift + lo, shift + hi
+            else:
+                lo, hi = shift - hi, shift - lo
+            if level < height and base_lo[bisect_right(base_hi, lo)] < hi:
+                return None
+        if level > height:
+            return None
+        overlap_int += _base_overlap(lo, hi, base_lo, base_hi)
+    union_int = height * sum(hi - lo for lo, hi in base)
+    return _verification(x, tower, base, True, True, union_int, overlap_int)
+
+
+def _ladder_cuts(x: Exchange, depth: int, need: int) -> list[int]:
+    """Decreasing cuts for a ladder: side lengths of x's expansion up to
+    ``depth``, each below L and at least ``need``, consecutive ones
+    shrinking by at least ``_LADDER_CUT_RATIO``, the deepest kept.
+
+    An undefined split ends the walk with the cuts found so far.
+    """
+    length = x._flat[1]
+    sides = []
+    walk = rauzy._walk(x)
+    try:
+        for _ in range(depth):
+            node, widths, _ = next(walk)
+            side = sum(widths[a] for a in node.top)
+            if side < need:
+                break
+            if side < length:
+                sides.append(side)
+    except SplitUndefined:
+        pass
+    cuts: list[int] = []
+    for side in reversed(sides):
+        if not cuts or side >= _LADDER_CUT_RATIO * cuts[-1]:
+            cuts.append(side)
+    cuts.reverse()
+    return cuts
+
+
+def _next_rung(rung: _Rung, cut: int, budget: int) -> tuple[_Rung, int]:
+    """The first return of a rung's map to [0, cut) and [P, P + cut), on
+    the new rung's own coordinates [0, 2 cut), and the piece-steps its
+    return times took.
+
+    The pieces come from ``exchange._chase`` with ``budget`` rounds
+    (NotReturning past it).  Each piece then walks once more under the
+    rung to add up its return time; the walk must stay in one rung piece
+    per step and end on the chase's image, or InconsistentStage.
+    """
+    length, bounds, slopes, shifts, times = rung
+    drop = length - cut
+    new_bounds, new_slopes, new_shifts, new_times = [], [], [], []
+    steps = 0
+    for piece in sorted(_chase(rung[:4], cut, budget)):
+        lo, hi, slope, const = piece
+        a, b, time = lo, hi, 0
+        while True:
+            p = bisect_right(bounds, a) - 1
+            if b > bounds[p + 1]:
+                raise InconsistentStage(f"return piece [{lo}, {hi}) meets a breakpoint")
+            steps += 1
+            time += times[p]
+            shift = shifts[p]
+            if slopes[p] == 1:
+                a, b = shift + a, shift + b
+            else:
+                a, b = shift - b, shift - a
+            if b <= (length if a >= length else 0) + cut:
+                break
+        if (a, b) != _image(*piece):
+            raise InconsistentStage(f"return piece [{lo}, {hi}) disagrees with the chase")
+        # bottom points move down by L - cut in the new coordinates
+        shift_in = drop if lo >= length else 0
+        shift_out = drop if a >= length else 0
+        new_bounds.append(lo - shift_in)
+        new_slopes.append(slope)
+        new_shifts.append(const + slope * shift_in - shift_out)
+        new_times.append(time)
+    new_bounds.append(2 * cut)
+    return (cut, new_bounds, new_slopes, new_shifts, new_times), steps
 
 
 def _flat_base(tower: CyclicTower, denom: int, length: int) -> list[tuple[int, int]]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 from typing import Sequence
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linvex import approx, genperm, modp, rauzy
+from linvex import approx, cli, genperm, modp, rauzy
 from linvex.approx import DEFAULT_VERIFY_BUDGET, CyclicTower, TowerVerification
 from linvex.errors import (
     BudgetExceeded,
@@ -19,8 +21,10 @@ from linvex.errors import (
     InconsistentStage,
     InvalidInput,
     PartitionBlowup,
+    SplitUndefinedTie,
 )
 from linvex.exchange import Exchange, Point, Side, build
+from linvex.rationals import canonical_json_bytes
 
 from conftest import (
     STUCK_FREE_NONCLASSICAL,
@@ -675,7 +679,10 @@ def _random_base_tower(x: Exchange, rng: random.Random) -> CyclicTower:
     between random cuts of [0, 2L], split at L into sides, with a random
     height up to 12."""
     denom, length = x._flat[:2]
-    cuts = sorted(rng.sample(range(2 * length + 1), 2 * rng.randrange(1, 4)))
+    population = range(2 * length + 1)
+    # a side of grid length 1 or 2 holds fewer than six cuts
+    count = min(2 * rng.randrange(1, 4), len(population) // 2 * 2)
+    cuts = sorted(rng.sample(population, count))
     base = []
     for lo, hi in zip(cuts[::2], cuts[1::2]):
         for side, offset in ((Side.TOP, 0), (Side.BOTTOM, length)):
@@ -745,3 +752,143 @@ def test_verify_tower_accepts_touching_intervals_and_full_sides():
             tower = CyclicTower("A", 0, height, base, F(1, 4), F(1, 2))
             _assert_verifies_like_reference(x, tower)
             _assert_budget_like_reference(x, tower)
+
+
+def test_random_base_tower_on_the_shortest_sides():
+    # grid side lengths 1 and 2, where six cuts do not fit
+    for perm, widths in (
+        (genperm.validate(["A"], ["A"]), {"A": F(1, 3)}),
+        (ROTATION, {"A": F(1, 5), "B": F(1, 5)}),
+    ):
+        x = build(perm, widths)
+        assert x._flat[1] <= 2
+        for seed in range(40):
+            _assert_verifies_like_reference(x, _random_base_tower(x, random.Random(seed)))
+
+
+# --- the ladder of first-return maps against the replay ----------------------
+
+
+def _ladder(x: Exchange, tower: CyclicTower) -> TowerVerification | None:
+    """``approx._verify_on_ladder`` on the validated base, whatever the height."""
+    base = approx._flat_base(tower, *x._flat[:2])
+    return approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET)
+
+
+def _on_ladder_path(tower: CyclicTower) -> bool:
+    return tower.height > approx._LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1)
+
+
+@pytest.fixture(scope="module")
+def searched_towers():
+    """(x, tower, reference report) for the certificates that cyclic and
+    coprime searches find on the test fleets."""
+    samples = random_fleet(seed=41, count=16) + [x for _, x in tower_fleet(seed=7100)]
+    found = []
+    for x in samples:
+        for search in (
+            lambda: approx.find_cyclic_tower(x, F(1, 4), budget=48),
+            lambda: modp.find_coprime_tower(x, F(2, 5), 3, budget=48),
+        ):
+            try:
+                tower = search()
+            except (BudgetExceeded, ExpansionHalted):
+                continue
+            if not isinstance(tower, modp.StructuralObstruction):
+                found.append((x, tower, reference_verify_tower(x, tower)))
+    return found
+
+
+def _replay(x: Exchange, tower: CyclicTower) -> TowerVerification:
+    """``verify_tower`` with the ladder switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approx, "_LADDER_HEIGHT_PER_DEPTH", tower.height)
+        return approx.verify_tower(x, tower)
+
+
+def test_ladder_decides_every_searched_certificate_like_the_replay(searched_towers):
+    tall = 0
+    for x, tower, want in searched_towers:
+        report = _ladder(x, tower)
+        assert report is not None, (x, tower)
+        assert report == want, (x, tower)
+        assert approx.verify_tower(x, tower) == want
+        tall += _on_ladder_path(tower)
+        # walking deeper than the certificate yields cuts below its base,
+        # which the ladder must skip
+        assert _ladder(x, replace(tower, depth=tower.depth + 8)) == want
+    assert len(searched_towers) >= 80 and tall >= 5, (len(searched_towers), tall)
+
+
+def test_ladder_budget_on_tall_certificates(searched_towers):
+    tall = sorted(
+        {(t.height, t.band): (x, t) for x, t, _ in searched_towers if _on_ladder_path(t)}.items()
+    )
+    assert len(tall) >= 2
+    for _, (x, tower) in tall[:2]:
+        # a linear tower: the replay's work is one piece per level per base interval
+        assert _reference_work(x, tower) == len(tower.base) * (tower.height - 1)
+        _assert_budget_like_reference(x, tower)
+
+
+@settings(derandomize=True, max_examples=1, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_ladder_decides_like_the_replay_or_gives_up_on_every_small_node(seed):
+    # the replay is checked against the reference on these towers above
+    rng = random.Random(seed)
+    seen = {"decided": 0, "gave_up": 0}
+    for perm in NODES:
+        widths = random_grid_widths(perm, rng)
+        denom = rng.randrange(1, 50)
+        x = build(perm, {a: F(v, denom) for a, v in widths.items()})
+        for tower in _manual_towers(x):
+            report = _ladder(x, tower)
+            if report is None:
+                seen["gave_up"] += 1
+            else:
+                assert report == _replay(x, tower), (x, tower)
+                seen["decided"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+class _Node:
+    """A stand-in walk node: the ladder reads only its top row."""
+
+    top = ("cut",)
+
+
+def test_verify_tower_survives_wrong_cut_hints(monkeypatch, searched_towers):
+    tall = [entry for entry in searched_towers if _on_ladder_path(entry[1])]
+    rng = random.Random(12)
+
+    def lying_walk(x):
+        # side lengths in any order, some at least L or below the base,
+        # then an undefined split
+        for _ in range(rng.randrange(12)):
+            yield _Node, {"cut": rng.randrange(1, 2 * x._flat[1])}, None
+        raise SplitUndefinedTie("injected")
+
+    monkeypatch.setattr(rauzy, "_walk", lying_walk)
+    for x, tower, want in tall * 4:
+        assert approx.verify_tower(x, tower) == want
+    for x, tower, want in searched_towers:
+        assert _ladder(x, tower) in (None, want)
+
+    def broken_walk(x):
+        raise InconsistentStage("injected")
+        yield
+
+    monkeypatch.setattr(rauzy, "_walk", broken_walk)
+    x, tower, _ = tall[0]
+    with pytest.raises(InconsistentStage, match="injected"):
+        approx.verify_tower(x, tower)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tower_json_round_trip(searched_towers, data):
+    _, tower, _ = data.draw(st.sampled_from(searched_towers))
+    payload = canonical_json_bytes(tower.to_json_dict())
+    again = cli._tower_from_json(json.loads(payload))
+    assert again == tower
+    assert canonical_json_bytes(again.to_json_dict()) == payload
