@@ -3,11 +3,11 @@
 Nodes are labeled permutations; no quotient by relabeling is taken, so
 paths in the graph line up with matrix cocycle bookkeeping.  Each node
 has at most two outgoing edges, one per split direction.  A direction is
-present exactly when the witness solver finds positive widths satisfying
-the switch condition that make the direction's winner strictly wider; the
-edge target is then computed by running the actual split (on the integer
-grid of the witness widths), and the witness is stored on the edge for
-reproducibility.
+present exactly when the witness solver finds positive integer widths
+satisfying the switch condition that make the direction's winner strictly
+wider.  The witness is checked and the edge target computed by running
+the audited split, all on integers; the witness becomes Fractions only on
+the ``Edge``, where it is stored for reproducibility.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from typing import Callable, Mapping
 
 from . import rauzy
 from .errors import ClosureBudgetExceeded, InconsistentStage, Unreachable
-from .exchange import validate_widths
+from .exchange import _check_widths
 from .genperm import GeneralizedPermutation, is_combinatorially_reducible
-from .rationals import common_denominator, format_fraction, to_grid
+from .rationals import format_fraction
 
 DEFAULT_NODE_BUDGET = 100_000
 
@@ -80,13 +80,12 @@ class RauzyGraph:
 def node_edges(perm: GeneralizedPermutation) -> tuple[Edge, ...]:
     """Feasible out-edges of a node, in direction-tag order (bottom, top)."""
     out = []
-    for kind in sorted(rauzy.SplitKind, key=lambda k: k.value):
-        witness = rauzy.direction_witness(perm, kind)
+    for kind in (rauzy.SplitKind.BOTTOM_WINS, rauzy.SplitKind.TOP_WINS):
+        witness = rauzy._witness_grid(perm, kind)
         if witness is None:
             continue
-        witness = validate_widths(perm, witness)
-        grid = to_grid(witness, common_denominator(witness.values()))
-        target, _, step = rauzy._step(perm, grid)
+        _check_widths(perm, witness)
+        target, _, step = rauzy._step(perm, witness)
         if step.kind is not kind:
             raise InconsistentStage(f"the {kind.value} witness of {perm} split the other way")
         out.append(
@@ -96,7 +95,7 @@ def node_edges(perm: GeneralizedPermutation) -> tuple[Edge, ...]:
                 winner=step.winner,
                 loser=step.loser,
                 target=target,
-                witness=tuple(sorted(witness.items())),
+                witness=tuple((a, Fraction(witness[a])) for a in sorted(witness)),
             )
         )
     return tuple(out)

@@ -56,15 +56,6 @@ class SplitUndefinedTie(SplitUndefined):
     """The two critical bands have exactly equal widths."""
 
 
-class SplitInfeasible(SplitUndefined):
-    """The step would produce widths violating positivity or the switch.
-
-    The Rauzy step no longer raises it: the chase to a Rauzy cut always
-    returns one piece per induced end.  It stays in the hierarchy for
-    callers that catch it.
-    """
-
-
 class InconsistentStage(LinvexError):
     """Stage data does not cohere with the exchange it was built from."""
 

@@ -82,16 +82,21 @@ def validate_widths(
             f"width labels {sorted(widths)} do not match alphabet {list(perm.alphabet)}"
         )
     cleaned = {label: Fraction(widths[label]) for label in perm.alphabet}
-    for label, value in cleaned.items():
-        if value <= 0:
-            raise NonPositiveWidth(f"width of band {label} is {value}")
-    top_sum = sum((cleaned[a] for a in perm.reversing_top_bands()), Fraction(0))
-    bottom_sum = sum((cleaned[a] for a in perm.reversing_bottom_bands()), Fraction(0))
+    _check_widths(perm, cleaned)
+    return cleaned
+
+
+def _check_widths(perm: GeneralizedPermutation, widths: Mapping[str, int | Fraction]) -> None:
+    """Check positivity and the switch condition, on ints or Fractions."""
+    for label in perm.alphabet:
+        if widths[label] <= 0:
+            raise NonPositiveWidth(f"width of band {label} is {widths[label]}")
+    top_sum = sum(widths[a] for a in perm.reversing_top)
+    bottom_sum = sum(widths[a] for a in perm.reversing_bottom)
     if top_sum != bottom_sum:
         raise SwitchConditionViolated(
             f"reversing totals differ: top {top_sum} vs bottom {bottom_sum}"
         )
-    return cleaned
 
 
 class Exchange:

@@ -232,11 +232,10 @@ def _step(
     it.  The step is computed by the insertion rule and checked against
     the first-return chase on every call (see ``_kernel_step``).  Raises
     the undefined-case errors when the critical bands coincide or tie,
-    and InconsistentStage when the check fails.  It no longer raises
-    SplitInfeasible: the chase to a Rauzy cut returns one piece per end
-    of the induced map, so a step cannot lose the alphabet (the old
-    check never fired on the 11,304 non-halting steps of the d <= 5
-    sweep and the test fleets).
+    and InconsistentStage when the check fails.  A defined step cannot
+    lose the alphabet: the chase to a Rauzy cut returns one piece per end
+    of the induced map, so positivity and the switch condition carry over
+    to the induced widths.
     """
     return _kernel_step(perm, widths, _grid_layout(perm, widths))[:3]
 
@@ -261,6 +260,9 @@ def _kernel_step(
       of its own old ends, the label-inheritance rule of
       ``first_return_on_grid``.  This catches a swap of two labels of
       equal width, which leaves the flat map unchanged.
+    Both checks run in one pass over the sorted chase: each expected
+    piece is built as it is compared, and the old end at its place is
+    looked up by its bounds.
     """
     alpha_top, alpha_bottom = critical_bands(perm)
     if alpha_top == alpha_bottom:
@@ -286,18 +288,25 @@ def _kernel_step(
     # is unchanged; a reversing end f -> c - f swaps sides, so c grows by
     # w[loser].
     _, new_bounds, new_slopes, new_shifts = induced_flat
-    n_top = len(target.top)
-    los = new_bounds[:n_top] + [b + w_loser for b in new_bounds[n_top:-1]]
-    his = new_bounds[1 : n_top + 1] + [b + w_loser for b in new_bounds[n_top + 1 :]]
-    consts = [c + w_loser if s == -1 else c for s, c in zip(new_slopes, new_shifts)]
     length, bounds = flat[0], flat[1]
-    pieces = sorted(exchange._chase(flat, length - w_loser, DEFAULT_RETURN_BUDGET))
-    if pieces != list(zip(los, his, new_slopes, consts)):
+    pieces = exchange._chase(flat, length - w_loser, DEFAULT_RETURN_BUDGET)
+    if len(pieces) != len(new_slopes):
         raise InconsistentStage(f"the step from {perm} disagrees with the return chase")
-    old_ends = set(zip(bounds, bounds[1:], perm.top + perm.bottom))
-    new_ends = zip(los, his, target.top + target.bottom)
-    kept = {label for _, _, label in old_ends.intersection(new_ends)}
-    kept.add(winner)
+    pieces.sort()
+    old_ends = dict(zip(zip(bounds, bounds[1:]), perm.top + perm.bottom))
+    n_top = len(target.top)
+    kept = {winner}
+    for p, label in enumerate(target.top + target.bottom):
+        lo, hi, slope, const = new_bounds[p], new_bounds[p + 1], new_slopes[p], new_shifts[p]
+        if p >= n_top:
+            lo += w_loser
+            hi += w_loser
+        if slope == -1:
+            const += w_loser
+        if pieces[p] != (lo, hi, slope, const):
+            raise InconsistentStage(f"the step from {perm} disagrees with the return chase")
+        if old_ends.get((lo, hi)) == label:
+            kept.add(label)
     if len(kept) != len(perm.alphabet):
         raise InconsistentStage(f"the step from {perm} moved a band off its old ends")
     return target, induced_widths, SplitStep(kind, winner, loser, perm.alphabet), induced_flat
@@ -494,14 +503,14 @@ def jacobian_ratio(
     return (qyp / qy) ** (d - 1)
 
 
-def direction_witness(
-    perm: GeneralizedPermutation, kind: SplitKind
-) -> dict[str, Fraction] | None:
+def _witness_grid(perm: GeneralizedPermutation, kind: SplitKind) -> dict[str, int] | None:
     """Integer widths making the given split direction strictly feasible.
 
-    Returns None when the switch condition forces the opposite comparison,
-    which happens exactly when the would-be winner is a reversing band and
-    the loser is alone in the opposite reversing class.
+    The widths are positive and satisfy the switch condition, on the grid
+    of denominator 1.  Returns None when the switch condition forces the
+    opposite comparison, which happens exactly when the would-be winner
+    is a reversing band and the loser is alone in the opposite reversing
+    class.
     """
     alpha_top, alpha_bottom = critical_bands(perm)
     if alpha_top == alpha_bottom:
@@ -511,36 +520,36 @@ def direction_witness(
     else:
         winner, loser = alpha_bottom, alpha_top
 
-    top_rev = set(perm.reversing_top_bands())
-    bottom_rev = set(perm.reversing_bottom_bands())
+    top_rev = set(perm.reversing_top)
+    bottom_rev = set(perm.reversing_bottom)
     if bool(top_rev) != bool(bottom_rev):
         return None  # no positive widths satisfy the switch at all
 
-    widths: dict[str, Fraction] = {}
-    base_top = Fraction(max(len(bottom_rev), 1))
-    base_bottom = Fraction(max(len(top_rev), 1))
+    widths: dict[str, int] = {}
+    base_top = max(len(bottom_rev), 1)
+    base_bottom = max(len(top_rev), 1)
     for label in perm.alphabet:
         if label in top_rev:
             widths[label] = base_top
         elif label in bottom_rev:
             widths[label] = base_bottom
         else:
-            widths[label] = Fraction(1)
+            widths[label] = 1
 
     if widths[winner] <= widths[loser]:
         bump = widths[loser] - widths[winner] + 1
-        if perm.orientation_of(winner) is Orientation.PRESERVING:
-            widths[winner] += bump
-        elif winner in top_rev:
-            partners = sorted(bottom_rev - {loser})
+        if perm.orientation_of(winner) is not Orientation.PRESERVING:
+            partners = sorted((bottom_rev if winner in top_rev else top_rev) - {loser})
             if not partners:
                 return None
-            widths[winner] += bump
             widths[partners[0]] += bump
-        else:
-            partners = sorted(top_rev - {loser})
-            if not partners:
-                return None
-            widths[winner] += bump
-            widths[partners[0]] += bump
+        widths[winner] += bump
     return widths
+
+
+def direction_witness(
+    perm: GeneralizedPermutation, kind: SplitKind
+) -> dict[str, Fraction] | None:
+    """The witness of ``_witness_grid`` as Fractions, or None."""
+    widths = _witness_grid(perm, kind)
+    return None if widths is None else {a: Fraction(v) for a, v in widths.items()}

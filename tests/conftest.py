@@ -6,15 +6,25 @@ import math
 import random
 from bisect import bisect_right
 from collections import deque
+from fractions import Fraction
 from fractions import Fraction as F
 from typing import Mapping, NamedTuple
 
 import pytest
 
-from linvex import genperm, lab
-from linvex.errors import EndpointHit, InconsistentStage, InvalidInput, NotReturning
+from linvex import diagram, genperm, lab, rauzy
+from linvex.errors import (
+    EndpointHit,
+    InconsistentStage,
+    InvalidInput,
+    NonPositiveWidth,
+    NotReturning,
+    SwitchConditionViolated,
+)
 from linvex.exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, Side
-from linvex.genperm import GeneralizedPermutation
+from linvex.genperm import GeneralizedPermutation, Orientation, critical_bands
+from linvex.rationals import common_denominator, to_grid
+from linvex.rauzy import SplitKind
 
 # One line per acceptance criterion, echoed in the terminal summary so the
 # verdicts stay visible under output capture.
@@ -493,6 +503,115 @@ def reference_first_return_on_grid(
     top_row = [label_of_key[(0, piece[1])] for piece in by_side[0]]
     bottom_row = [label_of_key[(1, piece[1])] for piece in by_side[1]]
     return genperm.validate(top_row, bottom_row), induced_widths
+
+
+# --- the Fraction witness path, as the diagram ran it before integers --------
+
+
+def _reference_validate_widths(
+    perm: GeneralizedPermutation, widths: Mapping[str, Fraction]
+) -> dict[str, Fraction]:
+    """Check positivity and the switch condition; returns a sorted copy."""
+    if set(widths) != set(perm.alphabet):
+        raise InvalidInput(
+            f"width labels {sorted(widths)} do not match alphabet {list(perm.alphabet)}"
+        )
+    cleaned = {label: Fraction(widths[label]) for label in perm.alphabet}
+    for label, value in cleaned.items():
+        if value <= 0:
+            raise NonPositiveWidth(f"width of band {label} is {value}")
+    top_sum = sum((cleaned[a] for a in perm.reversing_top_bands()), Fraction(0))
+    bottom_sum = sum((cleaned[a] for a in perm.reversing_bottom_bands()), Fraction(0))
+    if top_sum != bottom_sum:
+        raise SwitchConditionViolated(
+            f"reversing totals differ: top {top_sum} vs bottom {bottom_sum}"
+        )
+    return cleaned
+
+
+def reference_direction_witness(
+    perm: GeneralizedPermutation, kind: SplitKind
+) -> dict[str, Fraction] | None:
+    """Integer widths making the given split direction strictly feasible.
+
+    The library's witness before it moved to integers, kept verbatim as
+    the differential reference for ``rauzy.direction_witness``.
+
+    Returns None when the switch condition forces the opposite comparison,
+    which happens exactly when the would-be winner is a reversing band and
+    the loser is alone in the opposite reversing class.
+    """
+    alpha_top, alpha_bottom = critical_bands(perm)
+    if alpha_top == alpha_bottom:
+        return None
+    if kind is SplitKind.TOP_WINS:
+        winner, loser = alpha_top, alpha_bottom
+    else:
+        winner, loser = alpha_bottom, alpha_top
+
+    top_rev = set(perm.reversing_top_bands())
+    bottom_rev = set(perm.reversing_bottom_bands())
+    if bool(top_rev) != bool(bottom_rev):
+        return None  # no positive widths satisfy the switch at all
+
+    widths: dict[str, Fraction] = {}
+    base_top = Fraction(max(len(bottom_rev), 1))
+    base_bottom = Fraction(max(len(top_rev), 1))
+    for label in perm.alphabet:
+        if label in top_rev:
+            widths[label] = base_top
+        elif label in bottom_rev:
+            widths[label] = base_bottom
+        else:
+            widths[label] = Fraction(1)
+
+    if widths[winner] <= widths[loser]:
+        bump = widths[loser] - widths[winner] + 1
+        if perm.orientation_of(winner) is Orientation.PRESERVING:
+            widths[winner] += bump
+        elif winner in top_rev:
+            partners = sorted(bottom_rev - {loser})
+            if not partners:
+                return None
+            widths[winner] += bump
+            widths[partners[0]] += bump
+        else:
+            partners = sorted(top_rev - {loser})
+            if not partners:
+                return None
+            widths[winner] += bump
+            widths[partners[0]] += bump
+    return widths
+
+
+def reference_node_edges(perm: GeneralizedPermutation) -> tuple[diagram.Edge, ...]:
+    """Feasible out-edges of a node, in direction-tag order (bottom, top).
+
+    The library's Fraction path before the integer witness, kept verbatim
+    (with the reference witness and width check) as the differential
+    reference for ``diagram.node_edges``.
+    """
+    out = []
+    for kind in sorted(rauzy.SplitKind, key=lambda k: k.value):
+        witness = reference_direction_witness(perm, kind)
+        if witness is None:
+            continue
+        witness = _reference_validate_widths(perm, witness)
+        grid = to_grid(witness, common_denominator(witness.values()))
+        target, _, step = rauzy._step(perm, grid)
+        if step.kind is not kind:
+            raise InconsistentStage(f"the {kind.value} witness of {perm} split the other way")
+        out.append(
+            diagram.Edge(
+                source=perm,
+                kind=kind,
+                winner=step.winner,
+                loser=step.loser,
+                target=target,
+                witness=tuple(sorted(witness.items())),
+            )
+        )
+    return tuple(out)
 
 
 def tower_fleet(seed: int):

@@ -2,13 +2,33 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from linvex import diagram
-from linvex.errors import ClosureBudgetExceeded, Unreachable
+from linvex import diagram, genperm, rauzy
+from linvex.errors import (
+    ClosureBudgetExceeded,
+    InconsistentStage,
+    LinvexError,
+    NonPositiveWidth,
+    SwitchConditionViolated,
+    Unreachable,
+)
 from linvex.genperm import validate
+from linvex.rationals import canonical_json_bytes
+from linvex.rauzy import SplitKind
 
-from conftest import STUCK_FREE_NONCLASSICAL, perm_pool
+from conftest import (
+    STUCK_FREE_NONCLASSICAL,
+    perm_pool,
+    reference_direction_witness,
+    reference_node_edges,
+)
 
 
 def test_classical_two_band_closure():
@@ -192,3 +212,106 @@ def test_out_degree_bounded_by_two():
     p = validate(["A", "A", "B"], ["B", "C", "D", "C", "D"])
     g = diagram.forward_closure(p, budget=2000)
     assert all(len(g.edges[n]) <= 2 for n in g.nodes)
+
+
+# --- the integer witness path against the Fraction reference -----------------
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the class of the domain error it raised."""
+    try:
+        return fn(*args)
+    except LinvexError as err:
+        return type(err)
+
+
+def test_witness_and_edges_equal_the_fraction_reference_on_every_small_node():
+    edges = 0
+    for d in range(1, 6):
+        for perm in genperm.enumerate_permutations(d, realizable_only=False):
+            for kind in SplitKind:
+                witness = _outcome(rauzy.direction_witness, perm, kind)
+                assert witness == _outcome(reference_direction_witness, perm, kind)
+                if isinstance(witness, dict):
+                    assert list(witness) == list(perm.alphabet)
+                    assert all(type(v) is Fraction for v in witness.values())
+            got = _outcome(diagram.node_edges, perm)
+            assert got == _outcome(reference_node_edges, perm), perm
+            if isinstance(got, tuple):
+                edges += len(got)
+                for edge in got:
+                    assert all(type(v) is Fraction for _, v in edge.witness)
+    assert edges > 4000
+
+
+def test_closure_json_equals_the_fraction_reference(monkeypatch):
+    starts = [
+        p for d in (1, 2, 3) for p in genperm.enumerate_permutations(d, non_classical_only=True)
+    ]
+    starts += list(genperm.enumerate_permutations(4, non_classical_only=True))[::5]
+    got = [canonical_json_bytes(diagram.forward_closure(p).to_json_dict()) for p in starts]
+    monkeypatch.setattr(diagram, "node_edges", reference_node_edges)
+    want = [canonical_json_bytes(diagram.forward_closure(p).to_json_dict()) for p in starts]
+    assert len(starts) == 16 + 41
+    assert got == want
+
+
+# A A B | B C C splits both ways; A is its reversing top band.
+_BOTH_WAYS = validate(["A", "A", "B"], ["B", "C", "C"])
+
+
+def _patch_witness(monkeypatch, edit) -> None:
+    """Make ``rauzy._witness_grid`` return ``edit(perm, kind, widths)``."""
+    real = rauzy._witness_grid
+
+    def edited(perm, kind):
+        widths = real(perm, kind)
+        return None if widths is None else edit(perm, kind, widths)
+
+    monkeypatch.setattr(rauzy, "_witness_grid", edited)
+
+
+def test_faulty_integer_witness_raises_the_width_errors(monkeypatch):
+    assert len(diagram.node_edges(_BOTH_WAYS)) == 2
+    _patch_witness(monkeypatch, lambda perm, kind, w: {**w, "B": 0})
+    with pytest.raises(NonPositiveWidth):
+        diagram.node_edges(_BOTH_WAYS)
+    monkeypatch.undo()
+    _patch_witness(monkeypatch, lambda perm, kind, w: {**w, "A": w["A"] + 1})
+    with pytest.raises(SwitchConditionViolated):
+        diagram.node_edges(_BOTH_WAYS)
+
+
+def test_witness_that_splits_the_other_way_is_inconsistent(monkeypatch):
+    real = rauzy._witness_grid
+    other = {SplitKind.TOP_WINS: SplitKind.BOTTOM_WINS, SplitKind.BOTTOM_WINS: SplitKind.TOP_WINS}
+    monkeypatch.setattr(rauzy, "_witness_grid", lambda perm, kind: real(perm, other[kind]))
+    with pytest.raises(InconsistentStage, match="split the other way"):
+        diagram.node_edges(_BOTH_WAYS)
+
+
+_OPTIMIZED_SWITCH = """
+import sys
+from linvex import diagram, genperm, rauzy
+from linvex.errors import SwitchConditionViolated
+
+assert False, "assert statements must be stripped under -O"
+perm = genperm.validate(["A", "A", "B"], ["B", "C", "C"])
+real = rauzy._witness_grid
+rauzy._witness_grid = lambda p, kind: {**real(p, kind), "A": real(p, kind)["A"] + 1}
+try:
+    diagram.node_edges(perm)
+except SwitchConditionViolated:
+    print("caught", sys.flags.optimize)
+"""
+
+
+def test_witness_check_does_not_rely_on_assert():
+    src = Path(diagram.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SWITCH],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "caught 1\n"

@@ -10,12 +10,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linvex import approx, diagram, exchange, genperm, rauzy
 from linvex.errors import (
     InconsistentStage,
     PositiveMatrixRequired,
-    SplitInfeasible,
     SplitUndefined,
     SplitUndefinedSameBand,
     SplitUndefinedTie,
@@ -160,6 +161,24 @@ def test_switch_condition_preserved_along_expansion():
             assert current.side_length == sum(current.widths.values(), F(0))
 
 
+_SMALL_NODES = [p for d in range(1, 6) for p in genperm.enumerate_permutations(d)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(perm=st.sampled_from(_SMALL_NODES), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_step_preserves_positivity_and_the_switch_condition(perm, seed):
+    widths = random_grid_widths(perm, random.Random(seed))
+    for _ in range(8):
+        try:
+            perm, widths, _ = rauzy._step(perm, widths)
+        except SplitUndefined:
+            break
+        assert set(widths) == set(perm.alphabet)
+        assert all(v > 0 for v in widths.values())
+        top = sum(widths[a] for a in perm.reversing_top_bands())
+        assert top == sum(widths[a] for a in perm.reversing_bottom_bands())
+
+
 def test_visit_counts_identity_at_depth_zero():
     x = build(ROTATION, {"A": F(3, 7), "B": F(1, 7)})
     assert rauzy.visit_counts(x, 0) == Matrix.identity(("A", "B"))
@@ -297,7 +316,7 @@ def _exchange_oracle(x):
         kind, winner, loser = SplitKind.BOTTOM_WINS, alpha_bottom, alpha_top
     induced = x.first_return_map(x.side_length - x.widths[loser])
     if induced.perm.alphabet != x.perm.alphabet:
-        raise SplitInfeasible(induced.perm.alphabet)
+        raise InconsistentStage(f"the return map lost the alphabet: {induced.perm.alphabet}")
     return induced, kind, winner, loser
 
 
@@ -427,6 +446,26 @@ def test_lost_return_piece_is_inconsistent_not_a_halt(monkeypatch, from_call):
     _drop_a_piece(monkeypatch, from_call)
     with pytest.raises(InconsistentStage):
         approx.find_cyclic_tower(x, F(1, 1000), budget=5)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda pieces: pieces + pieces[-1:],  # the last piece twice
+        lambda pieces: pieces[:-1] + [(*pieces[-1][:3], pieces[-1][3] + 1)],  # one step off
+    ],
+    ids=["extra-piece", "shifted-image"],
+)
+def test_corrupted_return_chase_is_inconsistent(monkeypatch, corrupt):
+    # Each corruption keeps the bounds of every expected piece, so only the
+    # piece count or an image constant can tell.
+    x = sample_exchange(genperm.validate(["A", "A", "B"], ["B", "C", "C"]), seed=7)
+    real = exchange._chase
+    monkeypatch.setattr(exchange, "_chase", lambda *args: corrupt(sorted(real(*args))))
+    with pytest.raises(InconsistentStage, match="disagrees with the return chase"):
+        rauzy.split(x)
+    with pytest.raises(InconsistentStage, match="disagrees with the return chase"):
+        diagram.node_edges(x.perm)
 
 
 def _insert_one_slot_off(perm, top_wins):
