@@ -60,7 +60,7 @@ from .errors import (
 )
 from .exchange import Exchange, Side, _chase, _compose, _image
 from .genperm import GeneralizedPermutation
-from .rationals import common_denominator, format_fraction, to_grid
+from .rationals import format_fraction, to_grid
 
 DEFAULT_SPLIT_BUDGET = 10_000
 DEFAULT_PIECE_BUDGET = 10**6
@@ -527,15 +527,14 @@ def find_cyclic_tower(
     budget: int = DEFAULT_SPLIT_BUDGET,
     *,
     height_coprime_to: int | None = None,
-    verify_budget: int = DEFAULT_VERIFY_BUDGET,
 ) -> CyclicTower:
     """Expand until a verified tower with constant ``delta`` appears.
 
     At each stage, every orientation preserving band is screened with the
     two exact tower measures; a band passing both screens is turned into a
-    certificate and re-verified against the original map before being
-    returned.  ``height_coprime_to`` restricts to heights coprime to the
-    given prime.
+    certificate and re-verified against the original map, within
+    ``DEFAULT_VERIFY_BUDGET`` interval steps, before being returned.
+    ``height_coprime_to`` restricts to heights coprime to the given prime.
     """
     delta = Fraction(delta)
     if not (0 < delta < 1):
@@ -545,9 +544,8 @@ def find_cyclic_tower(
 
     # The expansion runs on the integer grid of x; certificates convert
     # back to fractions.  Both screens compare exact integer cross products.
-    denom = common_denominator(x.widths.values())
+    denom, start_length = x._flat[:2]
     widths = to_grid(x.widths, denom)
-    start_length = sum(widths[a] for a in x.perm.top)
     d_num, d_den = delta.numerator, delta.denominator
     norms = {label: 1 for label in x.perm.alphabet}
     node = x.perm
@@ -570,12 +568,12 @@ def find_cyclic_tower(
             overlap = max(0, min(hi1, hi2) - max(lo1, lo2))
             if (width - overlap) * d_den >= d_num * width:
                 continue
-            if 2 * height > verify_budget:
+            if 2 * height > DEFAULT_VERIFY_BUDGET:
                 # Heights only grow along the expansion, so a qualifying
                 # stage beyond the verification budget will not improve.
                 raise BudgetExceeded(
                     f"qualifying tower height {height} exceeds the "
-                    f"verification budget {verify_budget}"
+                    f"verification budget {DEFAULT_VERIFY_BUDGET}"
                 )
             tower = CyclicTower(
                 band=band,
@@ -587,7 +585,7 @@ def find_cyclic_tower(
                 delta=delta,
                 xi=1 - Fraction(width, sum(widths[a] for a in node.top)),
             )
-            report = verify_tower(x, tower, step_budget=verify_budget)
+            report = verify_tower(x, tower)
             if report.passed:
                 return tower
         if depth >= budget:

@@ -53,15 +53,12 @@ def _load_perm(path: str) -> genperm.GeneralizedPermutation:
 
 
 def _load_exchange(perm_path: str, widths_path: str) -> Exchange:
-    perm = _load_perm(perm_path)
-    widths = widths_from_json(_load_json(widths_path))
-    return Exchange(perm, widths)
+    return Exchange(_load_perm(perm_path), widths_from_json(_load_json(widths_path)))
 
 
 def _write_artifact(path: str | None, payload) -> None:
-    if path is None:
-        return
-    Path(path).write_bytes(canonical_json_bytes(payload))
+    if path is not None:
+        Path(path).write_bytes(canonical_json_bytes(payload))
 
 
 def _emit(payload) -> None:
@@ -255,8 +252,11 @@ def _cmd_verify_tower(args) -> int:
 def _cmd_rigidity(args) -> int:
     x = _load_exchange(args.perm, args.widths)
     candidates = []
-    if args.candidates:
-        candidates = [int(v) for v in args.candidates.split(",") if v.strip()]
+    for v in filter(str.strip, args.candidates.split(",")):
+        try:
+            candidates.append(int(v))
+        except ValueError:
+            raise InvalidInput(f"rigidity candidate {v.strip()!r} is not an integer") from None
     records = approx.find_rigidity_times(
         x, parse_fraction(args.xi), candidates, tower_budget=args.budget
     )
@@ -377,16 +377,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linvex",
         description="Exact arithmetic for linear involutions without flips.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed")
-    common.add_argument("--budget", type=int, default=10_000, help="step budget")
-    common.add_argument("--out", default=None, help="artifact output path")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "seed": dict(type=int, default=0, help="seed"),
+        "budget": dict(type=int, default=10_000, help="split or node budget"),
+        "out": dict(default=None, help="artifact output path"),
+    }
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, *flags, **kwargs):
+        """A subcommand taking only the shared flags its handler reads."""
+        s = sub.add_parser(name, **kwargs)
+        for flag in flags:
+            s.add_argument(f"--{flag}", **shared[flag])
+        return s
 
-    s = add_parser("validate", help="validate a permutation file")
+    s = add_parser("validate", "budget", "out", help="validate a permutation file")
     s.add_argument("--perm", required=True)
     s.add_argument("--check-closure", action="store_true")
     s.set_defaults(fn=_cmd_validate)
@@ -398,71 +403,71 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--inverse", action="store_true")
     s.set_defaults(fn=_cmd_apply)
 
-    s = add_parser("orbit", help="dump an orbit as JSON lines")
+    s = add_parser("orbit", "out", help="dump an orbit as JSON lines")
     _add_exchange_args(s)
     s.add_argument("--side", required=True, choices=["top", "bottom", "Top", "Bottom"])
     s.add_argument("--offset", required=True)
     s.add_argument("--steps", type=int, required=True)
     s.set_defaults(fn=_cmd_orbit)
 
-    s = add_parser("split", help="one induction step")
+    s = add_parser("split", "out", help="one induction step")
     _add_exchange_args(s)
     s.set_defaults(fn=_cmd_split)
 
-    s = add_parser("expand", help="iterate the induction, dump the stage")
+    s = add_parser("expand", "out", help="iterate the induction, dump the stage")
     _add_exchange_args(s)
     s.add_argument("--steps", type=int, required=True)
     s.set_defaults(fn=_cmd_expand)
 
-    s = add_parser("visits", help="orbit count matrix vs cocycle matrix")
+    s = add_parser("visits", "out", help="orbit count matrix vs cocycle matrix")
     _add_exchange_args(s)
     s.add_argument("--depth", type=int, required=True)
     s.set_defaults(fn=_cmd_visits)
 
-    s = add_parser("diagram", help="forward closure of a permutation")
+    s = add_parser("diagram", "budget", "out", help="forward closure of a permutation")
     s.add_argument("--perm", required=True)
     s.set_defaults(fn=_cmd_diagram)
 
-    s = add_parser("attractors", help="attractors of the forward closure")
+    s = add_parser("attractors", "budget", "out", help="attractors of the forward closure")
     s.add_argument("--perm", required=True)
     s.set_defaults(fn=_cmd_attractors)
 
-    s = add_parser("tower", help="find and verify a cyclic tower")
+    s = add_parser("tower", "budget", "out", help="find and verify a cyclic tower")
     _add_exchange_args(s)
     s.add_argument("--delta", required=True)
     s.set_defaults(fn=_cmd_tower)
 
-    s = add_parser("verify-tower", help="re-verify a tower certificate")
+    s = add_parser("verify-tower", "out", help="re-verify a tower certificate")
     _add_exchange_args(s)
     s.add_argument("--tower", required=True)
     s.set_defaults(fn=_cmd_verify_tower)
 
-    s = add_parser("rigidity", help="grade candidate rigidity times")
+    s = add_parser("rigidity", "budget", "out", help="grade candidate rigidity times")
     _add_exchange_args(s)
     s.add_argument("--xi", required=True)
     s.add_argument("--candidates", default="")
     s.set_defaults(fn=_cmd_rigidity)
 
-    s = add_parser("modp-trace", help="remainder table along an expansion")
+    s = add_parser("modp-trace", "out", help="remainder table along an expansion")
     _add_exchange_args(s)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--steps", type=int, required=True)
     s.set_defaults(fn=_cmd_modp_trace)
 
-    s = add_parser("coprime-tower", help="tower with height coprime to p")
+    s = add_parser("coprime-tower", "budget", "out", help="tower with height coprime to p")
     _add_exchange_args(s)
     s.add_argument("--delta", required=True)
     s.add_argument("--p", type=int, required=True)
     s.set_defaults(fn=_cmd_coprime_tower)
 
-    s = add_parser("ergodicity", help="total ergodicity evidence")
+    s = add_parser("ergodicity", "seed", "budget", "out", help="total ergodicity evidence")
     _add_exchange_args(s)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--bins", type=int, default=100)
     s.add_argument("--iters", type=int, default=100_000)
     s.set_defaults(fn=_cmd_ergodicity)
 
-    s = add_parser("product", help="product equidistribution evidence")
+    s = add_parser("product", "seed", "out", help="product equidistribution evidence")
     s.add_argument("--perm1", required=True)
     s.add_argument("--widths1", required=True)
     s.add_argument("--perm2", required=True)
@@ -471,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--iters", type=int, default=100_000)
     s.set_defaults(fn=_cmd_product)
 
-    s = add_parser("scan", help="rigidity time density scan")
+    s = add_parser("scan", "seed", "out", help="rigidity time density scan")
     s.add_argument("--perm", required=True)
     s.add_argument("--count", type=int, default=10)
     s.add_argument("--denominator-bound", type=int, default=lab.DEFAULT_DENOMINATOR_BOUND)
@@ -493,10 +498,7 @@ def main(argv=None) -> int:
     except _BUDGET_ERRORS as err:
         sys.stderr.write(f"budget exhausted: {err}\n")
         return EXIT_BUDGET
-    except LinvexError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_DOMAIN
-    except OSError as err:
+    except (LinvexError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_DOMAIN
 

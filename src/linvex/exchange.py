@@ -188,15 +188,14 @@ class Exchange:
                 break
         return OrbitSegment(start=start, points=tuple(points), hit_endpoint=hit)
 
-    def first_return_map(
-        self, cut: Fraction, budget: int = DEFAULT_RETURN_BUDGET
-    ) -> "Exchange":
+    def first_return_map(self, cut: Fraction) -> "Exchange":
         """The induced exchange on the truncated domain, by orbit chasing.
 
         Band labels are inherited from this exchange wherever an induced
         band keeps one of its ends bitwise equal to an original end, which
         reproduces the usual induction labels at a Rauzy cut.  Otherwise
-        all bands get fresh canonical names.
+        all bands get fresh canonical names.  A chase longer than
+        ``DEFAULT_RETURN_BUDGET`` steps raises NotReturning.
         """
         cut = Fraction(cut)
         if not (0 < cut <= self.side_length):
@@ -204,7 +203,7 @@ class Exchange:
         denom = common_denominator([cut, *self.widths.values()])
         cut_int = cut.numerator * (denom // cut.denominator)
         induced, induced_widths = first_return_on_grid(
-            self.perm, to_grid(self.widths, denom), cut_int, budget
+            self.perm, to_grid(self.widths, denom), cut_int
         )
         return Exchange(
             induced, {label: Fraction(v, denom) for label, v in induced_widths.items()}

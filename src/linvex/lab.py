@@ -39,13 +39,19 @@ from .rationals import canonical_json_bytes, format_fraction
 
 DEFAULT_DENOMINATOR_BOUND = 2**40
 RESAMPLE_CAP = 100
+# Fixed experiment settings, recorded in the parameters of every report.
+TOWER_DELTA = Fraction(1, 4)
+TOLERANCE = 0.05
 
 
 def effective_seed(seed: int) -> int:
     env = os.environ.get("LINVEX_SEED")
-    if env is not None:
+    if env is None:
+        return int(seed)
+    try:
         return int(env)
-    return int(seed)
+    except ValueError:
+        raise InvalidInput(f"LINVEX_SEED={env!r} is not an integer") from None
 
 
 def substream(seed: int, index) -> random.Random:
@@ -83,12 +89,8 @@ class ExperimentReport:
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
-        keys: list[str] = []
-        for record in self.records:
-            for key in record:
-                if key not in keys:
-                    keys.append(key)
-        writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
+        keys = dict.fromkeys(key for record in self.records for key in record)
+        writer = csv.DictWriter(buf, fieldnames=list(keys), lineterminator="\n")
         writer.writeheader()
         for record in self.records:
             writer.writerow(record)
@@ -99,11 +101,7 @@ def _gaps(rng: random.Random, parts: int, grid: int) -> list[Fraction]:
     """Widths of a sorted-uniform partition of [0, 1] on a 1/grid grid."""
     for _ in range(RESAMPLE_CAP):
         cuts = sorted(rng.randrange(0, grid + 1) for _ in range(parts - 1))
-        values = []
-        prev = 0
-        for c in cuts + [grid]:
-            values.append(c - prev)
-            prev = c
+        values = [hi - lo for lo, hi in zip([0] + cuts, cuts + [grid])]
         if all(v > 0 for v in values):
             return [Fraction(v, grid) for v in values]
     raise DegenerateSample(f"could not draw {parts} positive gaps on grid {grid}")
@@ -201,33 +199,34 @@ def total_ergodicity_experiment(
     bins: int,
     iters: int,
     seed: int = 0,
-    tower_delta: Fraction = Fraction(1, 4),
     tower_budget: int = 10_000,
-    tolerance: float = 0.05,
 ) -> ExperimentReport:
     """Two evidence streams for total ergodicity at a prime.
 
-    Stream one asks for a verified tower with height coprime to p (or a
-    structural obstruction).  Stream two measures how evenly an orbit of
-    the p-th power fills a uniform bin partition of both sides.
+    Stream one asks for a verified tower with constant ``TOWER_DELTA``
+    and height coprime to p (or a structural obstruction).  Stream two
+    measures how evenly an orbit of the p-th power fills ``bins`` bins
+    per side and passes when every relative deviation is below ``TOLERANCE``.
     """
     if p < 2:
         raise InvalidInput("p must be a prime, at least 2")
+    if bins < 1:
+        raise InvalidInput(f"bins must be at least 1, got {bins}")
     seed = effective_seed(seed)
     params = {
         "prime": p,
         "bins_per_side": bins,
         "iterations": iters,
         "seed": seed,
-        "tower_delta": format_fraction(tower_delta),
+        "tower_delta": format_fraction(TOWER_DELTA),
         "tower_budget": tower_budget,
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
     }
     records: list[dict] = []
 
     tower_outcome: dict
     try:
-        result = modp.find_coprime_tower(x, tower_delta, p, budget=tower_budget)
+        result = modp.find_coprime_tower(x, TOWER_DELTA, p, budget=tower_budget)
     except (BudgetExceeded, ExpansionHalted, NotReturning) as err:
         tower_outcome = {"kind": type(err).__name__, "detail": str(err)}
     else:
@@ -256,7 +255,7 @@ def total_ergodicity_experiment(
                 "occupied_bins": sum(1 for c in counts if c),
             }
         )
-        passed = max_dev < tolerance
+        passed = max_dev < TOLERANCE
         aggregates = {"max_bin_deviation": max_dev, "tower": tower_outcome["kind"]}
     else:
         records.append({"stream": "birkhoff", "insufficient": True})
@@ -277,24 +276,26 @@ def product_experiment(
     boxes: int,
     iters: int,
     seed: int = 0,
-    tolerance: float = 0.05,
 ) -> ExperimentReport:
     """Joint occupancy of two orbits on a boxes-by-boxes grid.
 
     Statistical evidence only: near-uniform joint occupancy is consistent
     with the product system having no invariant measure beyond the
-    product; concentration flags the opposite.
+    product; concentration flags the opposite.  The report passes when
+    every relative box deviation is below ``TOLERANCE``.
 
     A classical factor keeps each side invariant, so its coordinate is the
     offset within the starting side; a non-classical factor flattens both
     sides into one coordinate.
     """
+    if boxes < 1:
+        raise InvalidInput(f"boxes must be at least 1, got {boxes}")
     seed = effective_seed(seed)
     params = {
         "boxes": boxes,
         "iterations": iters,
         "seed": seed,
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
     }
     if iters <= 0:
         return ExperimentReport(
@@ -337,7 +338,7 @@ def product_experiment(
         parameters=params,
         records=records,
         aggregates={"max_box_deviation": max_dev, "empty_boxes": empty},
-        passed=max_dev < tolerance,
+        passed=max_dev < TOLERANCE,
     )
 
 
@@ -372,10 +373,7 @@ def rigidity_scan(
             records.append({"sample": index, "error": type(err).__name__})
             continue
         flagged = [r.n for r in recs if r.flagged]
-        covered = set()
-        for n in flagged:
-            if 1 <= n < 2**horizon:
-                covered.add(n.bit_length() - 1)
+        covered = {n.bit_length() - 1 for n in flagged if 1 <= n < 2**horizon}
         density = len(covered) / horizon if horizon else 0.0
         densities.append(density)
         records.append(

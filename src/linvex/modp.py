@@ -23,6 +23,9 @@ from .errors import InvalidInput, Unreachable
 from .exchange import Exchange
 from .genperm import GeneralizedPermutation
 
+# Product states the coprime band search explores before giving up.
+STATE_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class RemainderState:
@@ -152,19 +155,16 @@ def check_claim_invariant(state: RemainderState) -> ClaimStatus:
 
 
 def coprime_band_sequence(
-    perm: GeneralizedPermutation,
-    state: RemainderState,
-    *,
-    node_budget: int = diagram.DEFAULT_NODE_BUDGET,
-    state_budget: int = 1_000_000,
+    perm: GeneralizedPermutation, state: RemainderState
 ) -> list[diagram.Edge]:
     """A shortest splitting sequence making some preserving band coprime.
 
     Searches the product of the forward closure with symbolic remainder
     propagation; the target is any node holding an orientation preserving
     band with nonzero remainder.  Returns [] when the state already
-    satisfies the first disjunct.  Raising Unreachable here would falsify
-    the invariant's constructive step, so callers should treat it loudly.
+    satisfies the first disjunct; the search stops after ``STATE_BUDGET``
+    states.  Raising Unreachable here would falsify the invariant's
+    constructive step, so callers should treat it loudly.
     """
     if state.node != perm:
         raise InvalidInput("state does not belong to the given permutation")
@@ -172,7 +172,7 @@ def coprime_band_sequence(
     if isinstance(status, CoprimeOP):
         return []
 
-    graph = diagram.forward_closure(perm, budget=node_budget)
+    graph = diagram.forward_closure(perm)
 
     def satisfied(node: GeneralizedPermutation, values: Mapping[str, int]) -> bool:
         return any(values[b] % state.prime != 0 for b in node.preserving_bands())
@@ -186,8 +186,8 @@ def coprime_band_sequence(
     while queue:
         node, rems = queue.popleft()
         explored += 1
-        if explored > state_budget:
-            raise Unreachable(f"product search exceeded {state_budget} states")
+        if explored > STATE_BUDGET:
+            raise Unreachable(f"product search exceeded {STATE_BUDGET} states")
         current = RemainderState(prime=state.prime, node=node, remainders=rems)
         for edge in graph.edges[node]:
             nxt = propagate(current, edge.winner, edge.loser, edge.target)

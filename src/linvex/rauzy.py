@@ -397,6 +397,8 @@ _PROBE_FRACTIONS = (
     Fraction(5, 11),
     Fraction(4, 13),
 )
+# Original-map steps a probe takes before NotReturning.
+PROBE_BUDGET = 10**7
 
 
 def _reached(x: Exchange, n: int | Stage) -> Stage:
@@ -407,7 +409,7 @@ def _reached(x: Exchange, n: int | Stage) -> Stage:
     return stage
 
 
-def _probe_visits(x: Exchange, induced: Exchange, band: str, step_budget: int) -> dict[str, int]:
+def _probe_visits(x: Exchange, induced: Exchange, band: str) -> dict[str, int]:
     """Original-band visits of one return orbit from the induced end of ``band``.
 
     A probe point inside the band's first end in the induced exchange is
@@ -424,18 +426,18 @@ def _probe_visits(x: Exchange, induced: Exchange, band: str, step_budget: int) -
         point = Point(side, lo + (hi - lo) * probe)
         counts = dict.fromkeys(x.perm.alphabet, 0)
         try:
-            for _ in range(step_budget):
+            for _ in range(PROBE_BUDGET):
                 counts[labels[x.locate(point.side, point.offset)]] += 1
                 point = x.apply(point)
                 if point.offset < cut:
                     return counts
         except EndpointHit:
             continue
-        raise NotReturning(f"probe for band {band} did not return in {step_budget} steps")
+        raise NotReturning(f"probe for band {band} did not return in {PROBE_BUDGET} steps")
     raise EndpointHit(None, f"all probe points for band {band} hit endpoints")
 
 
-def visit_counts(x: Exchange, n: int | Stage, step_budget: int = 10**7) -> Matrix:
+def visit_counts(x: Exchange, n: int | Stage) -> Matrix:
     """Count band visits of depth-n return orbits, one probe per band.
 
     ``n`` is a depth, or a stage of x already expanded to it (so a caller
@@ -444,14 +446,14 @@ def visit_counts(x: Exchange, n: int | Stage, step_budget: int = 10**7) -> Matri
     """
     induced = induced_exchange(_reached(x, n), x)
     labels = sorted(x.perm.alphabet)
-    columns = {band: _probe_visits(x, induced, band, step_budget) for band in labels}
+    columns = {band: _probe_visits(x, induced, band) for band in labels}
     return Matrix(labels, [[columns[band][row] for band in labels] for row in labels])
 
 
-def return_time(x: Exchange, n: int | Stage, band: str, step_budget: int = 10**7) -> int:
+def return_time(x: Exchange, n: int | Stage, band: str) -> int:
     """First-return time of the depth-n end of ``band``, by direct orbit."""
     induced = induced_exchange(_reached(x, n), x)
-    return sum(_probe_visits(x, induced, band, step_budget).values())
+    return sum(_probe_visits(x, induced, band).values())
 
 
 def max_entry_ratio(matrix: Matrix) -> Fraction:

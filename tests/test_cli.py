@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 
@@ -243,6 +244,101 @@ def test_usage_error_exit_code(rotation_files):
     with pytest.raises(SystemExit) as exc:
         cli.main(["split", "--perm", perm, "--widths", widths, "--bogus-flag"])
     assert exc.value.code == 2
+
+
+# The shared flags each subcommand takes: exactly those its handler reads.
+_SHARED_FLAGS = {
+    "validate": {"--budget", "--out"},
+    "apply": set(),
+    "orbit": {"--out"},
+    "split": {"--out"},
+    "expand": {"--out"},
+    "visits": {"--out"},
+    "diagram": {"--budget", "--out"},
+    "attractors": {"--budget", "--out"},
+    "tower": {"--budget", "--out"},
+    "verify-tower": {"--out"},
+    "rigidity": {"--budget", "--out"},
+    "modp-trace": {"--out"},
+    "coprime-tower": {"--budget", "--out"},
+    "ergodicity": {"--seed", "--budget", "--out"},
+    "product": {"--seed", "--out"},
+    "scan": {"--seed", "--out"},
+}
+
+
+def test_shared_flags_per_subcommand():
+    (sub,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    shared = {"--seed", "--budget", "--out"}
+    flags = {
+        name: {opt for action in parser._actions for opt in action.option_strings} & shared
+        for name, parser in sub.choices.items()
+    }
+    assert flags == _SHARED_FLAGS
+    assert sum(len(v) for v in flags.values()) == 25
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--side", "top", "--offset", "0/1", "--out", "{tmp}/f"],
+        ["expand", "--steps", "2", "--budget", "5"],
+        ["tower", "--delta", "2/5", "--seed", "1"],
+        ["scan", "--xi", "1/20", "--count", "1", "--horizon", "3", "--budget", "9"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[-2]}",
+)
+def test_unread_shared_flag_is_a_usage_error(nonclassical_files, tmp_path, capsys, argv):
+    perm, widths = nonclassical_files
+    files = ["--perm", perm] if argv[0] == "scan" else ["--perm", perm, "--widths", widths]
+    argv = [argv[0], *files, *(a.replace("{tmp}", str(tmp_path)) for a in argv[1:])]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("candidates, bad", [("1.5", "1.5"), ("3,x", "x"), ("2, 4,,y ", "y")])
+def test_rigidity_rejects_non_integer_candidates(rotation_files, capsys, candidates, bad):
+    perm, widths = rotation_files
+    argv = ["rigidity", "--perm", perm, "--widths", widths, "--xi", "1/2"]
+    assert cli.main([*argv, "--candidates", candidates]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and repr(bad) in captured.err
+
+
+def test_malformed_env_seed_is_a_domain_error(rotation_files, monkeypatch, capsys):
+    perm, _ = rotation_files
+    monkeypatch.setenv("LINVEX_SEED", "abc")
+    argv = ["scan", "--perm", perm, "--xi", "1/20", "--count", "1", "--horizon", "3"]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "LINVEX_SEED='abc'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--boxes", "0", "--iters", "100"],
+        ["ergodicity", "--p", "2", "--bins", "0", "--iters", "100"],
+    ],
+    ids=["boxes-0", "bins-0"],
+)
+def test_zero_sizes_are_domain_errors(nonclassical_files, capsys, argv):
+    perm, widths = nonclassical_files
+    if argv[0] == "product":
+        files = ["--perm1", perm, "--widths1", widths, "--perm2", perm, "--widths2", widths]
+    else:
+        files = ["--perm", perm, "--widths", widths]
+    assert cli.main([argv[0], *files, *argv[1:]]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 _TOWER = {

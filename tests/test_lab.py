@@ -8,7 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from linvex import lab
-from linvex.errors import BudgetExceeded, EndpointHit, InconsistentStage, InvariantViolation
+from linvex.errors import (
+    BudgetExceeded,
+    EndpointHit,
+    InconsistentStage,
+    InvalidInput,
+    InvariantViolation,
+)
 from linvex.exchange import Exchange, Point, Side, build
 from linvex.genperm import validate
 
@@ -418,3 +424,31 @@ def test_short_orbit_is_an_invariant_violation(monkeypatch):
         lab.product_experiment(x, x, boxes=4, iters=200, seed=1)
     with pytest.raises(InvariantViolation):
         lab.total_ergodicity_experiment(x, 2, bins=4, iters=200, seed=1, tower_budget=4)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_zero_sizes_are_rejected_before_any_orbit(monkeypatch, size):
+    x = _nonclassical()
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("ran before the size check")
+
+    monkeypatch.setattr(lab, "_orbit_cells", untouched)
+    monkeypatch.setattr(lab.modp, "find_coprime_tower", untouched)
+    with pytest.raises(InvalidInput, match="boxes must be at least 1"):
+        lab.product_experiment(x, x, boxes=size, iters=200, seed=1)
+    with pytest.raises(InvalidInput, match="bins must be at least 1"):
+        lab.total_ergodicity_experiment(x, 2, bins=size, iters=200, seed=1)
+    # zero iterations do not excuse a zero size
+    with pytest.raises(InvalidInput):
+        lab.product_experiment(x, x, boxes=size, iters=0, seed=1)
+    with pytest.raises(InvalidInput):
+        lab.total_ergodicity_experiment(x, 2, bins=size, iters=0, seed=1)
+
+
+def test_malformed_env_seed_is_invalid_input(monkeypatch):
+    monkeypatch.setenv("LINVEX_SEED", "abc")
+    with pytest.raises(InvalidInput, match="'abc'"):
+        lab.effective_seed(1)
+    monkeypatch.setenv("LINVEX_SEED", " 12 ")
+    assert lab.effective_seed(1) == 12
