@@ -46,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import rauzy
 from .errors import (
@@ -65,6 +65,8 @@ from .rationals import format_fraction, to_grid
 DEFAULT_SPLIT_BUDGET = 10_000
 DEFAULT_PIECE_BUDGET = 10**6
 DEFAULT_VERIFY_BUDGET = 10**7
+# Pieces one rigidity composition may compose in all, over its iterates.
+COMPOSE_BUDGET = 2 * 10**6
 
 BaseInterval = tuple[Side, Fraction, Fraction]
 
@@ -394,8 +396,8 @@ def _ladder_cuts(x: Exchange, depth: int, need: int) -> list[int]:
     sides = []
     walk = rauzy._walk(x)
     try:
-        for _ in range(depth):
-            node, widths, _ = next(walk)
+        for left in range(depth, 0, -1):
+            node, widths, _ = walk.send(None if left == depth else left)
             side = sum(widths[a] for a in node.top)
             if side < need:
                 break
@@ -591,7 +593,7 @@ def find_cyclic_tower(
         if depth >= budget:
             raise BudgetExceeded(f"no tower with delta {delta} within {budget} splits")
         try:
-            node, widths, step = next(walk)
+            node, widths, step = walk.send(budget - depth if depth else None)
         except SplitUndefined as err:
             raise ExpansionHalted(err, depth) from err
         norms[step.loser] += norms[step.winner]
@@ -614,30 +616,33 @@ def _grid_ends(
     return tuple(out)
 
 
-def _rigidity_defects(x: Exchange, ns: Sequence[int], max_pieces: int) -> list[Fraction]:
-    """Exact defects of the iterates ``ns`` (increasing, all >= 1).
+def _rigidity_defects(x: Exchange, ns: Sequence[int], max_pieces: int) -> Iterator[Fraction]:
+    """Exact defects of the iterates ``ns`` (increasing, all >= 1), lazily.
 
     One composition serves every requested iterate.  A piece of the n-th
     iterate is (lo, hi, slope, const) on the flat grid of ``x._flat``:
     the points [lo, hi) go to const + slope * f.  ``exchange._compose``
     takes the pieces of one iterate to the next.  A defect is one
-    integer over 4 D^2.
+    integer over 4 D^2.  Past ``COMPOSE_BUDGET`` pieces in all, raises
+    BudgetExceeded.
     """
     denom, length, bounds, slopes, shifts = x._flat
     pieces = [
         (bounds[p], bounds[p + 1], slopes[p], shifts[p]) for p in range(len(slopes))
     ]
     scale = 4 * denom * denom
-    defects = []
+    composed = 0
     n = 1
     for target in ns:
         while n < target:
             pieces = _compose(pieces, bounds, slopes, shifts)
             if len(pieces) > max_pieces:
                 raise PartitionBlowup(f"iterated partition exceeded {max_pieces} pieces")
+            composed += len(pieces)
+            if composed > COMPOSE_BUDGET:
+                raise BudgetExceeded(f"iterate {target} needs over {COMPOSE_BUDGET} pieces")
             n += 1
-        defects.append(Fraction(_defect_numerator(pieces, length), scale))
-    return defects
+        yield Fraction(_defect_numerator(pieces, length), scale)
 
 
 def _defect_numerator(pieces: list[tuple[int, int, int, int]], length: int) -> int:
@@ -670,14 +675,14 @@ def rigidity_defect(
     """Exact integral of the displacement of the n-th iterate."""
     if n < 1:
         raise InvalidInput("rigidity defect needs n >= 1")
-    return _rigidity_defects(x, [n], max_pieces)[0]
+    return next(_rigidity_defects(x, [n], max_pieces))
 
 
 def rigidity_profile(
     x: Exchange, n_max: int, max_pieces: int = DEFAULT_PIECE_BUDGET
 ) -> list[Fraction]:
     """Defects of all iterates 1 .. n_max, sharing the composed partition."""
-    return _rigidity_defects(x, range(1, n_max + 1), max_pieces)
+    return list(_rigidity_defects(x, range(1, n_max + 1), max_pieces))
 
 
 def find_rigidity_times(
@@ -692,7 +697,8 @@ def find_rigidity_times(
 
     Tower heights come from a ladder of tower constants shrinking toward
     the requested defect bound; the ladder stops quietly at the first
-    depth the search cannot reach, candidate grading always completes.
+    depth the search cannot reach, and drops the heights past
+    ``COMPOSE_BUDGET`` composed pieces; a candidate past it raises.
     """
     xi = Fraction(xi)
     times = sorted(set(int(n) for n in candidates))
@@ -711,7 +717,11 @@ def find_rigidity_times(
             break
         ladder_delta = ladder_delta / 2
     ns = sorted(set(times) | heights)
-    return [
-        RigidityRecord(n=n, defect=defect, flagged=defect < xi)
-        for n, defect in zip(ns, _rigidity_defects(x, ns, max_pieces))
-    ]
+    records = []
+    try:
+        for n, defect in zip(ns, _rigidity_defects(x, ns, max_pieces)):
+            records.append(RigidityRecord(n=n, defect=defect, flagged=defect < xi))
+    except BudgetExceeded:
+        if ns[len(records)] <= max(times, default=0):
+            raise  # a candidate; only ladder heights may be dropped
+    return records

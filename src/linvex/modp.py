@@ -122,10 +122,11 @@ def propagate(
         raise InvalidInput(
             f"split target alphabet {list(target.alphabet)} differs from {list(alphabet)}"
         )
-    remainders = list(state.remainders)
-    i, j = alphabet.index(loser), alphabet.index(winner)
-    remainders[i] = (loser, (remainders[i][1] + remainders[j][1]) % state.prime)
-    return RemainderState(prime=state.prime, node=target, remainders=tuple(remainders))
+    remainders = state.remainders
+    i = alphabet.index(loser)
+    value = (remainders[i][1] + remainders[alphabet.index(winner)][1]) % state.prime
+    remainders = remainders[:i] + ((loser, value),) + remainders[i + 1 :]
+    return RemainderState(state.prime, target, remainders)
 
 
 def check_claim_invariant(state: RemainderState) -> ClaimStatus:
@@ -136,20 +137,21 @@ def check_claim_invariant(state: RemainderState) -> ClaimStatus:
     a ClaimViolation carrying the full state when neither exists.
     """
     node = state.node
-    if not node.is_non_classical:
+    if not (node.reversing_top and node.reversing_bottom):
         raise InvalidInput("the remainder invariant concerns non-classical nodes")
-    values = state.as_dict()
-    for band in node.preserving_bands():
-        if values[band] % state.prime != 0:
-            return CoprimeOP(band=band, remainder=values[band] % state.prime)
-    for top_band in node.reversing_top_bands():
-        for bottom_band in node.reversing_bottom_bands():
-            if (values[top_band] + values[bottom_band]) % state.prime != 0:
+    prime = state.prime
+    for band, remainder in state.remainders:
+        if remainder % prime and band in node.preserving:
+            return CoprimeOP(band=band, remainder=remainder % prime)
+    values = dict(state.remainders)
+    for top_band in node.reversing_top:
+        for bottom_band in node.reversing_bottom:
+            if (values[top_band] + values[bottom_band]) % prime != 0:
                 return ReversingPair(
                     top_band=top_band,
                     bottom_band=bottom_band,
-                    top_remainder=values[top_band] % state.prime,
-                    bottom_remainder=values[bottom_band] % state.prime,
+                    top_remainder=values[top_band] % prime,
+                    bottom_remainder=values[bottom_band] % prime,
                 )
     return ClaimViolation(state=state)
 

@@ -3,16 +3,17 @@
 One induction step compares the widths of the two critical bands (the
 rightmost on each side).  The wider band (the winner) keeps its critical
 position and loses the narrower band's width; the narrower band (the
-loser) moves by the Boissy-Lanneau insertion rule, in O(d).  Every step,
-not a sample, is then checked against the first-return chase of the
-exchange module: the chase of the old map to the truncated domain must
-give the induced map position by position, and every band but the winner
-must keep one of its old ends.  A disagreement raises InconsistentStage.
+loser) moves by the Boissy-Lanneau insertion rule, in O(d).  Steps with
+one winner form a run (Zorich's acceleration), itself a first return to
+the side length minus its losers' widths.  Every run, not a sample, is
+checked by one chase of the exchange module, against the map at its end
+and against its cocycle's columns as visit counts; a disagreement raises
+InconsistentStage.  A single step is a run of length one.
 
 Widths live on one integer grid: widths only ever subtract, so the common
 denominator of the starting widths never changes along an expansion, and
 every step (insertion, chase, audit) runs on the integer numerators and
-the flat integer map, which each step hands to the next.  An
+the flat integer map, which each run hands to the next.  An
 ``Exchange`` is materialized only at the API boundary: the public
 ``split`` converts in and out, and stages, towers and diagram edges
 convert back to fractions only for the values they emit.
@@ -26,10 +27,12 @@ the loser's column.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Generator, Mapping, Sequence
 
 from .errors import (
     EndpointHit,
@@ -166,6 +169,10 @@ class SplitStep:
         return {"kind": self.kind.value, "winner": self.winner, "loser": self.loser}
 
 
+# Steps are immutable and few per alphabet, so each is built once.
+_split_step = lru_cache(maxsize=4096)(SplitStep)
+
+
 def elementary_matrix(labels: Sequence[str], winner: str, loser: str) -> Matrix:
     m = Matrix.identity(labels)
     m.rows[m._index[winner]][m._index[loser]] = 1
@@ -229,125 +236,145 @@ def _step(
     """One induction step on integer widths; returns (node, widths, step).
 
     The widths are numerators on one grid and the induced widths stay on
-    it.  The step is computed by the insertion rule and checked against
-    the first-return chase on every call (see ``_kernel_step``).  Raises
-    the undefined-case errors when the critical bands coincide or tie,
-    and InconsistentStage when the check fails.  A defined step cannot
-    lose the alphabet: the chase to a Rauzy cut returns one piece per end
-    of the induced map, so positivity and the switch condition carry over
-    to the induced widths.
+    it.  The step is a run of one step (see ``_run``), whose chase returns
+    one piece per induced end: positivity and the switch condition hold.
     """
-    return _kernel_step(perm, widths, _grid_layout(perm, widths))[:3]
+    return _run(perm, widths, _grid_layout(perm, widths), 1)[0][0]
 
 
-def _kernel_step(
-    perm: GeneralizedPermutation,
-    widths: Mapping[str, int],
-    flat: tuple[int, list[int], list[int], list[int]],
-) -> tuple[GeneralizedPermutation, dict[str, int], SplitStep, tuple]:
-    """``_step`` on the flat map ``flat`` of (perm, widths); also returns
-    the induced flat map, which the next step takes.
+def _run(
+    perm: GeneralizedPermutation, widths: Mapping[str, int], flat: tuple, cap: int
+) -> tuple[list[tuple[GeneralizedPermutation, dict[str, int], SplitStep]], tuple]:
+    """Up to ``cap`` steps with one winner from (perm, widths), whose flat
+    map is ``flat``: the (node, widths, step) items and the end's map.
 
-    The critical comparison picks the winner and the loser, ``_insert``
-    moves the loser, and the winner loses the loser's width, so the
-    relation ``old = E @ new`` holds by construction.  Every step is then
-    audited, and a failed audit raises InconsistentStage:
-    - the first-return chase of the old map to the cut ``L - w[loser]``
-      must equal the induced flat map position by position (bounds,
-      slopes and shifts), compared in the old coordinates, where the
-      induced bottom side sits ``w[loser]`` higher;
-    - every band but the winner must keep one end bitwise equal to one
-      of its own old ends, the label-inheritance rule of
-      ``first_return_on_grid``.  This catches a swap of two labels of
-      equal width, which leaves the flat map unchanged.
-    Both checks run in one pass over the sorted chase: each expected
-    piece is built as it is compared, and the old end at its place is
-    looked up by its bounds.
+    Each step is the critical comparison, ``_insert`` for the loser and
+    the winner losing the loser's width, so ``old = E @ new`` holds by
+    construction; the run stops before another winner or an undefined
+    step (raised if first).  The run is the first return of ``flat`` to
+    ``L - dropped``, so one audit covers it, raising InconsistentStage:
+    - the chase must equal the end's map position by position, in the
+      start coordinates, where the end's bottom side sits ``dropped`` up;
+    - each band's pieces must visit the old bands as its column of the
+      run's cocycle says: its own once, the winner once per loss.  No two
+      columns are equal, so a swap of equal-width labels is caught.
     """
-    alpha_top, alpha_bottom = critical_bands(perm)
-    if alpha_top == alpha_bottom:
-        raise SplitUndefinedSameBand(f"band {alpha_top} occupies both critical positions")
-    w_top = widths[alpha_top]
-    w_bottom = widths[alpha_bottom]
-    if w_top == w_bottom:
-        raise SplitUndefinedTie(f"critical bands {alpha_top} and {alpha_bottom} tie in width")
-    if w_top > w_bottom:
-        kind, winner, loser, w_loser = SplitKind.TOP_WINS, alpha_top, alpha_bottom, w_bottom
-    else:
-        kind, winner, loser, w_loser = SplitKind.BOTTOM_WINS, alpha_bottom, alpha_top, w_top
+    alphabet = perm.alphabet
+    run: list[tuple[GeneralizedPermutation, dict[str, int], SplitStep]] = []
+    losses: dict[str, int] = {}
+    node, winner = perm, None
+    while len(run) < cap:
+        alpha_top, alpha_bottom = critical_bands(node)
+        w_top, w_bottom = widths[alpha_top], widths[alpha_bottom]
+        if alpha_top == alpha_bottom or w_top == w_bottom:
+            if run:
+                break
+            if alpha_top == alpha_bottom:
+                raise SplitUndefinedSameBand(f"band {alpha_top} occupies both critical positions")
+            raise SplitUndefinedTie(f"critical bands {alpha_top} and {alpha_bottom} tie in width")
+        top_wins = w_top > w_bottom
+        win, loser = (alpha_top, alpha_bottom) if top_wins else (alpha_bottom, alpha_top)
+        if winner is None:
+            winner, kind = win, SplitKind.TOP_WINS if top_wins else SplitKind.BOTTOM_WINS
+        elif win != winner:
+            break
+        node = _insert(node, top_wins)
+        if node.alphabet != alphabet:
+            raise InconsistentStage(f"the step changed the alphabet to {node.alphabet}")
+        widths = dict(widths)
+        widths[winner] -= widths[loser]
+        losses[loser] = losses.get(loser, 0) + 1
+        run.append((node, widths, _split_step(kind, winner, loser, alphabet)))
 
-    target = _insert(perm, kind is SplitKind.TOP_WINS)
-    if target.alphabet != perm.alphabet:
-        raise InconsistentStage(f"the step changed the alphabet to {target.alphabet}")
-    induced_widths = dict(widths)
-    induced_widths[winner] -= w_loser
-    induced_flat = _grid_layout(target, induced_widths)
-
-    # The induced map in the old coordinates, where its bottom side sits
-    # w[loser] higher: a preserving end f -> c + f stays on its side, so c
-    # is unchanged; a reversing end f -> c - f swaps sides, so c grows by
-    # w[loser].
-    _, new_bounds, new_slopes, new_shifts = induced_flat
-    length, bounds = flat[0], flat[1]
-    pieces = exchange._chase(flat, length - w_loser, DEFAULT_RETURN_BUDGET)
+    # The end map in the start coordinates: a preserving end f -> c + f
+    # stays on its side, so c is unchanged; a reversing end f -> c - f
+    # swaps sides, so c grows by ``dropped``.
+    end_flat = _grid_layout(node, widths)
+    cut, new_bounds, new_slopes, new_shifts = end_flat
+    length, bounds, slopes, shifts = flat
+    dropped = length - cut
+    pieces = exchange._chase(flat, cut, DEFAULT_RETURN_BUDGET)
     if len(pieces) != len(new_slopes):
         raise InconsistentStage(f"the step from {perm} disagrees with the return chase")
     pieces.sort()
-    old_ends = dict(zip(zip(bounds, bounds[1:]), perm.top + perm.bottom))
-    n_top = len(target.top)
-    kept = {winner}
-    for p, label in enumerate(target.top + target.bottom):
+    n_top = len(node.top)
+    old_labels = perm.top + perm.bottom
+    moved = False
+    for p, label in enumerate(node.top + node.bottom):
         lo, hi, slope, const = new_bounds[p], new_bounds[p + 1], new_slopes[p], new_shifts[p]
         if p >= n_top:
-            lo += w_loser
-            hi += w_loser
+            lo += dropped
+            hi += dropped
         if slope == -1:
-            const += w_loser
+            const += dropped
         if pieces[p] != (lo, hi, slope, const):
             raise InconsistentStage(f"the step from {perm} disagrees with the return chase")
-        if old_ends.get((lo, hi)) == label:
-            kept.add(label)
-    if len(kept) != len(perm.alphabet):
+        if node.involution[p] < p:
+            continue  # the partner end's itinerary is this one's, reversed
+        m = losses.get(label)
+        if m is None:  # column e_label: one step, the old map on its own old end
+            q = bisect_right(bounds, lo) - 1
+            one_step = (old_labels[q], slopes[q], shifts[q]) == (label, slope, const)
+            moved = moved or not one_step or hi > bounds[q + 1]
+        else:  # column e_label + m e_winner: follow it to its return
+            visits = []
+            for _ in range(m + 1):
+                q = bisect_right(bounds, lo) - 1
+                visits.append(old_labels[q] if hi <= bounds[q + 1] else None)
+                if slopes[q] == 1:
+                    lo, hi = shifts[q] + lo, shifts[q] + hi
+                else:
+                    lo, hi = shifts[q] - hi, shifts[q] - lo
+                if hi <= (length if lo >= length else 0) + cut:
+                    break
+            else:
+                moved = True  # no return within m + 1 steps
+            moved = moved or visits.count(label) != 1 or visits.count(winner) != m
+    if moved:
         raise InconsistentStage(f"the step from {perm} moved a band off its old ends")
-    return target, induced_widths, SplitStep(kind, winner, loser, perm.alphabet), induced_flat
+    return run, end_flat
 
 
 def split(x: Exchange) -> tuple[Exchange, SplitStep]:
     """One induction step, checked against the return chase.
 
     Raises the undefined-case errors when the critical bands coincide or
-    tie.  The step itself runs on the integer grid and the flat map of
-    ``x`` (see ``_kernel_step``).
+    tie.  It is a run of one step on the flat map of ``x`` (see ``_run``).
     """
     denom = x._flat[0]
-    induced, widths, step, _ = _kernel_step(x.perm, to_grid(x.widths, denom), x._flat[1:])
+    induced, widths, step = _run(x.perm, to_grid(x.widths, denom), x._flat[1:], 1)[0][0]
     return Exchange(induced, {a: Fraction(v, denom) for a, v in widths.items()}), step
 
 
-def _walk(x: Exchange) -> Iterator[tuple[GeneralizedPermutation, dict[str, int], SplitStep]]:
+def _walk(x: Exchange) -> Generator[tuple, int | None, None]:
     """The expansion of ``x`` as (node, widths, step), one item per step.
 
-    Widths are numerators on the grid of ``x``'s common denominator, and
-    each step hands its induced flat map to the next.  An undefined split
-    raises out of the iterator.  The first step goes through the public
-    ``split`` (one ``Exchange`` round trip per expansion) because the
-    benchmark's tracer sees expansions only through its ``rauzy.split``
-    span, and ``bench/test_bench.py`` checks that span is hit; every
-    later step stays on the grid.
+    Widths are numerators on the grid of ``x``'s common denominator.  Each
+    request after the first (``next``) sends the steps still needed, this
+    one included; no run (see ``_run``) is longer, each is audited before
+    its steps are yielded, and an undefined split raises at its own step.
+    The first step goes through the public ``split`` because the bench's
+    tracer sees expansions only through its ``rauzy.split`` span, and
+    ``bench/test_bench.py`` checks that span is hit.
     """
     denom = x._flat[0]
     induced, step = split(x)
     node, widths = induced.perm, to_grid(induced.widths, denom)
     flat = _grid_layout(node, widths)
+    need = yield node, widths, step
     while True:
-        yield node, widths, step
-        node, widths, step, flat = _kernel_step(node, widths, flat)
+        # a run's chase takes one round more than the losses of one loser
+        run, flat = _run(node, widths, flat, min(need or 1, DEFAULT_RETURN_BUDGET - 1))
+        for node, widths, step in run:
+            need = yield node, widths, step
 
 
 def expand(x: Exchange, n: int) -> Stage:
     """Iterate the split n times, accumulating nodes, steps and the matrix.
 
-    An undefined split ends the stage early; the cause is attached rather
+    ``_walk`` computes and audits winner runs, none past depth n; the
+    stage holds one node, step and matrix factor per Rauzy step.  An
+    undefined split ends the stage early; the cause is attached rather
     than raised because halting is data for rational widths.
     """
     if n < 0:
@@ -355,9 +382,9 @@ def expand(x: Exchange, n: int) -> Stage:
     labels = sorted(x.perm.alphabet)
     stage = Stage(nodes=[x.perm], steps=[], matrix=Matrix.identity(labels))
     walk = _walk(x)
-    for _ in range(n):
+    for left in range(n, 0, -1):
         try:
-            node, _, step = next(walk)
+            node, _, step = walk.send(None if left == n else left)
         except SplitUndefined as err:
             stage.halted = err
             break

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linvex import approx, cli, genperm, modp, rauzy
+from linvex import approx, cli, exchange, genperm, modp, rauzy
 from linvex.approx import DEFAULT_VERIFY_BUDGET, CyclicTower, TowerVerification
 from linvex.errors import (
     BudgetExceeded,
@@ -214,6 +214,43 @@ def test_find_rigidity_times_generous_threshold_flags_all():
     xi = x.side_length * x.total_measure  # above the defect bound
     records = approx.find_rigidity_times(x, xi, [1, 2, 3, 4])
     assert all(r.flagged for r in records)
+
+
+def _composed_totals(x, n_max):
+    """Pieces composed in all to reach each iterate 1 .. n_max."""
+    _, _, bounds, slopes, shifts = x._flat
+    pieces = [(bounds[p], bounds[p + 1], slopes[p], shifts[p]) for p in range(len(slopes))]
+    totals = [0]
+    for _ in range(n_max - 1):
+        pieces = exchange._compose(pieces, bounds, slopes, shifts)
+        totals.append(totals[-1] + len(pieces))
+    return totals
+
+
+def test_rigidity_compose_budget_raises_past_its_total(monkeypatch):
+    for x in [rotation(5, 3, 11), *random_fleet(seed=33, count=3)]:
+        totals = _composed_totals(x, 9)
+        profile = approx.rigidity_profile(x, 9)
+        monkeypatch.setattr(approx, "COMPOSE_BUDGET", totals[-1])
+        assert approx.rigidity_profile(x, 9) == profile
+        assert approx.rigidity_defect(x, 9) == profile[-1]
+        monkeypatch.setattr(approx, "COMPOSE_BUDGET", totals[-1] - 1)
+        with pytest.raises(BudgetExceeded, match="iterate 9 needs over"):
+            approx.rigidity_profile(x, 9)
+        with pytest.raises(BudgetExceeded):
+            approx.rigidity_defect(x, 9)
+        assert approx.rigidity_profile(x, 8) == profile[:8]
+        monkeypatch.undo()
+
+
+def test_rigidity_ladder_stops_quietly_before_the_compose_budget(monkeypatch):
+    x = rotation(37, 9, 100)
+    full = approx.find_rigidity_times(x, F(1, 100), [1, 2])
+    assert max(r.n for r in full) > 2
+    monkeypatch.setattr(approx, "COMPOSE_BUDGET", _composed_totals(x, 2)[-1])
+    assert approx.find_rigidity_times(x, F(1, 100), [1, 2]) == full[:2]
+    with pytest.raises(BudgetExceeded):
+        approx.find_rigidity_times(x, F(1, 100), [1, 2, 3])
 
 
 def test_find_rigidity_times_empty():

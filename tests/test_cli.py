@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import pytest
 
@@ -299,6 +300,23 @@ def test_unread_shared_flag_is_a_usage_error(nonclassical_files, tmp_path, capsy
     assert exc.value.code == cli.EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
+
+
+def test_rigidity_ladder_is_bounded_by_the_compose_budget(nonclassical_files, capsys):
+    # The tower ladder reaches heights whose defects no budget composes;
+    # those heights are dropped instead of composing for minutes.
+    perm, widths = nonclassical_files
+    started = time.perf_counter()
+    code = cli.main(
+        [
+            "rigidity", "--perm", perm, "--widths", widths,
+            "--xi", "1/4", "--candidates", "1,2,3,5,8", "--budget", "50",
+        ]
+    )
+    assert code == 0
+    assert time.perf_counter() - started < 30
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert {1, 2, 3, 5, 8} <= {r["n"] for r in records}
 
 
 @pytest.mark.parametrize("candidates, bad", [("1.5", "1.5"), ("3,x", "x"), ("2, 4,,y ", "y")])

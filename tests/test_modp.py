@@ -6,8 +6,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linvex import approx, modp, rauzy
+from linvex import approx, genperm, modp, rauzy
 from linvex.errors import InvalidInput
 from linvex.genperm import Orientation, validate
 
@@ -235,3 +237,40 @@ def test_all_reversing_even_heights_with_odd_prime():
     if not isinstance(result, modp.StructuralObstruction):
         assert result.height % 2 == 0
         assert result.height % 3 != 0
+
+
+_NON_CLASSICAL = [
+    perm for d in (2, 3, 4) for perm in genperm.enumerate_permutations(d, non_classical_only=True)
+]
+
+
+def _reference_claim(state):
+    """The claim check through ``as_dict`` and the node's band accessors."""
+    values, p, node = state.as_dict(), state.prime, state.node
+    for band in node.preserving_bands():
+        if values[band] % p != 0:
+            return modp.CoprimeOP(band=band, remainder=values[band] % p)
+    for top_band in node.reversing_top_bands():
+        for bottom_band in node.reversing_bottom_bands():
+            if (values[top_band] + values[bottom_band]) % p != 0:
+                return modp.ReversingPair(
+                    top_band, bottom_band, values[top_band] % p, values[bottom_band] % p
+                )
+    return modp.ClaimViolation(state=state)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_claim_and_propagate_equal_the_dict_reference(data):
+    # remainders up to 2p - 1, so states built by hand without reducing
+    # are graded as before
+    perm = data.draw(st.sampled_from(_NON_CLASSICAL))
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    values = {a: data.draw(st.integers(0, 2 * p - 1)) for a in perm.alphabet}
+    state = modp.RemainderState(p, perm, tuple(sorted(values.items())))
+    assert modp.check_claim_invariant(state) == _reference_claim(state)
+    winner, loser = data.draw(st.permutations(perm.alphabet))[:2]
+    nxt = modp.propagate(state, winner, loser, perm)
+    values[loser] = (values[loser] + values[winner]) % p
+    assert nxt.as_dict() == values
+    assert nxt.to_json_dict()["remainders"] == values

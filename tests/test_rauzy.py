@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from linvex import approx, diagram, exchange, genperm, rauzy
 from linvex.errors import (
+    BudgetExceeded,
+    ExpansionHalted,
     InconsistentStage,
     PositiveMatrixRequired,
     SplitUndefined,
@@ -554,3 +556,265 @@ def test_audit_does_not_rely_on_assert():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "caught 1\n"
+
+
+# --- winner runs against the per-step oracle ----------------------------------
+
+
+def _oracle_chain(x, n):
+    """Up to n steps of ``_exchange_oracle``: (nodes, (kind, winner, loser)
+    per step, the halt class or None, the last exchange)."""
+    nodes, steps, halted = [x.perm], [], None
+    for _ in range(n):
+        try:
+            x, kind, winner, loser = _exchange_oracle(x)
+        except SplitUndefined as err:
+            halted = type(err)
+            break
+        nodes.append(x.perm)
+        steps.append((kind, winner, loser))
+    return nodes, steps, halted, x
+
+
+def _assert_expand_equals_oracle(x, n):
+    stage = rauzy.expand(x, n)
+    nodes, steps, halted, end = _oracle_chain(x, n)
+    assert [(s.kind, s.winner, s.loser) for s in stage.steps] == steps
+    assert stage.nodes == nodes
+    assert (None if stage.halted is None else type(stage.halted)) is halted
+    assert rauzy.widths_at(stage, x) == end.widths
+    return stage
+
+
+def _widen(perm, widths, factor):
+    """The widths with one band ``factor`` times wider, keeping the switch
+    condition: the first preserving band, else the first reversing band of
+    each side grows by the same amount."""
+    widths = dict(widths)
+    if perm.preserving:
+        widths[perm.preserving[0]] *= factor
+    else:
+        grow = (factor - 1) * widths[perm.reversing_top[0]]
+        widths[perm.reversing_top[0]] += grow
+        widths[perm.reversing_bottom[0]] += grow
+    return widths
+
+
+def _runs(stage):
+    """Lengths of the maximal winner runs of a stage."""
+    lengths = []
+    for i, step in enumerate(stage.steps):
+        if i and step.winner == stage.steps[i - 1].winner:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    perm=st.sampled_from(_SMALL_NODES),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    factor=st.sampled_from([1, 1, 7, 400]),
+)
+def test_expand_equals_the_per_step_oracle_chain(perm, seed, factor):
+    widths = _widen(perm, random_grid_widths(perm, random.Random(seed)), factor)
+    x = build(perm, {a: F(v) for a, v in widths.items()})
+    _assert_expand_equals_oracle(x, 200)
+
+
+# A A B | B C C with C no wider than A: B wins every step while it is wider
+# than C, and the loser C goes back to the end of the bottom row.
+_LONG_RUN = genperm.validate(["A", "A", "B"], ["B", "C", "C"])
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name from now on."""
+    real = getattr(module, name)
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_run_of_a_thousand_steps_is_audited_by_one_chase(monkeypatch):
+    x = build(_LONG_RUN, {"A": F(3, 7), "B": F(3001, 7), "C": F(3, 7)})
+    chases = _count_calls(monkeypatch, exchange, "_chase")
+    runs = _runs(rauzy.expand(x, 1100))
+    # one chase per run, and one more for the split that starts the first
+    assert chases[0] == len(runs) + (runs[0] > 1)
+    monkeypatch.undo()
+    assert _runs(_assert_expand_equals_oracle(x, 1100)) == runs
+    assert runs[0] == 1000
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_pool_exchanges_with_a_wide_band_run_long(seed):
+    longest = 0
+    for perm in perm_pool(STUCK_FREE_NONCLASSICAL)[:6]:
+        x = sample_exchange(perm, seed)
+        denom = common_denominator(x.widths.values())
+        widths = _widen(perm, to_grid(x.widths, denom), 10_000)
+        x = build(perm, {a: F(v, denom) for a, v in widths.items()})
+        longest = max(longest, *_runs(_assert_expand_equals_oracle(x, 3000)))
+    assert longest >= 1000
+
+
+def test_a_run_cut_by_the_depth_computes_no_step_past_it(monkeypatch):
+    x = build(_LONG_RUN, {"A": F(1), "B": F(10**6), "C": F(1)})
+    inserts = _count_calls(monkeypatch, rauzy, "_insert")
+    chases = _count_calls(monkeypatch, exchange, "_chase")
+    stage = rauzy.expand(x, 500)
+    assert stage.depth == 500 and stage.halted is None
+    assert {s.winner for s in stage.steps} == {"B"}
+    assert inserts[0] == 500
+    assert chases[0] == 2  # the split, then one run of 499 steps
+    assert rauzy.widths_at(stage, x) == {"A": 1, "B": 10**6 - 500, "C": 1}
+    inserts[0] = 0
+    with pytest.raises(BudgetExceeded):
+        approx.find_cyclic_tower(x, F(1, 10**9), budget=40)
+    assert inserts[0] == 40
+
+
+def test_a_tie_inside_a_run_halts_after_its_audited_prefix(monkeypatch):
+    # B loses C's width 1 each step and ties with C after 1,199 steps
+    x = build(_LONG_RUN, {"A": F(1, 5), "B": F(1200, 5), "C": F(1, 5)})
+    chases = _count_calls(monkeypatch, exchange, "_chase")
+    rauzy.expand(x, 5000)
+    assert chases[0] == 2  # the split, then one run of 1,198 steps
+    monkeypatch.undo()
+    stage = _assert_expand_equals_oracle(x, 5000)
+    assert stage.depth == 1199
+    assert isinstance(stage.halted, SplitUndefinedTie)
+    with pytest.raises(ExpansionHalted) as err:
+        approx.find_cyclic_tower(x, F(1, 10**9), budget=5000)
+    assert err.value.depth == 1199
+
+
+# --- faults inside a run ------------------------------------------------------
+
+
+def _insert_wrong_at(call, wrong):
+    """``_insert`` that runs ``wrong`` instead on its given call."""
+    real = rauzy._insert
+    calls = [0]
+
+    def insert(perm, top_wins):
+        calls[0] += 1
+        return (wrong if calls[0] == call else real)(perm, top_wins)
+
+    return insert
+
+
+# B wins 50 steps in a row from here: 101 - 50 * 2 = 1.
+_RUN_START = build(_LONG_RUN, {"A": F(2), "B": F(101), "C": F(2)})
+
+
+@pytest.mark.parametrize("call", [3, 6])
+def test_wrong_insertion_inside_a_run_is_inconsistent(monkeypatch, call):
+    stage = rauzy.expand(_RUN_START, 12)
+    assert _runs(stage)[0] == 12
+    for search in (
+        lambda: rauzy.expand(_RUN_START, 12),
+        lambda: approx.find_cyclic_tower(_RUN_START, F(1, 1000), budget=12),
+    ):
+        monkeypatch.setattr(rauzy, "_insert", _insert_wrong_at(call, _insert_one_slot_off))
+        with pytest.raises(InconsistentStage, match="disagrees with the return chase"):
+            search()
+        monkeypatch.undo()
+
+
+def _swapping(a, b):
+    """``_insert`` followed by swapping the labels a and b."""
+    real = rauzy._insert
+    swap = {a: b, b: a}
+
+    def insert(perm, top_wins):
+        node = real(perm, top_wins)
+        return genperm.validate(
+            [swap.get(c, c) for c in node.top], [swap.get(c, c) for c in node.bottom]
+        )
+
+    return insert
+
+
+@pytest.mark.parametrize("call", [3, 6])
+def test_swapped_equal_width_labels_inside_a_run_are_caught(monkeypatch, call):
+    # A and C have width 2 throughout the run, so swapping them leaves
+    # every flat map unchanged; only the visit vectors can tell.
+    for search in (
+        lambda: rauzy.expand(_RUN_START, 12),
+        lambda: approx.find_cyclic_tower(_RUN_START, F(1, 1000), budget=12),
+    ):
+        monkeypatch.setattr(rauzy, "_insert", _insert_wrong_at(call, _swapping("A", "C")))
+        with pytest.raises(InconsistentStage, match="moved a band off its old ends"):
+            search()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "top, bottom, widths, depth, swap",
+    [
+        # A and B take no part in the run that ends at depth 7 and have
+        # equal widths there: only their one-step pieces can tell
+        (["A", "A"], ["B", "B", "C", "C", "D", "D"], (82, 2, 40, 40), 7, ("A", "B")),
+        # A and B both lose in the run that ends at depth 6 and have equal
+        # widths there: only the losers' itineraries can tell
+        (["A", "B", "C"], ["C", "B", "A"], (5, 5, 3), 6, ("A", "B")),
+    ],
+    ids=["bystanders", "losers"],
+)
+def test_swapped_labels_at_the_end_of_a_run_are_caught(
+    monkeypatch, top, bottom, widths, depth, swap
+):
+    perm = genperm.validate(top, bottom)
+    x = build(perm, {a: F(v) for a, v in zip(perm.alphabet, widths)})
+    stage = rauzy.expand(x, depth)
+    assert stage.depth == depth and _runs(stage)[-1] >= 2
+    end = rauzy.widths_at(stage, x)
+    assert end[swap[0]] == end[swap[1]]
+    monkeypatch.setattr(rauzy, "_insert", _insert_wrong_at(depth, _swapping(*swap)))
+    with pytest.raises(InconsistentStage, match="moved a band off its old ends"):
+        rauzy.expand(x, depth)
+
+
+_OPTIMIZED_RUN_AUDIT = """
+import sys
+from fractions import Fraction as F
+from linvex import genperm, rauzy
+from linvex.errors import InconsistentStage
+from linvex.exchange import build
+from test_rauzy import _insert_one_slot_off
+
+assert False, "assert statements must be stripped under -O"
+x = build(genperm.validate(["A", "A", "B"], ["B", "C", "C"]), {"A": F(2), "B": F(101), "C": F(2)})
+real = rauzy._insert
+calls = [0]
+
+def insert(perm, top_wins):
+    calls[0] += 1
+    return (_insert_one_slot_off if calls[0] == 4 else real)(perm, top_wins)
+
+rauzy._insert = insert
+try:
+    rauzy.expand(x, 10)
+except InconsistentStage:
+    print("caught", sys.flags.optimize, calls[0])
+"""
+
+
+def test_run_audit_does_not_rely_on_assert():
+    src = Path(rauzy.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_RUN_AUDIT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    # the split takes call 1 and the run calls 2 to 10, all before the audit
+    assert done.stdout == "caught 1 10\n"
