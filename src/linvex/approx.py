@@ -20,8 +20,11 @@ taller than its depth first tries a ladder: a few nested first-return
 maps, each the exact return of the previous one to a smaller cut domain
 that still contains the base, with a return time per piece.  The base
 then takes a handful of steps under the last map instead of height
-steps under the original one.  The cuts are hints from the expansion
-and are never trusted; when the ladder cannot decide, the replay runs.
+steps under the original one.  The cuts are side lengths of the
+expansion, handed over by the search that walked it or walked for by
+``verify_tower``, and are only hints: every rung is an exact first
+return of the original map, and when the ladder cannot decide, the
+replay runs.
 
 The searcher walks the expansion and screens candidates with two exact
 measures that need no orbit iteration: the covered fraction is
@@ -173,13 +176,15 @@ def verify_tower(
     """Check the four tower properties by exact interval iteration.
 
     The certificate must be well formed: ``band`` a band of x, ``depth``
-    >= 0, ``height`` >= 1, at least one base interval, every interval on
-    the grid of the widths with 0 <= lo < hi <= L, and the intervals
-    pairwise disjoint on each side; otherwise InvalidInput.
+    and ``height`` of type int (not bool), ``depth`` >= 0, ``height``
+    >= 1, at least one base interval, every interval on the grid of the
+    widths with 0 <= lo < hi <= L, and the intervals pairwise disjoint on
+    each side; otherwise InvalidInput.
 
     A tower taller than 64 (depth + 1) goes down the ladder first
     (``_verify_on_ladder``): its base runs under the first return to a
-    nested cut domain that contains it.  The replay decides every other
+    nested cut domain that contains it, with cuts at the side lengths of
+    this call's own walk of x's expansion.  The replay decides every other
     tower and every tower the ladder cannot decide, and the two give
     equal reports.  The replay iterates levels on the flat integer map
     ``x._flat`` (both sides end to end on the grid of the widths), so
@@ -198,6 +203,18 @@ def verify_tower(
     reported in the verdicts, never raised; only exceeding the step
     budget raises.
     """
+    return _verify(x, tower, step_budget, None)
+
+
+def _verify(
+    x: Exchange, tower: CyclicTower, step_budget: int, sides: Sequence[int] | None
+) -> TowerVerification:
+    """``verify_tower`` with ``sides``, the side lengths of x's expansion at
+    depths 1 .. depth, as the ladder's cut hints; None walks for them."""
+    for name in ("depth", "height"):
+        value = getattr(tower, name)
+        if type(value) is not int:
+            raise InvalidInput(f"tower {name} must be an integer, got {value!r}")
     if tower.band not in x.perm.alphabet:
         raise InvalidInput(f"tower band {tower.band!r} is not a band of {x.perm}")
     if tower.depth < 0:
@@ -211,7 +228,7 @@ def verify_tower(
         # the replay would spend at least this much and raise.
         if len(base) * last > step_budget:
             raise _over_budget(step_budget)
-        report = _verify_on_ladder(x, tower, base, step_budget)
+        report = _verify_on_ladder(x, tower, base, step_budget, sides)
         if report is not None:
             return report
     # Sorted, pairwise disjoint base intervals, with a 2L sentinel start:
@@ -305,7 +322,10 @@ def _verification(
 
 
 # Below this height per unit of depth the walk to the certificate's depth
-# costs more than the replay, so only taller towers try the ladder.
+# costs more than the replay, so only taller towers try the ladder.  The
+# rule prices the walk of public ``verify_tower``; a search hands its own
+# verification the sides it has walked, so there only the rungs cost, but
+# the same rule keeps the two on the same path.
 _LADDER_HEIGHT_PER_DEPTH = 64
 # Consecutive ladder cuts shrink by at least this factor, so each rung's
 # chase stays short and a ladder has few rungs.
@@ -318,13 +338,19 @@ _Rung = tuple[int, list[int], list[int], list[int], list[int]]
 
 
 def _verify_on_ladder(
-    x: Exchange, tower: CyclicTower, base: list[tuple[int, int]], step_budget: int
+    x: Exchange,
+    tower: CyclicTower,
+    base: list[tuple[int, int]],
+    step_budget: int,
+    sides: Sequence[int] | None = None,
 ) -> TowerVerification | None:
     """The report of a tower verified on a ladder of first-return maps, or
     None when the ladder cannot decide.
 
-    ``base`` is the validated flat base.  The cuts come from the
-    expansion of x (``_ladder_cuts``) and are only hints: each rung is
+    ``base`` is the validated flat base.  The cuts are chosen by
+    ``_ladder_cuts`` from ``sides``, side lengths of x's expansion that a
+    search has already walked, or, when None, from a walk of the
+    expansion to the certificate's depth.  They are only hints: each rung is
     the exact first return of the previous rung's map, starting from
     ``x._flat``, to [0, cut) and [L, L + cut), with a return time per
     piece, and the last cut domain contains the base.  Each base
@@ -343,9 +369,11 @@ def _verify_on_ladder(
     _, length, bounds, slopes, shifts = x._flat
     # the base's right end on its side: every cut domain must contain it
     need = max(hi - (length if lo >= length else 0) for lo, hi in base)
+    if sides is None:
+        sides = _walked_sides(x, tower.depth, need)
     rung: _Rung = (length, bounds, slopes, shifts, [1] * len(slopes))
     work = 0
-    for cut in _ladder_cuts(x, tower.depth, need):
+    for cut in _ladder_cuts(sides, length, need):
         try:
             rung, steps = _next_rung(rung, cut, step_budget - work)
         except NotReturning:
@@ -385,29 +413,33 @@ def _verify_on_ladder(
     return _verification(x, tower, base, True, True, union_int, overlap_int)
 
 
-def _ladder_cuts(x: Exchange, depth: int, need: int) -> list[int]:
-    """Decreasing cuts for a ladder: side lengths of x's expansion up to
-    ``depth``, each below L and at least ``need``, consecutive ones
-    shrinking by at least ``_LADDER_CUT_RATIO``, the deepest kept.
-
-    An undefined split ends the walk with the cuts found so far.
-    """
-    length = x._flat[1]
+def _walked_sides(x: Exchange, depth: int, need: int) -> list[int]:
+    """The side lengths of x's expansion at depths 1 .. ``depth``, ending
+    with the first below ``need``; an undefined split ends them early."""
     sides = []
     walk = rauzy._walk(x)
     try:
         for left in range(depth, 0, -1):
             node, widths, _ = walk.send(None if left == depth else left)
-            side = sum(widths[a] for a in node.top)
-            if side < need:
+            sides.append(sum(widths[a] for a in node.top))
+            if sides[-1] < need:
                 break
-            if side < length:
-                sides.append(side)
     except SplitUndefined:
         pass
+    return sides
+
+
+def _ladder_cuts(sides: Sequence[int], length: int, need: int) -> list[int]:
+    """Decreasing cuts for a ladder: the hinted side lengths below L and at
+    least ``need``, consecutive ones shrinking by at least
+    ``_LADDER_CUT_RATIO``, the last (deepest) kept.
+
+    Side lengths shrink along an expansion, but a hint in any order, or
+    none, still gives cuts that each lie inside the previous rung.
+    """
     cuts: list[int] = []
     for side in reversed(sides):
-        if not cuts or side >= _LADDER_CUT_RATIO * cuts[-1]:
+        if need <= side < length and (not cuts or side >= _LADDER_CUT_RATIO * cuts[-1]):
             cuts.append(side)
     cuts.reverse()
     return cuts
@@ -537,6 +569,12 @@ def find_cyclic_tower(
     certificate and re-verified against the original map, within
     ``DEFAULT_VERIFY_BUDGET`` interval steps, before being returned.
     ``height_coprime_to`` restricts to heights coprime to the given prime.
+
+    The expansion is walked once per search.  The search keeps the side
+    length of every stage (each step shrinks it by the loser's width) and
+    gives them to the verification as the ladder's cut hints, so a tall
+    certificate does not walk the expansion again; its rungs are still
+    exact first returns of the original map.
     """
     delta = Fraction(delta)
     if not (0 < delta < 1):
@@ -551,6 +589,8 @@ def find_cyclic_tower(
     d_num, d_den = delta.numerator, delta.denominator
     norms = {label: 1 for label in x.perm.alphabet}
     node = x.perm
+    side_length = start_length
+    sides: list[int] = []  # the side length at depths 1 .. depth
     walk = rauzy._walk(x)
     depth = 0
     while True:
@@ -585,9 +625,9 @@ def find_cyclic_tower(
                     (side, Fraction(lo, denom), Fraction(hi, denom)) for side, lo, hi in ends
                 ),
                 delta=delta,
-                xi=1 - Fraction(width, sum(widths[a] for a in node.top)),
+                xi=1 - Fraction(width, side_length),
             )
-            report = verify_tower(x, tower)
+            report = _verify(x, tower, DEFAULT_VERIFY_BUDGET, sides)
             if report.passed:
                 return tower
         if depth >= budget:
@@ -597,6 +637,8 @@ def find_cyclic_tower(
         except SplitUndefined as err:
             raise ExpansionHalted(err, depth) from err
         norms[step.loser] += norms[step.winner]
+        side_length -= widths[step.loser]
+        sides.append(side_length)
         depth += 1
 
 

@@ -816,12 +816,10 @@ def _on_ladder_path(tower: CyclicTower) -> bool:
     return tower.height > approx._LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1)
 
 
-@pytest.fixture(scope="module")
-def searched_towers():
-    """(x, tower, reference report) for the certificates that cyclic and
-    coprime searches find on the test fleets."""
+def _tower_searches():
+    """(x, certificate or None) for the cyclic and coprime searches run on
+    the test fleets; None when a search raises or is obstructed."""
     samples = random_fleet(seed=41, count=16) + [x for _, x in tower_fleet(seed=7100)]
-    found = []
     for x in samples:
         for search in (
             lambda: approx.find_cyclic_tower(x, F(1, 4), budget=48),
@@ -830,10 +828,21 @@ def searched_towers():
             try:
                 tower = search()
             except (BudgetExceeded, ExpansionHalted):
-                continue
-            if not isinstance(tower, modp.StructuralObstruction):
-                found.append((x, tower, reference_verify_tower(x, tower)))
-    return found
+                tower = None
+            if isinstance(tower, modp.StructuralObstruction):
+                tower = None
+            yield x, tower
+
+
+@pytest.fixture(scope="module")
+def searched_towers():
+    """(x, tower, reference report) for the certificates that cyclic and
+    coprime searches find on the test fleets."""
+    return [
+        (x, tower, reference_verify_tower(x, tower))
+        for x, tower in _tower_searches()
+        if tower is not None
+    ]
 
 
 def _replay(x: Exchange, tower: CyclicTower) -> TowerVerification:
@@ -919,6 +928,100 @@ def test_verify_tower_survives_wrong_cut_hints(monkeypatch, searched_towers):
     x, tower, _ = tall[0]
     with pytest.raises(InconsistentStage, match="injected"):
         approx.verify_tower(x, tower)
+
+
+def test_each_search_walks_its_expansion_once(monkeypatch):
+    walks = []
+    walk = rauzy._walk
+    monkeypatch.setattr(rauzy, "_walk", lambda x: walks.append(x) or walk(x))
+    runs, tall = 0, 0
+    for x, tower in _tower_searches():
+        # the ladder path of a tall certificate used to walk a second time
+        assert len(walks) == 1, (x, tower, len(walks))
+        walks.clear()
+        runs += 1
+        tall += tower is not None and _on_ladder_path(tower)
+    assert runs >= 100 and tall >= 5, (runs, tall)
+
+
+def test_ladder_on_the_search_sides_decides_like_the_reference(monkeypatch, searched_towers):
+    given = []
+    verify = approx._verify
+
+    def recording_verify(x, tower, step_budget, sides):
+        given.append(list(sides))
+        return verify(x, tower, step_budget, sides)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(approx, "_verify", recording_verify)
+        # a search returns after the verification that passes
+        found = [(x, tower, given[-1]) for x, tower in _tower_searches() if tower is not None]
+    assert [(x, tower) for x, tower, _ in found] == [(x, t) for x, t, _ in searched_towers]
+    for (x, tower, sides), (_, _, want) in zip(found, searched_towers):
+        # the search's running side lengths equal the sums a walk makes
+        assert sides == approx._walked_sides(x, tower.depth, 0), (x, tower)
+        base = approx._flat_base(tower, *x._flat[:2])
+        assert approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, sides) == want
+        assert approx._verify(x, tower, DEFAULT_VERIFY_BUDGET, sides) == want
+        assert approx.verify_tower(x, tower) == want
+        # deeper sides fall below the base, and the ladder must skip them
+        deeper = replace(tower, depth=tower.depth + 8)
+        deep_sides = approx._walked_sides(x, deeper.depth, 0)
+        assert approx._verify_on_ladder(x, deeper, base, DEFAULT_VERIFY_BUDGET, deep_sides) == want
+        assert approx._verify(x, deeper, DEFAULT_VERIFY_BUDGET, deep_sides) == want
+        assert approx.verify_tower(x, deeper) == want
+
+
+def test_ladder_survives_lying_side_hints(searched_towers):
+    rng = random.Random(13)
+    decided = 0
+    for x, tower, want in searched_towers:
+        base = approx._flat_base(tower, *x._flat[:2])
+        length = x._flat[1]
+        need = max(hi - (length if lo >= length else 0) for lo, hi in base)
+        sides = approx._walked_sides(x, tower.depth, 0)
+        lies = [
+            [],  # no hint: the base steps under the original map
+            rng.sample(sides, len(sides)),  # unordered
+            sides[::-1],
+            [length, length + 1, 2 * length - 1] + sides,  # at least L
+            [side for side in sides if side < need] + [1, need - 1],  # below the base
+            [rng.randrange(1, 2 * length) for _ in range(rng.randrange(12))],
+        ]
+        for lie in lies:
+            report = approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, lie)
+            assert report in (None, want), (x, tower, lie)
+            decided += report is not None
+            assert approx._verify(x, tower, DEFAULT_VERIFY_BUDGET, lie) == want
+    assert decided > 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("depth", 27.0),
+        ("depth", F(27)),
+        ("depth", True),
+        ("height", 2165.0),
+        ("height", F(2165)),
+        ("height", True),
+        ("height", "2165"),
+    ],
+)
+def test_verify_tower_rejects_certificate_numbers_that_are_not_ints(field, value):
+    # the tall certificate of the golden ``tower-ladder`` case: ladder path
+    perm = genperm.validate(["A", "B", "B"], ["C", "C", "A"])
+    b = F(390542483835, 2**40)
+    x = build(perm, {"A": F(159213330053, 2**39), "B": b, "C": b})
+    tower = approx.find_cyclic_tower(x, F(1, 4), budget=48)
+    assert (tower.depth, tower.height) == (27, 2165) and _on_ladder_path(tower)
+    assert approx.verify_tower(x, tower).passed
+    with pytest.raises(InvalidInput, match=f"tower {field} must be an integer"):
+        approx.verify_tower(x, replace(tower, **{field: value}))
+    # a short certificate, which only replays, is held to the same rule
+    short = CyclicTower("A", 0, 2, ((Side.TOP, F(0), F(1, 7)),), F(1, 4), F(1, 2))
+    with pytest.raises(InvalidInput, match=f"tower {field} must be an integer"):
+        approx.verify_tower(rotation(3, 1, 7), replace(short, **{field: value}))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

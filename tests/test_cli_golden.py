@@ -21,9 +21,11 @@ import pytest
 
 from linvex import cli
 
-# In a case, {x} names the non-classical exchange; {in} and {out} are the
-# input and artifact directories.
+# In a case, {x} names the non-classical exchange and {tall} an exchange
+# whose tower certificate is tall enough for the ladder (depth 27, height
+# 2165 > 64 * 28); {in} and {out} are the input and artifact directories.
 _X = "--perm {in}/nc.json --widths {in}/ncw.json"
+_TALL = "--perm {in}/tall.json --widths {in}/tallw.json"
 
 INPUTS = {
     "nc.json": b'{"top":["A","A","B"],"bottom":["B","C","C"]}',
@@ -35,6 +37,13 @@ INPUTS = {
     b'{"hi":"115853522095/1099511627776","lo":"4215970941/274877906944","side":"Top"},'
     b'{"hi":"98989638331/1099511627776","lo":"0/1","side":"Bottom"}],'
     b'"delta":"2/5","depth":7,"height":10,"xi":"16863883764/115853522095"}',
+    "tall.json": b'{"top":["A","B","B"],"bottom":["C","C","A"]}',
+    "tallw.json": b'{"A":"159213330053/549755813888","B":"390542483835/1099511627776",'
+    b'"C":"390542483835/1099511627776"}',
+    "talltower.json": b'{"band":"C","base_intervals":['
+    b'{"hi":"113938409/274877906944","lo":"0/1","side":"Top"},'
+    b'{"hi":"263619849/549755813888","lo":"35743031/549755813888","side":"Bottom"}],'
+    b'"delta":"1/4","depth":27,"height":2165,"xi":"35743031/263619849"}',
 }
 
 CASES = {
@@ -48,6 +57,8 @@ CASES = {
     "attractors": "attractors --perm {in}/nc.json --budget 500 --out {out}/a.json",
     "tower": "tower {x} --delta 2/5 --budget 200 --out {out}/a.json",
     "verify-tower": "verify-tower {x} --tower {in}/tower.json --out {out}/a.json",
+    "tower-ladder": "tower {tall} --delta 1/4 --budget 48 --out {out}/a.json",
+    "verify-tower-ladder": "verify-tower {tall} --tower {in}/talltower.json --out {out}/a.json",
     "rigidity": "rigidity {x} --xi 1/4 --candidates 1,2,3,5,8 --budget 20 --out {out}/a.json",
     "modp-trace": "modp-trace {x} --p 3 --steps 20 --out {out}/a.json",
     "coprime-tower": "coprime-tower {x} --delta 2/5 --p 3 --budget 300 --out {out}/a.json",
@@ -102,11 +113,17 @@ GOLDEN: dict[str, tuple[int, str, dict[str, str]]] = {
     "tower": (0, "02588082efdffdf82ac903e66091fdda5691e2127de322124a42c3343894273f", {
         "a.json": "41d7c788b6dd1d5aff81311eab9c3f754aa8eb754bfe6f1de76bc52588114334",
     }),
+    "tower-ladder": (0, "a20a5e6e5e1c3f52a2c6cd4f744981983df6996426e123562898824378c466bd", {
+        "a.json": "ca90b2834de82a94b289c2c23dd00bd9d3d0c309fa8fdf05df3134550a29d293",
+    }),
     "validate": (0, "939da7a6213e78e9453c8ff1af88081915fe6a6de4b320257d1776252b14d573", {
         "a.json": "1b900e16f560f15c0737c2b7f04a4d2f9d3d4f738ad4c32e08d676b44ddd85b5",
     }),
     "verify-tower": (0, "7ace37695d09ef1f634acd56b12378dccb47ec2a7a1ec96ebacd0b2761d8733a", {
         "a.json": "aca013e1d17ffbe9d6184a91ab5780ec5b5c3388ae578383727ab8fa330f54b4",
+    }),
+    "verify-tower-ladder": (0, "3dd74e70428fc833cf8e335a35ec5033ac58a2d332c867dc8c74951ee986a256", {
+        "a.json": "2d3716953d742710083b2c53b44e4c13fdc74458013ed66748781025b37045ff",
     }),
     "visits": (0, "2e47759a18b149a3064348e9534156b659d8b1def6dd572976d2887229d46248", {
         "a.json": "d7268268ea0061a2bf06da87d21a61716ec8a604e6ab96ceba5c3bf17b629c3f",
@@ -125,7 +142,7 @@ def run_case(name: str, root: Path) -> tuple[int, str, dict[str, str]]:
     out.mkdir()
     for file, data in INPUTS.items():
         (src / file).write_bytes(data)
-    argv = CASES[name].replace("{x}", _X).replace("{in}", str(src))
+    argv = CASES[name].replace("{x}", _X).replace("{tall}", _TALL).replace("{in}", str(src))
     argv = argv.replace("{out}", str(out)).split()
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -144,7 +161,8 @@ def test_every_subcommand_has_a_case():
     (sub,) = [
         a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    assert set(CASES) == set(GOLDEN) == set(sub.choices)
+    assert set(CASES) == set(GOLDEN)
+    assert {case.split()[0] for case in CASES.values()} == set(sub.choices)
 
 
 if __name__ == "__main__":

@@ -201,6 +201,19 @@ def test_visit_counts_match_cocycle_small_fleet():
         assert rauzy.visit_counts(x, depth) == rauzy.expand(x, depth).matrix
 
 
+@settings(derandomize=True, max_examples=260, deadline=None)
+@given(perm=st.sampled_from(_SMALL_NODES), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_visit_counts_equal_the_cocycle_up_to_the_halt(perm, seed):
+    rng = random.Random(seed)
+    denom = rng.randrange(1, 50)
+    x = build(perm, {a: F(v, denom) for a, v in random_grid_widths(perm, rng).items()})
+    # integer widths halt within L steps, since every step shrinks L
+    halt = rauzy.expand(x, 10_000).depth
+    assert halt < 10_000
+    for depth in (0, halt // 2, halt):
+        assert rauzy.visit_counts(x, depth) == rauzy.expand(x, depth).matrix, (x, depth)
+
+
 def test_return_times_equal_column_norms():
     for x in random_fleet(seed=13, count=6):
         stage = rauzy.expand(x, 10)
