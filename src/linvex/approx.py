@@ -16,15 +16,14 @@ The verifier has two paths with equal reports.  The replay, the
 authority, chases each base interval's orbit through all height - 1
 levels, one bisect and one affine update per level, with the remainder
 of an image that crosses a breakpoint left on a stack.  A tower much
-taller than its depth first tries a ladder: a few nested first-return
-maps, each the exact return of the previous one to a smaller cut domain
-that still contains the base, with a return time per piece.  The base
-then takes a handful of steps under the last map instead of height
-steps under the original one.  The cuts are side lengths of the
-expansion, handed over by the search that walked it or walked for by
-``verify_tower``, and are only hints: every rung is an exact first
-return of the original map, and when the ladder cannot decide, the
-replay runs.
+taller than its depth first tries a ladder of one rung: the stage of
+the expansion that the certificate names, whose flat map the walk's
+audits prove to be the exact first return of the original map to the
+stage's side length, with each piece returning after its band's column
+norm.  The base then takes a handful of steps under that map instead of
+height steps under the original one.  The stage is handed over by the
+search that walked it, or walked for by ``verify_tower``; when the
+ladder cannot decide, the replay runs.
 
 The searcher walks the expansion and screens candidates with two exact
 measures that need no orbit iteration: the covered fraction is
@@ -57,11 +56,10 @@ from .errors import (
     ExpansionHalted,
     InconsistentStage,
     InvalidInput,
-    NotReturning,
     PartitionBlowup,
     SplitUndefined,
 )
-from .exchange import Exchange, Side, _chase, _compose, _image
+from .exchange import Exchange, Side, _compose, _grid_layout, _image
 from .genperm import GeneralizedPermutation
 from .rationals import format_fraction, to_grid
 
@@ -182,9 +180,11 @@ def verify_tower(
     each side; otherwise InvalidInput.
 
     A tower taller than 64 (depth + 1) goes down the ladder first
-    (``_verify_on_ladder``): its base runs under the first return to a
-    nested cut domain that contains it, with cuts at the side lengths of
-    this call's own walk of x's expansion.  The replay decides every other
+    (``_verify_on_ladder``): one rung, the audited stage of x's expansion
+    at the certificate's depth (or the last one whose sides still contain
+    the base), which this call walks to.  Its base runs under the stage's
+    map, the exact first return to the stage's side length, adding up
+    column norms as return times.  The replay decides every other
     tower and every tower the ladder cannot decide, and the two give
     equal reports.  The replay iterates levels on the flat integer map
     ``x._flat`` (both sides end to end on the grid of the widths), so
@@ -198,19 +198,20 @@ def verify_tower(
     ``step_budget`` bounds the replay's pieces of levels 1 .. height - 1
     summed over the levels.  The ladder charges the replay's work on a
     linear tower, len(base) * (height - 1), and raises the same
-    BudgetExceeded when that is over budget; its own piece-steps must
-    also fit the budget, or the replay runs.  Property failures are
-    reported in the verdicts, never raised; only exceeding the step
-    budget raises.
+    BudgetExceeded when that is over budget; its only piece-steps, the
+    base steps, must also fit the budget, or the replay runs.  Property
+    failures are reported in the verdicts, never raised; only exceeding
+    the step budget raises.
     """
     return _verify(x, tower, step_budget, None)
 
 
 def _verify(
-    x: Exchange, tower: CyclicTower, step_budget: int, sides: Sequence[int] | None
+    x: Exchange, tower: CyclicTower, step_budget: int, stage: _GridStage | None
 ) -> TowerVerification:
-    """``verify_tower`` with ``sides``, the side lengths of x's expansion at
-    depths 1 .. depth, as the ladder's cut hints; None walks for them."""
+    """``verify_tower`` with ``stage``, the (node, widths, norms) of x's
+    expansion at the certificate's depth, as the ladder's one rung; None
+    walks for it."""
     for name in ("depth", "height"):
         value = getattr(tower, name)
         if type(value) is not int:
@@ -228,7 +229,7 @@ def _verify(
         # the replay would spend at least this much and raise.
         if len(base) * last > step_budget:
             raise _over_budget(step_budget)
-        report = _verify_on_ladder(x, tower, base, step_budget, sides)
+        report = _verify_on_ladder(x, tower, base, step_budget, stage)
         if report is not None:
             return report
     # Sorted, pairwise disjoint base intervals, with a 2L sentinel start:
@@ -324,17 +325,13 @@ def _verification(
 # Below this height per unit of depth the walk to the certificate's depth
 # costs more than the replay, so only taller towers try the ladder.  The
 # rule prices the walk of public ``verify_tower``; a search hands its own
-# verification the sides it has walked, so there only the rungs cost, but
-# the same rule keeps the two on the same path.
+# verification the stage it has walked, so there only the base steps cost,
+# but the same rule keeps the two on the same path.
 _LADDER_HEIGHT_PER_DEPTH = 64
-# Consecutive ladder cuts shrink by at least this factor, so each rung's
-# chase stays short and a ladder has few rungs.
-_LADDER_CUT_RATIO = 8
 
-# A rung: (P, bounds, slopes, shifts, times), a first-return map on its
-# own flat coordinates [0, 2P), laid out like ``Exchange._flat`` after the
-# denominator; piece p returns after times[p] steps of the original map.
-_Rung = tuple[int, list[int], list[int], list[int], list[int]]
+# A stage of x's expansion on x's integer grid: (node, widths, norms), the
+# node, its widths and each band's column norm, which is its return time.
+_GridStage = tuple[GeneralizedPermutation, dict[str, int], dict[str, int]]
 
 
 def _verify_on_ladder(
@@ -342,53 +339,47 @@ def _verify_on_ladder(
     tower: CyclicTower,
     base: list[tuple[int, int]],
     step_budget: int,
-    sides: Sequence[int] | None = None,
+    stage: _GridStage | None = None,
 ) -> TowerVerification | None:
-    """The report of a tower verified on a ladder of first-return maps, or
-    None when the ladder cannot decide.
+    """The report of a tower verified on the first-return map of a stage
+    of x's expansion, or None when the ladder cannot decide.
 
-    ``base`` is the validated flat base.  The cuts are chosen by
-    ``_ladder_cuts`` from ``sides``, side lengths of x's expansion that a
-    search has already walked, or, when None, from a walk of the
-    expansion to the certificate's depth.  They are only hints: each rung is
-    the exact first return of the previous rung's map, starting from
-    ``x._flat``, to [0, cut) and [L, L + cut), with a return time per
-    piece, and the last cut domain contains the base.  Each base
-    interval then steps under the last rung, adding up return times.
-    A rung piece never meets a breakpoint of the original map on its
-    way, and its levels between two returns lie outside the cut domain,
-    so outside the base.  Hence, when every base image stays inside one
-    rung piece, meets the base only at time ``height`` and lands on that
-    time exactly, the levels are linear and disjoint from the base, the
-    union is height times the base, and the overlap is measured at time
-    ``height``.  Otherwise the ladder gives up, as it does when its
-    piece-steps (one per rung piece per step of the previous rung, and
-    one per base step) exceed ``step_budget``.  With no usable cut the
-    base steps under the original map itself.
+    ``base`` is the validated flat base.  ``stage`` is the stage the
+    search is screening or, when None, the stage ``_walked_stage`` walks
+    to at the certificate's depth.  The ladder has one rung: the stage's
+    flat map ``exchange._grid_layout(node, widths)`` on its own
+    coordinates [0, 2 cut), with return time ``norms[label]`` at each
+    position.  Every run of the walk is audited (``rauzy._run``), so by
+    induction that map is the exact first return of ``x._flat`` to
+    [0, cut) and [L, L + cut), and each position returns after its
+    label's column norm.  A position never meets a breakpoint of the
+    original map on its way, and its levels between two returns lie
+    outside the cut domain, so outside the base.  Hence, when every base
+    image stays inside one position, meets the base only at time
+    ``height`` and lands on that time exactly, the levels are linear and
+    disjoint from the base, the union is height times the base, and the
+    overlap is measured at time ``height``.  Otherwise the ladder gives
+    up, as it does when its base steps, its only piece-steps, exceed
+    ``step_budget`` or the stage's side is shorter than the base needs.
     """
-    _, length, bounds, slopes, shifts = x._flat
-    # the base's right end on its side: every cut domain must contain it
+    length = x._flat[1]
+    # the base's right end on its side: the stage's sides must contain it
     need = max(hi - (length if lo >= length else 0) for lo, hi in base)
-    if sides is None:
-        sides = _walked_sides(x, tower.depth, need)
-    rung: _Rung = (length, bounds, slopes, shifts, [1] * len(slopes))
-    work = 0
-    for cut in _ladder_cuts(sides, length, need):
-        try:
-            rung, steps = _next_rung(rung, cut, step_budget - work)
-        except NotReturning:
-            return None
-        work += steps
-        if work > step_budget:
-            return None
-
-    cut, bounds, slopes, shifts, times = rung
+    if stage is None:
+        stage = _walked_stage(x, tower.depth, need)
+    node, widths, norms = stage
+    cut, bounds, slopes, shifts = _grid_layout(node, widths)
+    if cut < need:
+        return None
+    times = [norms[label] for label in node.top + node.bottom]
+    # bottom points move down by L - cut in the stage's coordinates
     drop = length - cut
     rbase = [(lo, hi) if lo < length else (lo - drop, hi - drop) for lo, hi in base]
     base_lo = [lo for lo, _ in rbase] + [2 * cut]
     base_hi = [hi for _, hi in rbase]
     height = tower.height
     overlap_int = 0
+    work = 0
     for lo, hi in rbase:
         level = 0
         while level < height:
@@ -413,79 +404,23 @@ def _verify_on_ladder(
     return _verification(x, tower, base, True, True, union_int, overlap_int)
 
 
-def _walked_sides(x: Exchange, depth: int, need: int) -> list[int]:
-    """The side lengths of x's expansion at depths 1 .. ``depth``, ending
-    with the first below ``need``; an undefined split ends them early."""
-    sides = []
+def _walked_stage(x: Exchange, depth: int, need: int) -> _GridStage:
+    """The stage of x's expansion at ``depth``, or the last one before the
+    side length falls below ``need``; an undefined split ends the walk
+    early.  Each step adds the winner's norm to the loser's."""
+    node, widths = x.perm, to_grid(x.widths, x._flat[0])
+    norms = {label: 1 for label in x.perm.alphabet}
     walk = rauzy._walk(x)
     try:
         for left in range(depth, 0, -1):
-            node, widths, _ = walk.send(None if left == depth else left)
-            sides.append(sum(widths[a] for a in node.top))
-            if sides[-1] < need:
+            next_node, next_widths, step = walk.send(None if left == depth else left)
+            if sum(next_widths[a] for a in next_node.top) < need:
                 break
+            node, widths = next_node, next_widths
+            norms[step.loser] += norms[step.winner]
     except SplitUndefined:
         pass
-    return sides
-
-
-def _ladder_cuts(sides: Sequence[int], length: int, need: int) -> list[int]:
-    """Decreasing cuts for a ladder: the hinted side lengths below L and at
-    least ``need``, consecutive ones shrinking by at least
-    ``_LADDER_CUT_RATIO``, the last (deepest) kept.
-
-    Side lengths shrink along an expansion, but a hint in any order, or
-    none, still gives cuts that each lie inside the previous rung.
-    """
-    cuts: list[int] = []
-    for side in reversed(sides):
-        if need <= side < length and (not cuts or side >= _LADDER_CUT_RATIO * cuts[-1]):
-            cuts.append(side)
-    cuts.reverse()
-    return cuts
-
-
-def _next_rung(rung: _Rung, cut: int, budget: int) -> tuple[_Rung, int]:
-    """The first return of a rung's map to [0, cut) and [P, P + cut), on
-    the new rung's own coordinates [0, 2 cut), and the piece-steps its
-    return times took.
-
-    The pieces come from ``exchange._chase`` with ``budget`` rounds
-    (NotReturning past it).  Each piece then walks once more under the
-    rung to add up its return time; the walk must stay in one rung piece
-    per step and end on the chase's image, or InconsistentStage.
-    """
-    length, bounds, slopes, shifts, times = rung
-    drop = length - cut
-    new_bounds, new_slopes, new_shifts, new_times = [], [], [], []
-    steps = 0
-    for piece in sorted(_chase(rung[:4], cut, budget)):
-        lo, hi, slope, const = piece
-        a, b, time = lo, hi, 0
-        while True:
-            p = bisect_right(bounds, a) - 1
-            if b > bounds[p + 1]:
-                raise InconsistentStage(f"return piece [{lo}, {hi}) meets a breakpoint")
-            steps += 1
-            time += times[p]
-            shift = shifts[p]
-            if slopes[p] == 1:
-                a, b = shift + a, shift + b
-            else:
-                a, b = shift - b, shift - a
-            if b <= (length if a >= length else 0) + cut:
-                break
-        if (a, b) != _image(*piece):
-            raise InconsistentStage(f"return piece [{lo}, {hi}) disagrees with the chase")
-        # bottom points move down by L - cut in the new coordinates
-        shift_in = drop if lo >= length else 0
-        shift_out = drop if a >= length else 0
-        new_bounds.append(lo - shift_in)
-        new_slopes.append(slope)
-        new_shifts.append(const + slope * shift_in - shift_out)
-        new_times.append(time)
-    new_bounds.append(2 * cut)
-    return (cut, new_bounds, new_slopes, new_shifts, new_times), steps
+    return node, widths, norms
 
 
 def _flat_base(tower: CyclicTower, denom: int, length: int) -> list[tuple[int, int]]:
@@ -570,11 +505,11 @@ def find_cyclic_tower(
     ``DEFAULT_VERIFY_BUDGET`` interval steps, before being returned.
     ``height_coprime_to`` restricts to heights coprime to the given prime.
 
-    The expansion is walked once per search.  The search keeps the side
-    length of every stage (each step shrinks it by the loser's width) and
-    gives them to the verification as the ladder's cut hints, so a tall
-    certificate does not walk the expansion again; its rungs are still
-    exact first returns of the original map.
+    The expansion is walked once per search.  The search hands the stage
+    it is screening, (node, widths, norms), to the verification as the
+    ladder's one rung, so a tall certificate does not walk the expansion
+    again; the walk's audits make that stage's map the exact first
+    return of the original map, with the norms as return times.
     """
     delta = Fraction(delta)
     if not (0 < delta < 1):
@@ -590,7 +525,6 @@ def find_cyclic_tower(
     norms = {label: 1 for label in x.perm.alphabet}
     node = x.perm
     side_length = start_length
-    sides: list[int] = []  # the side length at depths 1 .. depth
     walk = rauzy._walk(x)
     depth = 0
     while True:
@@ -627,7 +561,7 @@ def find_cyclic_tower(
                 delta=delta,
                 xi=1 - Fraction(width, side_length),
             )
-            report = _verify(x, tower, DEFAULT_VERIFY_BUDGET, sides)
+            report = _verify(x, tower, DEFAULT_VERIFY_BUDGET, (node, widths, norms))
             if report.passed:
                 return tower
         if depth >= budget:
@@ -638,7 +572,6 @@ def find_cyclic_tower(
             raise ExpansionHalted(err, depth) from err
         norms[step.loser] += norms[step.winner]
         side_length -= widths[step.loser]
-        sides.append(side_length)
         depth += 1
 
 

@@ -60,10 +60,6 @@ class InconsistentStage(LinvexError):
     """Stage data does not cohere with the exchange it was built from."""
 
 
-class PositiveMatrixRequired(LinvexError):
-    """The requested ratio is defined only for strictly positive matrices."""
-
-
 class ClosureBudgetExceeded(LinvexError):
     """A forward closure grew past the configured node budget."""
 

@@ -352,8 +352,13 @@ def rigidity_scan(
 
     For each sampled exchange, tower heights from a shrinking ladder are
     graded by exact defect; window i in 0 .. horizon-1 counts as covered
-    when some flagged time lands in [2^i, 2^(i+1)).
+    when some flagged time lands in [2^i, 2^(i+1)).  A negative
+    ``horizon`` or sample count is InvalidInput.
     """
+    if horizon < 0:
+        raise InvalidInput(f"horizon must be nonnegative, got {horizon}")
+    if cfg.count < 0:
+        raise InvalidInput(f"sample count must be nonnegative, got {cfg.count}")
     xi = Fraction(xi)
     seed = effective_seed(cfg.seed)
     params = {

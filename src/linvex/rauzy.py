@@ -39,7 +39,6 @@ from .errors import (
     InconsistentStage,
     InvalidInput,
     NotReturning,
-    PositiveMatrixRequired,
     SplitUndefined,
     SplitUndefinedSameBand,
     SplitUndefinedTie,
@@ -47,7 +46,7 @@ from .errors import (
 from . import exchange, genperm
 from .exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, _grid_layout
 from .genperm import GeneralizedPermutation, Orientation, critical_bands
-from .rationals import format_fraction, to_grid
+from .rationals import to_grid
 
 
 class Matrix:
@@ -86,9 +85,6 @@ class Matrix:
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for row in self.rows for v in row)
-
-    def is_positive(self) -> bool:
-        return all(v > 0 for row in self.rows for v in row)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.labels != other.labels:
@@ -481,55 +477,6 @@ def return_time(x: Exchange, n: int | Stage, band: str) -> int:
     """First-return time of the depth-n end of ``band``, by direct orbit."""
     induced = induced_exchange(_reached(x, n), x)
     return sum(_probe_visits(x, induced, band).values())
-
-
-def max_entry_ratio(matrix: Matrix) -> Fraction:
-    """Largest ratio of two entries sharing a row; positive matrices only."""
-    if not matrix.is_positive():
-        raise PositiveMatrixRequired("entry ratio needs a strictly positive matrix")
-    best = Fraction(1)
-    for row in matrix.rows:
-        ratio = Fraction(max(row), min(row))
-        if ratio > best:
-            best = ratio
-    return best
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Column balance of a stage matrix and its row-entry spread."""
-
-    column_ratio: Fraction
-    entry_ratio: Fraction | None
-    positive: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "column_ratio": format_fraction(self.column_ratio),
-            "entry_ratio": None if self.entry_ratio is None else format_fraction(self.entry_ratio),
-            "positive": self.positive,
-        }
-
-
-def distortion_report(stage: Stage) -> DistortionReport:
-    norms = [stage.matrix.column_norm(a) for a in stage.matrix.labels]
-    column_ratio = Fraction(max(norms), min(norms))
-    positive = stage.matrix.is_positive()
-    entry_ratio = max_entry_ratio(stage.matrix) if positive else None
-    return DistortionReport(column_ratio=column_ratio, entry_ratio=entry_ratio, positive=positive)
-
-
-def jacobian_ratio(
-    stage: Stage, y: Mapping[str, Fraction], y_prime: Mapping[str, Fraction]
-) -> Fraction:
-    """Exact ratio of the projective map's volume factors at two widths.
-
-    The stage constant cancels, leaving (|Q y'| / |Q y|) ** (d - 1).
-    """
-    qy = sum((v for v in stage.matrix.apply_to_widths(y).values()), Fraction(0))
-    qyp = sum((v for v in stage.matrix.apply_to_widths(y_prime).values()), Fraction(0))
-    d = len(stage.matrix.labels)
-    return (qyp / qy) ** (d - 1)
 
 
 def _witness_grid(perm: GeneralizedPermutation, kind: SplitKind) -> dict[str, int] | None:

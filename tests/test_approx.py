@@ -21,10 +21,9 @@ from linvex.errors import (
     InconsistentStage,
     InvalidInput,
     PartitionBlowup,
-    SplitUndefinedTie,
 )
 from linvex.exchange import Exchange, Point, Side, build
-from linvex.rationals import canonical_json_bytes
+from linvex.rationals import canonical_json_bytes, to_grid
 
 from conftest import (
     STUCK_FREE_NONCLASSICAL,
@@ -36,6 +35,7 @@ from conftest import (
     sample_exchange,
     tower_fleet,
 )
+from test_rauzy import _insert_one_slot_off
 
 ROTATION = genperm.validate(["A", "B"], ["B", "A"])
 
@@ -803,7 +803,7 @@ def test_random_base_tower_on_the_shortest_sides():
             _assert_verifies_like_reference(x, _random_base_tower(x, random.Random(seed)))
 
 
-# --- the ladder of first-return maps against the replay ----------------------
+# --- the ladder's first-return map against the replay ------------------------
 
 
 def _ladder(x: Exchange, tower: CyclicTower) -> TowerVerification | None:
@@ -860,8 +860,8 @@ def test_ladder_decides_every_searched_certificate_like_the_replay(searched_towe
         assert report == want, (x, tower)
         assert approx.verify_tower(x, tower) == want
         tall += _on_ladder_path(tower)
-        # walking deeper than the certificate yields cuts below its base,
-        # which the ladder must skip
+        # named deeper, the walk stops before the first stage whose sides
+        # no longer contain the base
         assert _ladder(x, replace(tower, depth=tower.depth + 8)) == want
     assert len(searched_towers) >= 80 and tall >= 5, (len(searched_towers), tall)
 
@@ -897,28 +897,28 @@ def test_ladder_decides_like_the_replay_or_gives_up_on_every_small_node(seed):
     assert min(seen.values()) > 0, seen
 
 
-class _Node:
-    """A stand-in walk node: the ladder reads only its top row."""
-
-    top = ("cut",)
-
-
-def test_verify_tower_survives_wrong_cut_hints(monkeypatch, searched_towers):
+def test_verify_tower_raises_on_a_faulty_walk(monkeypatch, searched_towers):
+    # the ladder's rung rests on the walk's audits, so a fault in the walk
+    # must raise rather than reach a report
     tall = [entry for entry in searched_towers if _on_ladder_path(entry[1])]
-    rng = random.Random(12)
+    x, tower, _ = tall[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(rauzy, "_insert", _insert_one_slot_off)
+        with pytest.raises(InconsistentStage):
+            approx.verify_tower(x, tower)
+    chase = exchange._chase
 
-    def lying_walk(x):
-        # side lengths in any order, some at least L or below the base,
-        # then an undefined split
-        for _ in range(rng.randrange(12)):
-            yield _Node, {"cut": rng.randrange(1, 2 * x._flat[1])}, None
-        raise SplitUndefinedTie("injected")
+    def corrupted_chase(flat, cut, budget):
+        # the last return piece lands one grid step off
+        pieces = chase(flat, cut, budget)
+        lo, hi, slope, const = pieces[-1]
+        pieces[-1] = (lo, hi, slope, const + 1)
+        return pieces
 
-    monkeypatch.setattr(rauzy, "_walk", lying_walk)
-    for x, tower, want in tall * 4:
-        assert approx.verify_tower(x, tower) == want
-    for x, tower, want in searched_towers:
-        assert _ladder(x, tower) in (None, want)
+    with monkeypatch.context() as patch:
+        patch.setattr(exchange, "_chase", corrupted_chase)
+        with pytest.raises(InconsistentStage, match="disagrees with the return chase"):
+            approx.verify_tower(x, tower)
 
     def broken_walk(x):
         raise InconsistentStage("injected")
@@ -948,52 +948,64 @@ def test_ladder_on_the_search_sides_decides_like_the_reference(monkeypatch, sear
     given = []
     verify = approx._verify
 
-    def recording_verify(x, tower, step_budget, sides):
-        given.append(list(sides))
-        return verify(x, tower, step_budget, sides)
+    def recording_verify(x, tower, step_budget, stage):
+        node, widths, norms = stage
+        # the search goes on adding to its norms after this call
+        given.append((node, dict(widths), dict(norms)))
+        return verify(x, tower, step_budget, stage)
 
     with monkeypatch.context() as patch:
         patch.setattr(approx, "_verify", recording_verify)
         # a search returns after the verification that passes
         found = [(x, tower, given[-1]) for x, tower in _tower_searches() if tower is not None]
     assert [(x, tower) for x, tower, _ in found] == [(x, t) for x, t, _ in searched_towers]
-    for (x, tower, sides), (_, _, want) in zip(found, searched_towers):
-        # the search's running side lengths equal the sums a walk makes
-        assert sides == approx._walked_sides(x, tower.depth, 0), (x, tower)
+    for (x, tower, stage), (_, _, want) in zip(found, searched_towers):
+        # the search's stage is the one a walk reaches, with the cocycle's
+        # column norms as its return times
+        assert stage == approx._walked_stage(x, tower.depth, 0), (x, tower)
+        expanded = rauzy.expand(x, tower.depth)
+        node, widths, norms = stage
+        assert node == expanded.end
+        assert widths == to_grid(rauzy.widths_at(expanded, x), x._flat[0])
+        assert norms == expanded.matrix.column_norms()
         base = approx._flat_base(tower, *x._flat[:2])
-        assert approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, sides) == want
-        assert approx._verify(x, tower, DEFAULT_VERIFY_BUDGET, sides) == want
+        assert approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, stage) == want
+        assert approx._verify(x, tower, DEFAULT_VERIFY_BUDGET, stage) == want
         assert approx.verify_tower(x, tower) == want
-        # deeper sides fall below the base, and the ladder must skip them
+        # named deeper, the certificate's walk stops before the first stage
+        # whose sides no longer contain the base
         deeper = replace(tower, depth=tower.depth + 8)
-        deep_sides = approx._walked_sides(x, deeper.depth, 0)
-        assert approx._verify_on_ladder(x, deeper, base, DEFAULT_VERIFY_BUDGET, deep_sides) == want
-        assert approx._verify(x, deeper, DEFAULT_VERIFY_BUDGET, deep_sides) == want
         assert approx.verify_tower(x, deeper) == want
 
 
-def test_ladder_survives_lying_side_hints(searched_towers):
-    rng = random.Random(13)
+def _walked_stages(x: Exchange, depth: int):
+    """(node, widths, norms) of x's expansion at depths 0 .. depth, rebuilt
+    from ``rauzy.expand``'s steps: widths by back-substitution and norms
+    as column sums of the product of the elementary factors."""
+    expanded = rauzy.expand(x, depth)
+    widths = to_grid(x.widths, x._flat[0])
+    matrix = rauzy.Matrix.identity(sorted(x.perm.alphabet))
+    yield x.perm, dict(widths), matrix.column_norms()
+    for node, step in zip(expanded.nodes[1:], expanded.steps):
+        widths[step.winner] -= widths[step.loser]
+        matrix = matrix.mul(step.matrix)
+        yield node, dict(widths), matrix.column_norms()
+
+
+def test_ladder_on_every_walked_stage_decides_like_the_reference_or_gives_up(searched_towers):
+    # a stage shallower than the certificate is a first return to a larger
+    # domain, one deeper may no longer contain the base; neither may decide
+    # wrongly, and the certificate's own stage decides
     decided = 0
     for x, tower, want in searched_towers:
         base = approx._flat_base(tower, *x._flat[:2])
-        length = x._flat[1]
-        need = max(hi - (length if lo >= length else 0) for lo, hi in base)
-        sides = approx._walked_sides(x, tower.depth, 0)
-        lies = [
-            [],  # no hint: the base steps under the original map
-            rng.sample(sides, len(sides)),  # unordered
-            sides[::-1],
-            [length, length + 1, 2 * length - 1] + sides,  # at least L
-            [side for side in sides if side < need] + [1, need - 1],  # below the base
-            [rng.randrange(1, 2 * length) for _ in range(rng.randrange(12))],
-        ]
-        for lie in lies:
-            report = approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, lie)
-            assert report in (None, want), (x, tower, lie)
+        for depth, stage in enumerate(_walked_stages(x, tower.depth + 8)):
+            report = approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, stage)
+            assert report in (None, want), (x, tower, depth)
+            if depth == tower.depth:
+                assert report == want, (x, tower)
             decided += report is not None
-            assert approx._verify(x, tower, DEFAULT_VERIFY_BUDGET, lie) == want
-    assert decided > 0
+    assert decided > len(searched_towers), decided
 
 
 @pytest.mark.parametrize(

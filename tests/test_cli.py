@@ -359,6 +359,18 @@ def test_zero_sizes_are_domain_errors(nonclassical_files, capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flag, word", [("--horizon", "horizon"), ("--count", "sample count")], ids=["horizon", "count"]
+)
+def test_scan_rejects_negative_horizon_and_count(rotation_files, capsys, flag, word):
+    perm, _ = rotation_files
+    argv = ["scan", "--perm", perm, "--xi", "1/20", "--count", "1", "--horizon", "3"]
+    assert cli.main([*argv, flag, "-2"]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{word} must be nonnegative" in captured.err
+
+
 _TOWER = {
     "band": "A",
     "depth": 0,

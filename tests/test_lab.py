@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -392,6 +393,25 @@ def test_total_ergodicity_records_budget_but_raises_inconsistency(monkeypatch):
     monkeypatch.setattr(lab.modp, "find_coprime_tower", search(ZeroDivisionError))
     with pytest.raises(ZeroDivisionError):
         lab.total_ergodicity_experiment(x, 3, bins=4, iters=100, seed=1)
+
+
+def test_rigidity_scan_rejects_negative_horizon_and_count(monkeypatch):
+    def sampling(cfg):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(lab, "sample_widths", sampling)
+    cfg = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=2)
+    with pytest.raises(InvalidInput, match="horizon must be nonnegative, got -2"):
+        lab.rigidity_scan(cfg, F(1, 50), horizon=-2)
+    negative = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=-2)
+    with pytest.raises(InvalidInput, match="sample count must be nonnegative, got -2"):
+        lab.rigidity_scan(negative, F(1, 50), horizon=8)
+    monkeypatch.undo()
+    # an empty horizon covers no window, and no samples make no records
+    report = lab.rigidity_scan(cfg, F(1, 50), horizon=0, tower_budget=400)
+    assert [r["density"] for r in report.records] == [0.0, 0.0]
+    empty = replace(cfg, count=0)
+    assert lab.rigidity_scan(empty, F(1, 50), horizon=8).records == []
 
 
 def test_rigidity_scan_records_budget_but_raises_inconsistency(monkeypatch):

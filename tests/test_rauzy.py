@@ -18,7 +18,6 @@ from linvex.errors import (
     BudgetExceeded,
     ExpansionHalted,
     InconsistentStage,
-    PositiveMatrixRequired,
     SplitUndefined,
     SplitUndefinedSameBand,
     SplitUndefinedTie,
@@ -227,51 +226,6 @@ def test_return_time_depth_zero_is_one():
     x = build(ROTATION, {"A": F(3, 7), "B": F(1, 7)})
     assert rauzy.return_time(x, 0, "A") == 1
     assert rauzy.return_time(x, 0, "B") == 1
-
-
-def test_distortion_report_identity():
-    stage = rauzy.expand(build(ROTATION, {"A": F(3, 7), "B": F(1, 7)}), 0)
-    report = rauzy.distortion_report(stage)
-    assert report.column_ratio == 1
-    assert report.entry_ratio is None and not report.positive
-    with pytest.raises(PositiveMatrixRequired):
-        rauzy.max_entry_ratio(stage.matrix)
-
-
-def test_distortion_report_concrete_matrix():
-    m = Matrix(("A", "B"), [[1, 2], [1, 1]])
-    stage = rauzy.Stage(nodes=[ROTATION], steps=[], matrix=m)
-    report = rauzy.distortion_report(stage)
-    assert report.column_ratio == F(3, 2)
-    assert report.entry_ratio == 2
-
-
-def test_jacobian_ratio_trivial_cases():
-    x = build(ROTATION, {"A": F(3, 7), "B": F(1, 7)})
-    stage = rauzy.expand(x, 0)
-    y = {"A": F(1, 2), "B": F(1, 2)}
-    yp = {"A": F(1, 4), "B": F(1, 4)}
-    assert rauzy.jacobian_ratio(stage, y, y) == 1
-    # identity matrix: the ratio is (|y'| / |y|) ** (d - 1)
-    assert rauzy.jacobian_ratio(stage, y, yp) == F(1, 2)
-
-
-def test_jacobian_ratio_bounded_by_column_balance():
-    for x in random_fleet(seed=14, count=8):
-        stage = rauzy.expand(x, 18)
-        if not stage.matrix.is_positive():
-            continue
-        report = rauzy.distortion_report(stage)
-        d = len(stage.matrix.labels)
-        bound = report.column_ratio ** (d - 1)
-        rng = random.Random(7)
-        labels = stage.matrix.labels
-        end = stage.end
-        for _ in range(5):
-            y = sample_exchange(end, rng.randrange(10**6)).widths
-            yp = sample_exchange(end, rng.randrange(10**6)).widths
-            ratio = rauzy.jacobian_ratio(stage, y, yp)
-            assert F(1) / bound <= ratio <= bound
 
 
 def test_direction_witness_classical_both_ways():
