@@ -15,15 +15,15 @@ InvalidInput.
 The verifier has two paths with equal reports.  The replay, the
 authority, chases each base interval's orbit through all height - 1
 levels, one bisect and one affine update per level, with the remainder
-of an image that crosses a breakpoint left on a stack.  A tower much
-taller than its depth first tries a ladder of one rung: the stage of
-the expansion that the certificate names, whose flat map the walk's
-audits prove to be the exact first return of the original map to the
-stage's side length, with each piece returning after its band's column
-norm.  The base then takes a handful of steps under that map instead of
-height steps under the original one.  The stage is handed over by the
-search that walked it, or walked for by ``verify_tower``; when the
-ladder cannot decide, the replay runs.
+of an image that crosses a breakpoint left on a stack.  The ladder has
+one rung: the stage of the expansion that the certificate names, whose
+flat map the walk's audits prove to be the exact first return of the
+original map to the stage's side length, with each piece returning
+after its band's column norm.  The base then takes a handful of steps
+under that map instead of height steps under the original one.  A
+search hands every certificate it verifies the stage it walked;
+``verify_tower`` walks for one only when the tower is much taller than
+its depth.  When the ladder cannot decide, the replay runs.
 
 The searcher walks the expansion and screens candidates with two exact
 measures that need no orbit iteration: the covered fraction is
@@ -61,7 +61,7 @@ from .errors import (
 )
 from .exchange import Exchange, Side, _compose, _grid_layout, _image
 from .genperm import GeneralizedPermutation
-from .rationals import format_fraction, to_grid
+from .rationals import format_fraction
 
 DEFAULT_SPLIT_BUDGET = 10_000
 DEFAULT_PIECE_BUDGET = 10**6
@@ -210,8 +210,10 @@ def _verify(
     x: Exchange, tower: CyclicTower, step_budget: int, stage: _GridStage | None
 ) -> TowerVerification:
     """``verify_tower`` with ``stage``, the (node, widths, norms) of x's
-    expansion at the certificate's depth, as the ladder's one rung; None
-    walks for it."""
+    expansion at the certificate's depth, as the ladder's one rung.  With
+    a stage in hand every certificate tries the ladder first; None walks
+    for one only for a tower taller than ``_LADDER_HEIGHT_PER_DEPTH``
+    times its depth plus one."""
     for name in ("depth", "height"):
         value = getattr(tower, name)
         if type(value) is not int:
@@ -224,7 +226,7 @@ def _verify(
     base = _flat_base(tower, denom, length)
     height = tower.height
     last = height - 1
-    if height > _LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1):
+    if stage is not None or height > _LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1):
         # Every base interval fills at least one piece of each level, so
         # the replay would spend at least this much and raise.
         if len(base) * last > step_budget:
@@ -323,10 +325,10 @@ def _verification(
 
 
 # Below this height per unit of depth the walk to the certificate's depth
-# costs more than the replay, so only taller towers try the ladder.  The
-# rule prices the walk of public ``verify_tower``; a search hands its own
-# verification the stage it has walked, so there only the base steps cost,
-# but the same rule keeps the two on the same path.
+# costs more than the replay, so public ``verify_tower`` walks for the
+# ladder only above it.  A search hands its own verification the stage it
+# has walked, where only the base steps cost, so there every certificate
+# tries the ladder.
 _LADDER_HEIGHT_PER_DEPTH = 64
 
 # A stage of x's expansion on x's integer grid: (node, widths, norms), the
@@ -405,22 +407,18 @@ def _verify_on_ladder(
 
 
 def _walked_stage(x: Exchange, depth: int, need: int) -> _GridStage:
-    """The stage of x's expansion at ``depth``, or the last one before the
-    side length falls below ``need``; an undefined split ends the walk
-    early.  Each step adds the winner's norm to the loser's."""
-    node, widths = x.perm, to_grid(x.widths, x._flat[0])
-    norms = {label: 1 for label in x.perm.alphabet}
-    walk = rauzy._walk(x)
+    """The stage of x's expansion at ``depth``, or the last one whose side
+    length is still at least ``need``; an undefined split ends the walk
+    early.  Depth 0, the side length of x, always qualifies."""
+    kept = None
     try:
-        for left in range(depth, 0, -1):
-            next_node, next_widths, step = walk.send(None if left == depth else left)
-            if sum(next_widths[a] for a in next_node.top) < need:
+        for node, widths, norms, _ in rauzy._walk(x, depth):
+            if sum(widths[a] for a in node.top) < need:
                 break
-            node, widths = next_node, next_widths
-            norms[step.loser] += norms[step.winner]
+            kept = node, widths, norms
     except SplitUndefined:
         pass
-    return node, widths, norms
+    return kept
 
 
 def _flat_base(tower: CyclicTower, denom: int, length: int) -> list[tuple[int, int]]:
@@ -504,75 +502,69 @@ def find_cyclic_tower(
     certificate and re-verified against the original map, within
     ``DEFAULT_VERIFY_BUDGET`` interval steps, before being returned.
     ``height_coprime_to`` restricts to heights coprime to the given prime.
+    ``budget``, the deepest stage screened, must be a nonnegative int
+    (not a bool), else InvalidInput; past it, BudgetExceeded.
 
-    The expansion is walked once per search.  The search hands the stage
-    it is screening, (node, widths, norms), to the verification as the
-    ladder's one rung, so a tall certificate does not walk the expansion
-    again; the walk's audits make that stage's map the exact first
-    return of the original map, with the norms as return times.
+    The expansion is walked once per search (``rauzy._walk``).  The
+    search hands the stage it is screening, (node, widths, norms), to the
+    verification as the ladder's one rung, so a certificate does not walk
+    the expansion again; the walk's audits make that stage's map the
+    exact first return of the original map, with the norms as return
+    times.
     """
     delta = Fraction(delta)
     if not (0 < delta < 1):
         raise InvalidInput(f"delta must be in (0, 1), got {delta}")
-    if budget < 0:
-        raise InvalidInput("budget must be nonnegative")
+    if type(budget) is not int or budget < 0:
+        raise InvalidInput(f"budget must be a nonnegative int, got {budget!r}")
 
     # The expansion runs on the integer grid of x; certificates convert
     # back to fractions.  Both screens compare exact integer cross products.
-    denom, start_length = x._flat[:2]
-    widths = to_grid(x.widths, denom)
+    denom, length = x._flat[:2]
     d_num, d_den = delta.numerator, delta.denominator
-    norms = {label: 1 for label in x.perm.alphabet}
-    node = x.perm
-    side_length = start_length
-    walk = rauzy._walk(x)
-    depth = 0
-    while True:
-        for band in node.preserving_bands():
-            height = norms[band]
-            if height_coprime_to is not None and height % height_coprime_to == 0:
-                continue
-            width = widths[band]
-            # The covered fraction 2 * height * width / total measure of x.
-            if (start_length - height * width) * d_den >= d_num * start_length:
-                continue
-            (s1, lo1, hi1), (s2, lo2, hi2) = ends = _grid_ends(node, widths, band)
-            if s1 is s2:
-                raise InconsistentStage(f"preserving band {band} has same-side ends")
-            # The height-iterate of the base is its own side swap, so the
-            # return overlap is twice the intersection of the end spans.
-            overlap = max(0, min(hi1, hi2) - max(lo1, lo2))
-            if (width - overlap) * d_den >= d_num * width:
-                continue
-            if 2 * height > DEFAULT_VERIFY_BUDGET:
-                # Heights only grow along the expansion, so a qualifying
-                # stage beyond the verification budget will not improve.
-                raise BudgetExceeded(
-                    f"qualifying tower height {height} exceeds the "
-                    f"verification budget {DEFAULT_VERIFY_BUDGET}"
+    try:
+        # the screens and verifications split nothing: a halt is the walk's
+        for depth, (node, widths, norms, _) in enumerate(rauzy._walk(x, budget)):
+            for band in node.preserving_bands():
+                height = norms[band]
+                if height_coprime_to is not None and height % height_coprime_to == 0:
+                    continue
+                width = widths[band]
+                # The covered fraction 2 * height * width / total measure of x.
+                if (length - height * width) * d_den >= d_num * length:
+                    continue
+                (s1, lo1, hi1), (s2, lo2, hi2) = ends = _grid_ends(node, widths, band)
+                if s1 is s2:
+                    raise InconsistentStage(f"preserving band {band} has same-side ends")
+                # The height-iterate of the base is its own side swap, so the
+                # return overlap is twice the intersection of the end spans.
+                overlap = max(0, min(hi1, hi2) - max(lo1, lo2))
+                if (width - overlap) * d_den >= d_num * width:
+                    continue
+                if 2 * height > DEFAULT_VERIFY_BUDGET:
+                    # Heights only grow along the expansion, so a qualifying
+                    # stage beyond the verification budget will not improve.
+                    raise BudgetExceeded(
+                        f"qualifying tower height {height} exceeds the "
+                        f"verification budget {DEFAULT_VERIFY_BUDGET}"
+                    )
+                tower = CyclicTower(
+                    band=band,
+                    depth=depth,
+                    height=height,
+                    base=tuple(
+                        (side, Fraction(lo, denom), Fraction(hi, denom))
+                        for side, lo, hi in ends
+                    ),
+                    delta=delta,
+                    xi=1 - Fraction(width, sum(widths[a] for a in node.top)),
                 )
-            tower = CyclicTower(
-                band=band,
-                depth=depth,
-                height=height,
-                base=tuple(
-                    (side, Fraction(lo, denom), Fraction(hi, denom)) for side, lo, hi in ends
-                ),
-                delta=delta,
-                xi=1 - Fraction(width, side_length),
-            )
-            report = _verify(x, tower, DEFAULT_VERIFY_BUDGET, (node, widths, norms))
-            if report.passed:
-                return tower
-        if depth >= budget:
-            raise BudgetExceeded(f"no tower with delta {delta} within {budget} splits")
-        try:
-            node, widths, step = walk.send(budget - depth if depth else None)
-        except SplitUndefined as err:
-            raise ExpansionHalted(err, depth) from err
-        norms[step.loser] += norms[step.winner]
-        side_length -= widths[step.loser]
-        depth += 1
+                report = _verify(x, tower, DEFAULT_VERIFY_BUDGET, (node, widths, norms))
+                if report.passed:
+                    return tower
+    except SplitUndefined as err:
+        raise ExpansionHalted(err, depth) from err
+    raise BudgetExceeded(f"no tower with delta {delta} within {budget} splits")
 
 
 def _grid_ends(

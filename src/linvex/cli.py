@@ -22,6 +22,7 @@ from .errors import (
     LinvexError,
     NotReturning,
     PartitionBlowup,
+    SplitUndefined,
 )
 from .exchange import Exchange, Point, Side
 from .rationals import (
@@ -268,32 +269,29 @@ def _cmd_rigidity(args) -> int:
 
 def _cmd_modp_trace(args) -> int:
     x = _load_exchange(args.perm, args.widths)
-    stage = rauzy.expand(x, args.steps)
-    # Column norms and their remainders are carried along the expansion:
-    # each step adds the winner's norm to the loser's.
-    norms = dict.fromkeys(x.perm.alphabet, 1)
     state = modp.initial_state(x.perm, args.p)
     rows = []
     violation = None
-    for depth, node in enumerate(stage.nodes):
-        if depth:
-            step = stage.steps[depth - 1]
-            norms[step.loser] += norms[step.winner]
-            state = modp.propagate(state, step.winner, step.loser, node)
-        for band in node.alphabet:
-            rows.append(
-                {
-                    "depth": depth,
-                    "band": band,
-                    "class": node.orientation_of(band).value,
-                    "column_norm": norms[band],
-                    "remainder": state.remainder(band),
-                }
-            )
-        if node.is_non_classical:
-            status = modp.check_claim_invariant(state)
-            if isinstance(status, modp.ClaimViolation):
-                violation = depth
+    try:
+        for depth, (node, _, norms, step) in enumerate(rauzy._walk(x, args.steps)):
+            if step is not None:
+                state = modp.propagate(state, step.winner, step.loser, node)
+            for band in node.alphabet:
+                rows.append(
+                    {
+                        "depth": depth,
+                        "band": band,
+                        "class": node.orientation_of(band).value,
+                        "column_norm": norms[band],
+                        "remainder": state.remainder(band),
+                    }
+                )
+            if node.is_non_classical:
+                status = modp.check_claim_invariant(state)
+                if isinstance(status, modp.ClaimViolation):
+                    violation = depth
+    except SplitUndefined:
+        pass  # the trace ends where the expansion halts
     header = f"{'depth':>5} {'band':>6} {'class':>16} {'|Q(a)|':>12} {'r':>4}"
     sys.stdout.write(header + "\n")
     for row in rows:

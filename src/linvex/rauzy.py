@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Generator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     EndpointHit,
@@ -342,51 +342,57 @@ def split(x: Exchange) -> tuple[Exchange, SplitStep]:
     return Exchange(induced, {a: Fraction(v, denom) for a, v in widths.items()}), step
 
 
-def _walk(x: Exchange) -> Generator[tuple, int | None, None]:
-    """The expansion of ``x`` as (node, widths, step), one item per step.
+def _walk(x: Exchange, n: int) -> Iterator[tuple]:
+    """The stages of ``x``'s expansion at depths 0 .. n as (node, widths,
+    norms, step), with ``step`` None at depth 0; ``n`` must be a
+    nonnegative int (not a bool), else InvalidInput.
 
-    Widths are numerators on the grid of ``x``'s common denominator.  Each
-    request after the first (``next``) sends the steps still needed, this
-    one included; no run (see ``_run``) is longer, each is audited before
-    its steps are yielded, and an undefined split raises at its own step.
-    The first step goes through the public ``split`` because the bench's
-    tracer sees expansions only through its ``rauzy.split`` span, and
-    ``bench/test_bench.py`` checks that span is hit.
+    Widths are numerators on the grid of ``x``'s common denominator.
+    Norms are the cocycle's column norms, the bands' return times: a step
+    adds the winner's norm to the loser's.  Every stage has fresh dicts,
+    so a consumer may keep them.  No run (see ``_run``) goes past depth n,
+    each is audited before its steps are yielded, and an undefined split
+    raises at its own step.  The first step goes through the public
+    ``split`` because the bench's tracer sees expansions only through its
+    ``rauzy.split`` span, and ``bench/test_bench.py`` checks that span is hit.
     """
+    if type(n) is not int or n < 0:
+        raise InvalidInput(f"expansion depth must be a nonnegative int, got {n!r}")
     denom = x._flat[0]
-    induced, step = split(x)
-    node, widths = induced.perm, to_grid(induced.widths, denom)
-    flat = _grid_layout(node, widths)
-    need = yield node, widths, step
-    while True:
-        # a run's chase takes one round more than the losses of one loser
-        run, flat = _run(node, widths, flat, min(need or 1, DEFAULT_RETURN_BUDGET - 1))
+    node, widths = x.perm, to_grid(x.widths, denom)
+    norms = dict.fromkeys(node.alphabet, 1)
+    yield node, widths, norms, None
+    if n:
+        induced, step = split(x)
+        node, widths = induced.perm, to_grid(induced.widths, denom)
+        run, flat = [(node, widths, step)], _grid_layout(node, widths)
+    while n:
         for node, widths, step in run:
-            need = yield node, widths, step
+            norms = dict(norms)
+            norms[step.loser] += norms[step.winner]
+            yield node, widths, norms, step
+        n -= len(run)
+        if n:
+            # a run's chase takes one round more than the losses of one loser
+            run, flat = _run(node, widths, flat, min(n, DEFAULT_RETURN_BUDGET - 1))
 
 
 def expand(x: Exchange, n: int) -> Stage:
-    """Iterate the split n times, accumulating nodes, steps and the matrix.
+    """The first n steps of ``_walk`` as a stage: nodes, steps and matrix.
 
-    ``_walk`` computes and audits winner runs, none past depth n; the
-    stage holds one node, step and matrix factor per Rauzy step.  An
-    undefined split ends the stage early; the cause is attached rather
+    An undefined split ends the stage early; the cause is attached rather
     than raised because halting is data for rational widths.
     """
-    if n < 0:
-        raise InvalidInput("expansion depth must be nonnegative")
     labels = sorted(x.perm.alphabet)
     stage = Stage(nodes=[x.perm], steps=[], matrix=Matrix.identity(labels))
-    walk = _walk(x)
-    for left in range(n, 0, -1):
-        try:
-            node, _, step = walk.send(None if left == n else left)
-        except SplitUndefined as err:
-            stage.halted = err
-            break
-        stage.steps.append(step)
-        stage.nodes.append(node)
-        stage.matrix.add_column(step.winner, step.loser)
+    try:
+        for depth, (node, _, _, step) in enumerate(_walk(x, n)):
+            if depth:
+                stage.steps.append(step)
+                stage.nodes.append(node)
+                stage.matrix.add_column(step.winner, step.loser)
+    except SplitUndefined as err:
+        stage.halted = err
     return stage
 
 

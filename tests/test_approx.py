@@ -21,6 +21,7 @@ from linvex.errors import (
     InconsistentStage,
     InvalidInput,
     PartitionBlowup,
+    SplitUndefined,
 )
 from linvex.exchange import Exchange, Point, Side, build
 from linvex.rationals import canonical_json_bytes, to_grid
@@ -35,7 +36,7 @@ from conftest import (
     sample_exchange,
     tower_fleet,
 )
-from test_rauzy import _insert_one_slot_off
+from test_rauzy import _insert_one_slot_off, _oracle_chain
 
 ROTATION = genperm.validate(["A", "B"], ["B", "A"])
 
@@ -122,6 +123,14 @@ def test_find_tower_rejects_bad_delta():
     x = rotation(3, 1, 7)
     with pytest.raises(InvalidInput):
         approx.find_cyclic_tower(x, F(3, 2))
+
+
+@pytest.mark.parametrize("budget", [2.5, 6.0, F(6), True, "6", None, -1])
+def test_find_tower_rejects_a_budget_that_is_not_a_nonnegative_int(budget):
+    # 2.5 used to run and report "within 2.5 splits"
+    x = rotation(34, 21, 144)
+    with pytest.raises(InvalidInput, match="budget must be a nonnegative int"):
+        approx.find_cyclic_tower(x, F(1, 4), budget=budget)
 
 
 def test_find_tower_budget_exhaustion():
@@ -920,7 +929,7 @@ def test_verify_tower_raises_on_a_faulty_walk(monkeypatch, searched_towers):
         with pytest.raises(InconsistentStage, match="disagrees with the return chase"):
             approx.verify_tower(x, tower)
 
-    def broken_walk(x):
+    def broken_walk(x, n):
         raise InconsistentStage("injected")
         yield
 
@@ -933,7 +942,7 @@ def test_verify_tower_raises_on_a_faulty_walk(monkeypatch, searched_towers):
 def test_each_search_walks_its_expansion_once(monkeypatch):
     walks = []
     walk = rauzy._walk
-    monkeypatch.setattr(rauzy, "_walk", lambda x: walks.append(x) or walk(x))
+    monkeypatch.setattr(rauzy, "_walk", lambda x, n: walks.append(x) or walk(x, n))
     runs, tall = 0, 0
     for x, tower in _tower_searches():
         # the ladder path of a tall certificate used to walk a second time
@@ -950,7 +959,7 @@ def test_ladder_on_the_search_sides_decides_like_the_reference(monkeypatch, sear
 
     def recording_verify(x, tower, step_budget, stage):
         node, widths, norms = stage
-        # the search goes on adding to its norms after this call
+        # copies, so the checks below do not rest on the walk's fresh dicts
         given.append((node, dict(widths), dict(norms)))
         return verify(x, tower, step_budget, stage)
 
@@ -978,6 +987,34 @@ def test_ladder_on_the_search_sides_decides_like_the_reference(monkeypatch, sear
         assert approx.verify_tower(x, deeper) == want
 
 
+def test_search_verifications_replay_only_where_the_ladder_gives_up(monkeypatch):
+    # a search holds the stage of every certificate it verifies, short ones
+    # included, so only a certificate the ladder cannot decide replays
+    calls, replays = [], []
+    verify, compose = approx._verify, approx._compose
+
+    def recording_verify(x, tower, step_budget, stage):
+        before = len(replays)
+        report = verify(x, tower, step_budget, stage)
+        node, widths, norms = stage
+        calls.append((x, tower, (node, dict(widths), dict(norms)), len(replays) > before))
+        return report
+
+    with monkeypatch.context() as patch:
+        # every replay composes its last level; the ladder composes nothing
+        patch.setattr(approx, "_compose", lambda *args: replays.append(1) or compose(*args))
+        patch.setattr(approx, "_verify", recording_verify)
+        for _ in _tower_searches():
+            pass
+    decided = {"short": 0, "tall": 0}
+    for x, tower, stage, replayed in calls:
+        base = approx._flat_base(tower, *x._flat[:2])
+        if approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, stage) is not None:
+            assert not replayed, (x, tower)
+            decided["tall" if _on_ladder_path(tower) else "short"] += 1
+    assert decided["short"] >= 80 and decided["tall"] >= 10, decided
+
+
 def _walked_stages(x: Exchange, depth: int):
     """(node, widths, norms) of x's expansion at depths 0 .. depth, rebuilt
     from ``rauzy.expand``'s steps: widths by back-substitution and norms
@@ -990,6 +1027,31 @@ def _walked_stages(x: Exchange, depth: int):
         widths[step.winner] -= widths[step.loser]
         matrix = matrix.mul(step.matrix)
         yield node, dict(widths), matrix.column_norms()
+
+
+WALK_NODES = [perm for d in range(1, 6) for perm in genperm.enumerate_permutations(d)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(perm=st.sampled_from(WALK_NODES), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_walk_yields_the_back_substituted_stages_and_halts_like_the_oracle(perm, seed):
+    rng = random.Random(seed)
+    widths = random_grid_widths(perm, rng)
+    denom = rng.randrange(1, 50)
+    x = build(perm, {a: F(v, denom) for a, v in widths.items()})
+    kept, halted = [], None
+    try:
+        for stage in rauzy._walk(x, 200):
+            kept.append(stage)
+    except SplitUndefined as err:
+        halted = type(err)
+    nodes, steps, oracle_halted, _ = _oracle_chain(x, 200)
+    assert (len(kept) - 1, halted) == (len(steps), oracle_halted)
+    assert [node for node, _, _, _ in kept] == nodes
+    assert kept[0][3] is None
+    assert [(s.kind, s.winner, s.loser) for _, _, _, s in kept[1:]] == steps
+    # compared after the whole walk: a later step mutated no kept stage
+    assert [stage[:3] for stage in kept] == list(_walked_stages(x, len(steps)))
 
 
 def test_ladder_on_every_walked_stage_decides_like_the_reference_or_gives_up(searched_towers):

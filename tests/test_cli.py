@@ -371,6 +371,23 @@ def test_scan_rejects_negative_horizon_and_count(rotation_files, capsys, flag, w
     assert captured.err.startswith("error: ") and f"{word} must be nonnegative" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["tower", "--delta", "1/4", "--budget", "-1"], "budget"),
+        (["expand", "--steps", "-1"], "expansion depth"),
+        (["modp-trace", "--p", "3", "--steps", "-1"], "expansion depth"),
+    ],
+    ids=["tower-budget", "expand-steps", "modp-trace-steps"],
+)
+def test_negative_budget_or_depth_is_a_domain_error(nonclassical_files, capsys, argv, word):
+    perm, widths = nonclassical_files
+    assert cli.main([argv[0], "--perm", perm, "--widths", widths, *argv[1:]]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {word} must be a nonnegative int, got -1\n"
+
+
 _TOWER = {
     "band": "A",
     "depth": 0,

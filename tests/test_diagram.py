@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from conftest import (
     perm_pool,
     reference_direction_witness,
     reference_node_edges,
+    sample_exchange,
 )
 
 
@@ -315,3 +317,33 @@ def test_witness_check_does_not_rely_on_assert():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "caught 1\n"
+
+
+def _json_digests() -> list[str]:
+    """SHA-256 of the canonical JSON of a depth-30 expansion and of the
+    forward closure of every non-classical start with d <= 4."""
+    digests = []
+    for d in range(1, 5):
+        for perm in genperm.enumerate_permutations(d, non_classical_only=True):
+            stage = rauzy.expand(sample_exchange(perm, seed=d), 30)
+            for payload in (stage.to_json_dict(), diagram.forward_closure(perm).to_json_dict()):
+                digests.append(hashlib.sha256(canonical_json_bytes(payload)).hexdigest())
+    return digests
+
+
+def test_json_bytes_do_not_depend_on_the_hash_seed():
+    # closures and stages are built from sets and dicts keyed by strings and
+    # permutations, whose order follows the hash seed; their JSON must not
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    with subprocess.Popen(
+        [sys.executable, "-c", "from test_diagram import _json_digests; print(*_json_digests())"],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as other:
+        digests = _json_digests()  # meanwhile, under this process's seed
+        out, err = other.communicate(timeout=300)
+    assert other.returncode == 0, err
+    assert len(digests) == 2 * 217
+    assert out.split() == digests

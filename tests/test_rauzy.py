@@ -18,6 +18,7 @@ from linvex.errors import (
     BudgetExceeded,
     ExpansionHalted,
     InconsistentStage,
+    InvalidInput,
     SplitUndefined,
     SplitUndefinedSameBand,
     SplitUndefinedTie,
@@ -114,6 +115,14 @@ def test_expand_depth_zero_is_identity():
     stage = rauzy.expand(x, 0)
     assert stage.matrix == Matrix.identity(("A", "B"))
     assert rauzy.widths_at(stage, x) == x.widths
+
+
+@pytest.mark.parametrize("depth", [2.5, 2.0, F(2), True, "2", None, -1])
+def test_expand_rejects_a_depth_that_is_not_a_nonnegative_int(depth):
+    # True used to expand one step and 2.5 to raise a raw TypeError
+    x = build(ROTATION, {"A": F(3, 7), "B": F(1, 7)})
+    with pytest.raises(InvalidInput, match="expansion depth must be a nonnegative int"):
+        rauzy.expand(x, depth)
 
 
 def test_figure_step_widths_at():
