@@ -45,6 +45,7 @@ over 4 D^2, converted to a Fraction once.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -527,7 +528,7 @@ def find_cyclic_tower(
         for depth, (node, widths, norms, _) in enumerate(rauzy._walk(x, budget)):
             for band in node.preserving_bands():
                 height = norms[band]
-                if height_coprime_to is not None and height % height_coprime_to == 0:
+                if height_coprime_to is not None and math.gcd(height, height_coprime_to) != 1:
                     continue
                 width = widths[band]
                 # The covered fraction 2 * height * width / total measure of x.
@@ -636,19 +637,27 @@ def _defect_numerator(pieces: list[tuple[int, int, int, int]], length: int) -> i
     return total + 4 * length * crossing
 
 
+def _check_iterate(n: int) -> None:
+    if type(n) is not int or n < 1:
+        raise InvalidInput(f"rigidity iterate must be a positive int, got {n!r}")
+
+
 def rigidity_defect(
     x: Exchange, n: int, max_pieces: int = DEFAULT_PIECE_BUDGET
 ) -> Fraction:
-    """Exact integral of the displacement of the n-th iterate."""
-    if n < 1:
-        raise InvalidInput("rigidity defect needs n >= 1")
+    """Exact integral of the displacement of the n-th iterate; ``n`` must
+    be a positive int (not a bool), else InvalidInput."""
+    _check_iterate(n)
     return next(_rigidity_defects(x, [n], max_pieces))
 
 
 def rigidity_profile(
     x: Exchange, n_max: int, max_pieces: int = DEFAULT_PIECE_BUDGET
 ) -> list[Fraction]:
-    """Defects of all iterates 1 .. n_max, sharing the composed partition."""
+    """Defects of all iterates 1 .. n_max, sharing the composed partition;
+    ``n_max`` must be a nonnegative int (not a bool), else InvalidInput."""
+    if type(n_max) is not int or n_max < 0:
+        raise InvalidInput(f"rigidity n_max must be a nonnegative int, got {n_max!r}")
     return list(_rigidity_defects(x, range(1, n_max + 1), max_pieces))
 
 
@@ -665,12 +674,13 @@ def find_rigidity_times(
     Tower heights come from a ladder of tower constants shrinking toward
     the requested defect bound; the ladder stops quietly at the first
     depth the search cannot reach, and drops the heights past
-    ``COMPOSE_BUDGET`` composed pieces; a candidate past it raises.
+    ``COMPOSE_BUDGET`` composed pieces; a candidate past it raises.  A
+    candidate that is not a positive int (bools included) is InvalidInput.
     """
     xi = Fraction(xi)
-    times = sorted(set(int(n) for n in candidates))
-    if any(n < 1 for n in times):
-        raise InvalidInput("candidates must be positive integers")
+    for n in candidates:
+        _check_iterate(n)
+    times = sorted(set(candidates))
     heights: set[int] = set()
     ladder_delta = Fraction(1, 4)
     floor = xi / (4 * x.total_measure)

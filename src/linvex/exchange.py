@@ -73,30 +73,26 @@ class OrbitSegment:
     hit_endpoint: int | None = None
 
 
-def validate_widths(
-    perm: GeneralizedPermutation, widths: Mapping[str, Fraction]
-) -> dict[str, Fraction]:
-    """Check positivity and the switch condition; returns a sorted copy."""
-    if set(widths) != set(perm.alphabet):
-        raise InvalidInput(
-            f"width labels {sorted(widths)} do not match alphabet {list(perm.alphabet)}"
-        )
-    cleaned = {label: Fraction(widths[label]) for label in perm.alphabet}
-    _check_widths(perm, cleaned)
-    return cleaned
+def _exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction if it is an int (not a bool) or a Fraction,
+    else InvalidInput naming ``what``."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise InvalidInput(f"{what} must be an int or a Fraction, got {value!r}")
 
 
-def _check_widths(perm: GeneralizedPermutation, widths: Mapping[str, int | Fraction]) -> None:
-    """Check positivity and the switch condition, on ints or Fractions."""
+def _check_widths(perm: GeneralizedPermutation, widths: Mapping[str, int], denom: int = 1) -> None:
+    """Check positivity and the switch condition on the grid of step 1 / denom."""
     for label in perm.alphabet:
         if widths[label] <= 0:
-            raise NonPositiveWidth(f"width of band {label} is {widths[label]}")
+            raise NonPositiveWidth(f"width of band {label} is {Fraction(widths[label], denom)}")
     top_sum = sum(widths[a] for a in perm.reversing_top)
     bottom_sum = sum(widths[a] for a in perm.reversing_bottom)
     if top_sum != bottom_sum:
-        raise SwitchConditionViolated(
-            f"reversing totals differ: top {top_sum} vs bottom {bottom_sum}"
-        )
+        top, bottom = Fraction(top_sum, denom), Fraction(bottom_sum, denom)
+        raise SwitchConditionViolated(f"reversing totals differ: top {top} vs bottom {bottom}")
 
 
 class Exchange:
@@ -108,16 +104,23 @@ class Exchange:
     sides laid end to end.  Offset t of side s (0 top, 1 bottom) is the
     flat point s * L + t of [0, 2L).  Position p covers [bounds[p],
     bounds[p + 1]) and sends f to shifts[p] + slopes[p] * f; ``bounds``
-    ends with 2L.
+    ends with 2L.  The constructor converts the widths to the grid once
+    and checks them there.
     """
 
     __slots__ = ("perm", "widths", "side_length", "_flat")
 
-    def __init__(self, perm: GeneralizedPermutation, widths: Mapping[str, Fraction]):
+    def __init__(self, perm: GeneralizedPermutation, widths: Mapping[str, int | Fraction]):
+        if set(widths) != set(perm.alphabet):
+            raise InvalidInput(
+                f"width labels {sorted(widths)} do not match alphabet {list(perm.alphabet)}"
+            )
         self.perm = perm
-        self.widths = validate_widths(perm, widths)
+        self.widths = {a: _exact(widths[a], f"width of band {a}") for a in perm.alphabet}
         denom = common_denominator(self.widths.values())
-        self._flat = (denom, *_grid_layout(perm, to_grid(self.widths, denom)))
+        grid = to_grid(self.widths, denom)
+        _check_widths(perm, grid, denom)
+        self._flat = (denom, *_grid_layout(perm, grid))
         self.side_length = Fraction(self._flat[1], denom)
 
     @property
@@ -197,7 +200,7 @@ class Exchange:
         all bands get fresh canonical names.  A chase longer than
         ``DEFAULT_RETURN_BUDGET`` steps raises NotReturning.
         """
-        cut = Fraction(cut)
+        cut = _exact(cut, "cut")
         if not (0 < cut <= self.side_length):
             raise InvalidInput(f"cut {cut} outside (0, {self.side_length}]")
         denom = common_denominator([cut, *self.widths.values()])

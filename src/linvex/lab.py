@@ -208,8 +208,7 @@ def total_ergodicity_experiment(
     measures how evenly an orbit of the p-th power fills ``bins`` bins
     per side and passes when every relative deviation is below ``TOLERANCE``.
     """
-    if p < 2:
-        raise InvalidInput("p must be a prime, at least 2")
+    modp.check_prime(p)
     if bins < 1:
         raise InvalidInput(f"bins must be at least 1, got {bins}")
     seed = effective_seed(seed)

@@ -26,6 +26,39 @@ from .genperm import GeneralizedPermutation
 # Product states the coprime band search explores before giving up.
 STATE_BUDGET = 1_000_000
 
+# Miller-Rabin over these bases decides primality exactly below the limit,
+# the least strong pseudoprime to all of them.  Without 41 the limit would
+# be 318665857834031151167461, which passes every base up to 37.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def check_prime(p: int) -> None:
+    """Raise InvalidInput unless ``p`` is a prime int (not a bool).
+
+    Deterministic Miller-Rabin over ``_BASES``, exact and fast for every
+    p below ``_PRIME_LIMIT``; a larger p is rejected.
+    """
+    if type(p) is not int or p < 2:
+        raise InvalidInput(f"p must be a prime int, got {p!r}")
+    if p in _BASES:
+        return
+    if p >= _PRIME_LIMIT:
+        raise InvalidInput(f"p must be below {_PRIME_LIMIT}, got {p}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        y = pow(a, d, p)
+        if y == 1 or y == p - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % p
+            if y == p - 1:
+                break
+        else:
+            raise InvalidInput(f"p must be a prime int, got {p!r}")
+
 
 @dataclass(frozen=True)
 class RemainderState:
@@ -96,15 +129,13 @@ def _state(prime: int, node: GeneralizedPermutation, values: Mapping[str, int]) 
 
 
 def initial_state(perm: GeneralizedPermutation, prime: int) -> RemainderState:
-    if prime < 2:
-        raise InvalidInput("prime must be at least 2")
+    check_prime(prime)
     return _state(prime, perm, {band: 1 for band in perm.alphabet})
 
 
 def remainder_state(stage: rauzy.Stage, prime: int) -> RemainderState:
     """Exact column norms of the stage matrix, reduced mod p."""
-    if prime < 2:
-        raise InvalidInput("prime must be at least 2")
+    check_prime(prime)
     norms = stage.matrix.column_norms()
     return _state(prime, stage.end, norms)
 
@@ -226,8 +257,7 @@ def find_coprime_tower(
     every tower height is even.  That outcome is reported as data, not
     raised, to keep it distinct from budget exhaustion.
     """
-    if prime < 2:
-        raise InvalidInput("prime must be at least 2")
+    check_prime(prime)
     if prime == 2 and x.perm.is_all_reversing:
         return StructuralObstruction(
             reason="all bands reverse orientation: preserving bands keep even "

@@ -15,7 +15,12 @@ from .errors import InvalidInput
 
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q" (or a bare integer string) into an exact Fraction."""
+    """Parse "p/q" (or a bare integer string) into an exact Fraction.
+
+    A JSON number loads from its decimal text; JSON true and false do not.
+    """
+    if isinstance(text, bool):
+        raise InvalidInput(f"{json.dumps(text)} is not a rational p/q")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):

@@ -10,8 +10,9 @@ checked by one chase of the exchange module, against the map at its end
 and against its cocycle's columns as visit counts; a disagreement raises
 InconsistentStage.  A single step is a run of length one.
 
-Widths live on one integer grid: widths only ever subtract, so the common
-denominator of the starting widths never changes along an expansion, and
+Widths live on one integer grid: a step changes only the winner's width w,
+to w - l, and each prime's highest power among the denominators survives
+that, so the common denominator never changes along an expansion, and
 every step (insertion, chase, audit) runs on the integer numerators and
 the flat integer map, which each run hands to the next.  An
 ``Exchange`` is materialized only at the API boundary: the public
@@ -355,6 +356,8 @@ def _walk(x: Exchange, n: int) -> Iterator[tuple]:
     raises at its own step.  The first step goes through the public
     ``split`` because the bench's tracer sees expansions only through its
     ``rauzy.split`` span, and ``bench/test_bench.py`` checks that span is hit.
+    The next run starts from the flat map of the exchange ``split`` built,
+    on the same grid (see the module docstring).
     """
     if type(n) is not int or n < 0:
         raise InvalidInput(f"expansion depth must be a nonnegative int, got {n!r}")
@@ -365,7 +368,7 @@ def _walk(x: Exchange, n: int) -> Iterator[tuple]:
     if n:
         induced, step = split(x)
         node, widths = induced.perm, to_grid(induced.widths, denom)
-        run, flat = [(node, widths, step)], _grid_layout(node, widths)
+        run, flat = [(node, widths, step)], induced._flat[1:]
     while n:
         for node, widths, step in run:
             norms = dict(norms)

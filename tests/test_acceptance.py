@@ -172,6 +172,9 @@ def test_criterion_7_parity_pattern():
                 current, step = rauzy.split(current)
             except SplitUndefined:
                 break
+            # the grid never changes along an expansion: rauzy._walk
+            # reuses a split's flat map for the next run on this ground
+            assert current._flat[0] == x._flat[0], (perm, i)
             norms[step.loser] += norms[step.winner]
             node = current.perm
             for band in node.alphabet:
@@ -204,6 +207,7 @@ def test_criterion_8_claim_invariant():
                 current, step = rauzy.split(current)
             except SplitUndefined:
                 break
+            assert current._flat[0] == x._flat[0], (perm, i)
             node = current.perm
             for p in primes:
                 states[p] = modp.propagate(states[p], step.winner, step.loser, node)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
@@ -223,6 +224,31 @@ def test_find_rigidity_times_generous_threshold_flags_all():
     xi = x.side_length * x.total_measure  # above the defect bound
     records = approx.find_rigidity_times(x, xi, [1, 2, 3, 4])
     assert all(r.flagged for r in records)
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -1, "3"])
+def test_rigidity_rejects_an_iterate_that_is_not_a_positive_int(monkeypatch, n):
+    x = rotation(3, 1, 7)
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("composed before the iterate check")
+
+    monkeypatch.setattr(approx, "_compose", untouched)
+    message = re.escape(f"rigidity iterate must be a positive int, got {n!r}")
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        approx.rigidity_defect(x, n)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        approx.find_rigidity_times(x, F(1, 100), [1, n, 3])
+
+
+@pytest.mark.parametrize("n_max", [2.5, True, -1, "3"])
+def test_rigidity_profile_rejects_a_length_that_is_not_a_nonnegative_int(n_max):
+    with pytest.raises(InvalidInput, match="rigidity n_max must be a nonnegative int"):
+        approx.rigidity_profile(rotation(3, 1, 7), n_max)
+
+
+def test_rigidity_profile_of_length_zero_is_empty():
+    assert approx.rigidity_profile(rotation(3, 1, 7), 0) == []
 
 
 def _composed_totals(x, n_max):

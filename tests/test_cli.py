@@ -388,6 +388,25 @@ def test_negative_budget_or_depth_is_a_domain_error(nonclassical_files, capsys, 
     assert captured.err == f"error: {word} must be a nonnegative int, got -1\n"
 
 
+@pytest.mark.parametrize("p", ["4", "9"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coprime-tower", "--delta", "2/5", "--budget", "300"],
+        ["ergodicity", "--bins", "6", "--iters", "3000"],
+        ["modp-trace", "--steps", "20"],
+    ],
+    ids=["coprime-tower", "ergodicity", "modp-trace"],
+)
+def test_composite_p_is_a_domain_error(nonclassical_files, capsys, argv, p):
+    perm, widths = nonclassical_files
+    argv = [argv[0], "--perm", perm, "--widths", widths, "--p", p, *argv[1:]]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: p must be a prime int, got {p}\n"
+
+
 _TOWER = {
     "band": "A",
     "depth": 0,

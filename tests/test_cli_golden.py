@@ -4,7 +4,8 @@ Each case runs one subcommand through ``cli.main`` and compares its exit
 code and the SHA-256 of its stdout and of every file it writes with
 digests recorded once, so a refactor that changes any output byte fails
 here.  After a deliberate output change, re-record the table with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py``.  Rejected inputs pin
+their exit code and exact stderr in ``ERRORS``, written out by hand.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ INPUTS = {
     b'{"hi":"113938409/274877906944","lo":"0/1","side":"Top"},'
     b'{"hi":"263619849/549755813888","lo":"35743031/549755813888","side":"Bottom"}],'
     b'"delta":"1/4","depth":27,"height":2165,"xi":"35743031/263619849"}',
+    "zerow.json": b'{"A":"1/4","B":"0/1","C":"1/4"}',
+    "switchw.json": b'{"A":"1/4","B":"1/2","C":"1/3"}',
+    "missingw.json": b'{"A":"1/4","B":"1/2"}',
+    "boolw.json": b'{"A":true,"B":"1/2","C":true}',
 }
 
 CASES = {
@@ -69,6 +74,11 @@ CASES = {
     "scan": "scan --perm {in}/nc.json --count 2 --xi 1/8 --horizon 5 --denominator-bound 4000"
     " --seed 7 --out {out}/a.json",
 }
+# The mod-p commands at more primes.
+for _p in (5, 7, 11):
+    CASES[f"modp-trace-p{_p}"] = CASES["modp-trace"].replace("--p 3", f"--p {_p}")
+    CASES[f"coprime-tower-p{_p}"] = CASES["coprime-tower"].replace("--p 3", f"--p {_p}")
+    CASES[f"ergodicity-p{_p}"] = CASES["ergodicity"].replace("--p 2", f"--p {_p}")
 
 # Exit code, stdout SHA-256 and artifact SHA-256s of every case.
 GOLDEN: dict[str, tuple[int, str, dict[str, str]]] = {
@@ -80,6 +90,15 @@ GOLDEN: dict[str, tuple[int, str, dict[str, str]]] = {
     "coprime-tower": (0, "a5ef62383ead2aad6718ed438216294af0b206e8959eb68d955149713994f34e", {
         "a.json": "a26f87bb41e4fc3ff195957c8de84ca5ec16de70ed79340e835ddba32cad0220",
     }),
+    "coprime-tower-p11": (0, "a5ef62383ead2aad6718ed438216294af0b206e8959eb68d955149713994f34e", {
+        "a.json": "a26f87bb41e4fc3ff195957c8de84ca5ec16de70ed79340e835ddba32cad0220",
+    }),
+    "coprime-tower-p5": (0, "f67380771be8e2f187a26b2f437d671e1c9a9a56ea662ab69a9520292c309025", {
+        "a.json": "e2a78587b32de49120feb1bd688a1d5678e0e2773b6e4cc9c4c0aedeb6b5b647",
+    }),
+    "coprime-tower-p7": (0, "a5ef62383ead2aad6718ed438216294af0b206e8959eb68d955149713994f34e", {
+        "a.json": "a26f87bb41e4fc3ff195957c8de84ca5ec16de70ed79340e835ddba32cad0220",
+    }),
     "diagram": (0, "9c39f07ba4cdf4de77d798dfd95b9fba16ccc153096834ee0bb6dc92838d80c8", {
         "a.json": "15967e9f4e15496bfd62c5b135d0814d0fb07268148b7be4f7a6e88fba97f2cc",
     }),
@@ -87,11 +106,32 @@ GOLDEN: dict[str, tuple[int, str, dict[str, str]]] = {
         "a.csv": "87a3b8c208e50b043ad2aca31a8fddca552a3712bb36b8078fbffe6b4d1c1e41",
         "a.json": "7865448159fa99a5f4c6208b0f122bcb515eb90c141839e8ce6dc367a2889681",
     }),
+    "ergodicity-p11": (0, "acd8deb0110b996da95b45de2274ebc711d1fccbdc4397b10ffb1909e9a9ddbb", {
+        "a.csv": "055f905de5f93828586d6b1b2ec8db4d021c28b21aad412c9d546cc5820a13b6",
+        "a.json": "b09dfebb692d87529c0ff1474c43c0a594a7ee043f044f52c114361c340341eb",
+    }),
+    "ergodicity-p5": (0, "af19be9ea3ae1f608eb309e12fb2f17e975f1094172d5fe88e5a0c9fc267eaf4", {
+        "a.csv": "b03b80f07a756cee1e50ea5472dc3f51824b1412cfc204fc5848135a4c5f8c48",
+        "a.json": "2927d44899bb0721593e6e3842730c86986795fddab23c44b9dce90c09b2df18",
+    }),
+    "ergodicity-p7": (0, "0c607500aecac3ff4400c9e549a2bdb848c9804fcbc961ccd4b197725f27b284", {
+        "a.csv": "50f07ba9023fcd885f97e247613cd681b281aa5cf3079c7575d2bfc173ae7bad",
+        "a.json": "fef3548dccb90ccb8d8c0f763d3e016076a53c74ff5eb076ba27407c9e33a39d",
+    }),
     "expand": (0, "e806a5aaa67a8edf992d2fbafebc46af95a04bde78b0b635bb24b2ded75463e2", {
         "a.json": "9198f75d8f90f6662d8de19c26a579f336fa67bda5a94cab90c88ef762131470",
     }),
     "modp-trace": (0, "d616ce7f4d75ddbe8c54de86ef725848cb8f47a1e88f5237fcc52e41439b87ba", {
         "a.json": "5cf271e1b5cbbd75a05c6c91f5f6325c7aba14b7dd0dbeda1cea6d1fc01f996b",
+    }),
+    "modp-trace-p11": (0, "9afecf4849b4b76888db1388854703a99738f292754c51c8aa0f06440bcee62d", {
+        "a.json": "ab3ca6aabb5234c6172ace6569055818a9b6e4f1d1ba0653d78a2f693c6c4966",
+    }),
+    "modp-trace-p5": (0, "c30c223222826cfd8922f9a9cad31d3c0e79bd7d528347c52f376ebd9401baa6", {
+        "a.json": "a54ca786b8e37cbc3f9f4835c3c68723cc34ef644e1a52a153ad6668d6340bc1",
+    }),
+    "modp-trace-p7": (0, "9aba1984f20394c6730448b8ed3cc76e1ea2004c043bd802ef45190a24f2c9d2", {
+        "a.json": "1efce0df08281ba8e4742feee2518a2060f90261d72715d4c3d89f2e55cc62a5",
     }),
     "orbit": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
         "a.jsonl": "8311f4db60b465ac42394792f91dbb0067ef0f7e7162f66775211cf30d884545",
@@ -131,30 +171,69 @@ GOLDEN: dict[str, tuple[int, str, dict[str, str]]] = {
 }
 
 
+# Rejected inputs: the case, then its exit code and its exact stderr.
+# Nothing is written to stdout or --out.
+ERRORS: dict[str, tuple[str, int, str]] = {
+    "split-zero-width": (
+        "split --perm {in}/nc.json --widths {in}/zerow.json --out {out}/a.json",
+        1,
+        "error: width of band B is 0\n",
+    ),
+    "split-switch": (
+        "split --perm {in}/nc.json --widths {in}/switchw.json --out {out}/a.json",
+        1,
+        "error: reversing totals differ: top 1/4 vs bottom 1/3\n",
+    ),
+    "split-missing-label": (
+        "split --perm {in}/nc.json --widths {in}/missingw.json --out {out}/a.json",
+        1,
+        "error: width labels ['A', 'B'] do not match alphabet ['A', 'B', 'C']\n",
+    ),
+    "split-bool-width": (
+        "split --perm {in}/nc.json --widths {in}/boolw.json --out {out}/a.json",
+        1,
+        "error: true is not a rational p/q\n",
+    ),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(name: str, root: Path) -> tuple[int, str, dict[str, str]]:
-    """Exit code, stdout digest and artifact digests of one case."""
+def _run(case: str, root: Path) -> tuple[int, str, str, dict[str, str]]:
+    """Exit code, stdout, stderr and artifact digests of one command line."""
     src, out = root / "in", root / "out"
     src.mkdir()
     out.mkdir()
     for file, data in INPUTS.items():
         (src / file).write_bytes(data)
-    argv = CASES[name].replace("{x}", _X).replace("{tall}", _TALL).replace("{in}", str(src))
+    argv = case.replace("{x}", _X).replace("{tall}", _TALL).replace("{in}", str(src))
     argv = argv.replace("{out}", str(out)).split()
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     artifacts = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
-    return code, _sha(stdout.getvalue().encode()), artifacts
+    return code, stdout.getvalue(), stderr.getvalue(), artifacts
+
+
+def run_case(name: str, root: Path) -> tuple[int, str, dict[str, str]]:
+    """Exit code, stdout digest and artifact digests of one case."""
+    code, stdout, _, artifacts = _run(CASES[name], root)
+    return code, _sha(stdout.encode()), artifacts
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_subcommand_output_is_pinned(name, tmp_path, monkeypatch):
     monkeypatch.delenv("LINVEX_SEED", raising=False)
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_rejected_input_is_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("LINVEX_SEED", raising=False)
+    case, code, stderr = ERRORS[name]
+    assert _run(case, tmp_path) == (code, "", stderr, {})
 
 
 def test_every_subcommand_has_a_case():

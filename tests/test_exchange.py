@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from linvex.errors import (
 )
 from linvex.exchange import (
     DEFAULT_RETURN_BUDGET,
+    Exchange,
     OrbitSegment,
     Point,
     Side,
@@ -29,9 +31,11 @@ from linvex.exchange import (
     build,
     first_return_on_grid,
 )
+from linvex.rationals import common_denominator, to_grid
 
 from conftest import (
     FractionLayout,
+    _reference_validate_widths,
     random_fleet,
     random_grid_widths,
     reference_first_return_on_grid,
@@ -62,6 +66,20 @@ def test_build_rejects_switch_violation():
 def test_build_rejects_nonpositive_width():
     with pytest.raises(NonPositiveWidth):
         build(ROTATION, {"A": F(3, 7), "B": F(0)})
+
+
+def test_build_takes_int_widths_as_fractions():
+    assert build(ROTATION, {"A": 3, "B": 1}) == build(ROTATION, {"A": F(3), "B": F(1)})
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, "1/4", None])
+def test_widths_and_cuts_must_be_ints_or_fractions(bad):
+    message = re.escape(f"width of band A must be an int or a Fraction, got {bad!r}")
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        build(NONCLASSICAL, {"A": bad, "B": F(3, 10), "C": F(1, 10)})
+    message = re.escape(f"cut must be an int or a Fraction, got {bad!r}")
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        rotation_37().first_return_map(bad)
 
 
 def test_apply_rotation_step():
@@ -252,6 +270,50 @@ def test_first_return_matches_pointwise_iteration():
 # --- the flat integer map against the Fraction layout -----------------------
 
 NODES = [perm for d in range(1, 5) for perm in genperm.enumerate_permutations(d)]
+
+
+def _corrupted(perm, widths, denom, rng):
+    """The widths and copies with a zero, a negative, unequal reversing
+    totals, a missing label and an extra label."""
+    label = rng.choice(perm.alphabet)
+    yield widths
+    yield {**widths, label: 0}
+    yield {**widths, label: -widths[label]}
+    reversing = perm.reversing_top_bands() + perm.reversing_bottom_bands()
+    if reversing:
+        band = rng.choice(reversing)
+        yield {**widths, band: widths[band] + F(1, denom)}
+    yield {a: v for a, v in widths.items() if a != label}
+    yield {**widths, "Z": F(1, denom)}
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_constructor_checks_widths_as_the_fraction_reference_does(seed):
+    # either the reference's error, class and message, or the widths in
+    # alphabet order and the flat map laid out on their common grid
+    rng = random.Random(seed)
+    seen = {"built": 0, "rejected": 0}
+    for perm in NODES:
+        denom = rng.randrange(1, 50)
+        widths = {a: F(v, denom) for a, v in random_grid_widths(perm, rng).items()}
+        if denom == 1:
+            widths = {a: int(v) for a, v in widths.items()}
+        for case in _corrupted(perm, widths, denom, rng):
+            try:
+                cleaned = _reference_validate_widths(perm, case)
+            except InvalidInput as err:
+                with pytest.raises(InvalidInput) as mine:
+                    Exchange(perm, case)
+                assert (type(mine.value), str(mine.value)) == (type(err), str(err)), case
+                seen["rejected"] += 1
+                continue
+            x = Exchange(perm, case)
+            assert list(x.widths.items()) == list(cleaned.items())
+            grid = common_denominator(cleaned.values())
+            assert x._flat == (grid, *_grid_layout(perm, to_grid(cleaned, grid)))
+            seen["built"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def _outcome(f, *args):

@@ -466,6 +466,17 @@ def test_zero_sizes_are_rejected_before_any_orbit(monkeypatch, size):
         lab.total_ergodicity_experiment(x, 2, bins=size, iters=0, seed=1)
 
 
+@pytest.mark.parametrize("p", [4, 9, True])
+def test_ergodicity_rejects_a_p_that_is_not_prime_before_any_search(monkeypatch, p):
+    def untouched(*args, **kwargs):
+        raise AssertionError("ran before the prime check")
+
+    monkeypatch.setattr(lab.modp, "find_coprime_tower", untouched)
+    monkeypatch.setattr(lab, "_occupancy_run", untouched)
+    with pytest.raises(InvalidInput, match=f"^p must be a prime int, got {p!r}$"):
+        lab.total_ergodicity_experiment(_nonclassical(), p, bins=4, iters=200, seed=1)
+
+
 def test_malformed_env_seed_is_invalid_input(monkeypatch):
     monkeypatch.setenv("LINVEX_SEED", "abc")
     with pytest.raises(InvalidInput, match="'abc'"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,56 @@ from conftest import (
     perm_pool,
     sample_exchange,
 )
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def _accepts(p) -> bool:
+    try:
+        modp.check_prime(p)
+    except InvalidInput:
+        return False
+    return True
+
+
+def test_check_prime_is_exact():
+    assert [n for n in range(-3, 20_000) if _accepts(n)] == [
+        n for n in range(-3, 20_000) if _is_prime(n)
+    ]
+    # the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9,
+    # 12 and 13 prime bases; the last is the exact range's limit
+    for n in (
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+        3317044064679887385961981,
+    ):
+        assert not _accepts(n), n
+    for p in (2**31 - 1, 2**61 - 1, 10**18 + 9):
+        assert _accepts(p), p
+    # past the exact range, a prime is rejected too
+    assert not _accepts(2**89 - 1)
+
+
+@pytest.mark.parametrize("bad", [4, 9, 1, True, 7.0, "7", F(7)])
+def test_modp_entry_points_reject_a_p_that_is_not_a_prime_int(bad):
+    perm = validate(["A", "A", "B"], ["B", "C", "C"])
+    x = sample_exchange(perm, seed=77)
+    message = "^" + re.escape(f"p must be a prime int, got {bad!r}") + "$"
+    with pytest.raises(InvalidInput, match=message):
+        modp.initial_state(perm, bad)
+    with pytest.raises(InvalidInput, match=message):
+        modp.remainder_state(rauzy.expand(x, 3), bad)
+    with pytest.raises(InvalidInput, match=message):
+        modp.find_coprime_tower(x, F(2, 5), bad)
 
 
 def test_initial_state_all_ones():
