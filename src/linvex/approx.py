@@ -57,7 +57,6 @@ from .errors import (
     ExpansionHalted,
     InconsistentStage,
     InvalidInput,
-    PartitionBlowup,
     SplitUndefined,
 )
 from .exchange import Exchange, Side, _compose, _grid_layout, _image
@@ -65,7 +64,6 @@ from .genperm import GeneralizedPermutation
 from .rationals import format_fraction
 
 DEFAULT_SPLIT_BUDGET = 10_000
-DEFAULT_PIECE_BUDGET = 10**6
 DEFAULT_VERIFY_BUDGET = 10**7
 # Pieces one rigidity composition may compose in all, over its iterates.
 COMPOSE_BUDGET = 2 * 10**6
@@ -584,15 +582,18 @@ def _grid_ends(
     return tuple(out)
 
 
-def _rigidity_defects(x: Exchange, ns: Sequence[int], max_pieces: int) -> Iterator[Fraction]:
+def _rigidity_defects(x: Exchange, ns: Sequence[int]) -> Iterator[Fraction]:
     """Exact defects of the iterates ``ns`` (increasing, all >= 1), lazily.
 
     One composition serves every requested iterate.  A piece of the n-th
     iterate is (lo, hi, slope, const) on the flat grid of ``x._flat``:
     the points [lo, hi) go to const + slope * f.  ``exchange._compose``
     takes the pieces of one iterate to the next.  A defect is one
-    integer over 4 D^2.  Past ``COMPOSE_BUDGET`` pieces in all, raises
-    BudgetExceeded.
+    integer over 4 D^2.  ``_compose`` only splits pieces, so each iterate
+    left costs at least the current pieces: after every composition, the
+    pieces composed so far plus that bound are checked against
+    ``COMPOSE_BUDGET``, and a target past it raises BudgetExceeded
+    without composing toward it.  At the target the bound is the total.
     """
     denom, length, bounds, slopes, shifts = x._flat
     pieces = [
@@ -604,12 +605,10 @@ def _rigidity_defects(x: Exchange, ns: Sequence[int], max_pieces: int) -> Iterat
     for target in ns:
         while n < target:
             pieces = _compose(pieces, bounds, slopes, shifts)
-            if len(pieces) > max_pieces:
-                raise PartitionBlowup(f"iterated partition exceeded {max_pieces} pieces")
             composed += len(pieces)
-            if composed > COMPOSE_BUDGET:
-                raise BudgetExceeded(f"iterate {target} needs over {COMPOSE_BUDGET} pieces")
             n += 1
+            if composed + len(pieces) * (target - n) > COMPOSE_BUDGET:
+                raise BudgetExceeded(f"iterate {target} needs over {COMPOSE_BUDGET} pieces")
         yield Fraction(_defect_numerator(pieces, length), scale)
 
 
@@ -642,23 +641,19 @@ def _check_iterate(n: int) -> None:
         raise InvalidInput(f"rigidity iterate must be a positive int, got {n!r}")
 
 
-def rigidity_defect(
-    x: Exchange, n: int, max_pieces: int = DEFAULT_PIECE_BUDGET
-) -> Fraction:
+def rigidity_defect(x: Exchange, n: int) -> Fraction:
     """Exact integral of the displacement of the n-th iterate; ``n`` must
     be a positive int (not a bool), else InvalidInput."""
     _check_iterate(n)
-    return next(_rigidity_defects(x, [n], max_pieces))
+    return next(_rigidity_defects(x, [n]))
 
 
-def rigidity_profile(
-    x: Exchange, n_max: int, max_pieces: int = DEFAULT_PIECE_BUDGET
-) -> list[Fraction]:
+def rigidity_profile(x: Exchange, n_max: int) -> list[Fraction]:
     """Defects of all iterates 1 .. n_max, sharing the composed partition;
     ``n_max`` must be a nonnegative int (not a bool), else InvalidInput."""
     if type(n_max) is not int or n_max < 0:
         raise InvalidInput(f"rigidity n_max must be a nonnegative int, got {n_max!r}")
-    return list(_rigidity_defects(x, range(1, n_max + 1), max_pieces))
+    return list(_rigidity_defects(x, range(1, n_max + 1)))
 
 
 def find_rigidity_times(
@@ -667,15 +662,15 @@ def find_rigidity_times(
     candidates: Sequence[int],
     *,
     tower_budget: int = DEFAULT_SPLIT_BUDGET,
-    max_pieces: int = DEFAULT_PIECE_BUDGET,
 ) -> list[RigidityRecord]:
     """Grade candidate iterates and tower heights by exact defect.
 
     Tower heights come from a ladder of tower constants shrinking toward
     the requested defect bound; the ladder stops quietly at the first
     depth the search cannot reach, and drops the heights past
-    ``COMPOSE_BUDGET`` composed pieces; a candidate past it raises.  A
-    candidate that is not a positive int (bools included) is InvalidInput.
+    ``COMPOSE_BUDGET`` composed pieces without composing toward them; a
+    candidate past it raises.  A candidate that is not a positive int
+    (bools included) is InvalidInput.
     """
     xi = Fraction(xi)
     for n in candidates:
@@ -696,7 +691,7 @@ def find_rigidity_times(
     ns = sorted(set(times) | heights)
     records = []
     try:
-        for n, defect in zip(ns, _rigidity_defects(x, ns, max_pieces)):
+        for n, defect in zip(ns, _rigidity_defects(x, ns)):
             records.append(RigidityRecord(n=n, defect=defect, flagged=defect < xi))
     except BudgetExceeded:
         if ns[len(records)] <= max(times, default=0):

@@ -21,7 +21,6 @@ from .errors import (
     InvariantViolation,
     LinvexError,
     NotReturning,
-    PartitionBlowup,
     SplitUndefined,
 )
 from .exchange import Exchange, Point, Side
@@ -38,7 +37,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
-_BUDGET_ERRORS = (BudgetExceeded, ClosureBudgetExceeded, NotReturning, PartitionBlowup)
+_BUDGET_ERRORS = (BudgetExceeded, ClosureBudgetExceeded, NotReturning)
 
 
 def _load_json(path: str):

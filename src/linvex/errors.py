@@ -77,10 +77,6 @@ class ExpansionHalted(LinvexError):
         super().__init__(f"expansion halted at depth {depth}: {cause}")
 
 
-class PartitionBlowup(LinvexError):
-    """An iterated-map partition exceeded the configured piece bound."""
-
-
 class Unreachable(LinvexError):
     """No node satisfying the target predicate is reachable."""
 

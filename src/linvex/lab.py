@@ -30,8 +30,6 @@ from .errors import (
     ExpansionHalted,
     InvalidInput,
     InvariantViolation,
-    NotReturning,
-    PartitionBlowup,
 )
 from .exchange import Exchange
 from .genperm import GeneralizedPermutation
@@ -42,6 +40,8 @@ RESAMPLE_CAP = 100
 # Fixed experiment settings, recorded in the parameters of every report.
 TOWER_DELTA = Fraction(1, 4)
 TOLERANCE = 0.05
+# Deepest stage each tower search of a rigidity scan screens.
+SCAN_TOWER_BUDGET = 2_000
 
 
 def effective_seed(seed: int) -> int:
@@ -226,7 +226,7 @@ def total_ergodicity_experiment(
     tower_outcome: dict
     try:
         result = modp.find_coprime_tower(x, TOWER_DELTA, p, budget=tower_budget)
-    except (BudgetExceeded, ExpansionHalted, NotReturning) as err:
+    except (BudgetExceeded, ExpansionHalted) as err:
         tower_outcome = {"kind": type(err).__name__, "detail": str(err)}
     else:
         if isinstance(result, modp.StructuralObstruction):
@@ -345,7 +345,6 @@ def rigidity_scan(
     cfg: SamplerConfig,
     xi: Fraction,
     horizon: int,
-    tower_budget: int = 2_000,
 ) -> ExperimentReport:
     """Empirical density of dyadic windows holding a rigidity time.
 
@@ -372,8 +371,8 @@ def rigidity_scan(
     for index, widths in enumerate(sample_widths(cfg)):
         x = Exchange(cfg.perm, widths)
         try:
-            recs = approx.find_rigidity_times(x, xi, [], tower_budget=tower_budget)
-        except (BudgetExceeded, ExpansionHalted, NotReturning, PartitionBlowup) as err:
+            recs = approx.find_rigidity_times(x, xi, [], tower_budget=SCAN_TOWER_BUDGET)
+        except (BudgetExceeded, ExpansionHalted) as err:
             records.append({"sample": index, "error": type(err).__name__})
             continue
         flagged = [r.n for r in recs if r.flagged]

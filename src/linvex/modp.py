@@ -19,7 +19,7 @@ from typing import Mapping, Union
 
 from . import diagram, rauzy
 from .approx import CyclicTower, find_cyclic_tower
-from .errors import InvalidInput, Unreachable
+from .errors import InconsistentStage, InvalidInput, Unreachable
 from .exchange import Exchange
 from .genperm import GeneralizedPermutation
 
@@ -265,5 +265,5 @@ def find_coprime_tower(
         )
     tower = find_cyclic_tower(x, delta, budget=budget, height_coprime_to=prime)
     if math.gcd(tower.height, prime) != 1:
-        raise InvalidInput("tower search returned a non-coprime height")
+        raise InconsistentStage("tower search returned a non-coprime height")
     return tower

@@ -290,7 +290,12 @@ def _run(
     cut, new_bounds, new_slopes, new_shifts = end_flat
     length, bounds, slopes, shifts = flat
     dropped = length - cut
-    pieces = exchange._chase(flat, cut, DEFAULT_RETURN_BUDGET)
+    try:
+        pieces = exchange._chase(flat, cut, DEFAULT_RETURN_BUDGET)
+    except NotReturning:
+        # each piece returns after its column norm, at most 1 + len(run)
+        # rounds, so a chase past the budget disagrees with the run
+        pieces = []
     if len(pieces) != len(new_slopes):
         raise InconsistentStage(f"the step from {perm} disagrees with the return chase")
     pieces.sort()
@@ -433,14 +438,6 @@ _PROBE_FRACTIONS = (
 PROBE_BUDGET = 10**7
 
 
-def _reached(x: Exchange, n: int | Stage) -> Stage:
-    """The stage ``n`` of x, or x expanded to depth n; raises a halt."""
-    stage = n if isinstance(n, Stage) else expand(x, n)
-    if stage.halted is not None:
-        raise stage.halted
-    return stage
-
-
 def _probe_visits(x: Exchange, induced: Exchange, band: str) -> dict[str, int]:
     """Original-band visits of one return orbit from the induced end of ``band``.
 
@@ -476,16 +473,13 @@ def visit_counts(x: Exchange, n: int | Stage) -> Matrix:
     holding the stage does not expand twice).  Column ``a`` holds the
     visits of the return orbit of a probe inside band a's end at depth n.
     """
-    induced = induced_exchange(_reached(x, n), x)
+    stage = n if isinstance(n, Stage) else expand(x, n)
+    if stage.halted is not None:
+        raise stage.halted
+    induced = induced_exchange(stage, x)
     labels = sorted(x.perm.alphabet)
     columns = {band: _probe_visits(x, induced, band) for band in labels}
     return Matrix(labels, [[columns[band][row] for band in labels] for row in labels])
-
-
-def return_time(x: Exchange, n: int | Stage, band: str) -> int:
-    """First-return time of the depth-n end of ``band``, by direct orbit."""
-    induced = induced_exchange(_reached(x, n), x)
-    return sum(_probe_visits(x, induced, band).values())
 
 
 def _witness_grid(perm: GeneralizedPermutation, kind: SplitKind) -> dict[str, int] | None:

@@ -21,7 +21,6 @@ from linvex.errors import (
     ExpansionHalted,
     InconsistentStage,
     InvalidInput,
-    PartitionBlowup,
     SplitUndefined,
 )
 from linvex.exchange import Exchange, Point, Side, build
@@ -117,7 +116,8 @@ def test_golden_pair_tower_lands_on_fibonacci_height():
 def test_tower_height_matches_return_time():
     x = rotation(37, 9, 100)
     tower = approx.find_cyclic_tower(x, F(1, 4))
-    assert tower.height == rauzy.return_time(x, tower.depth, tower.band)
+    visits = rauzy.visit_counts(x, tower.depth)
+    assert tower.height == sum(visits.column(tower.band))
 
 
 def test_find_tower_rejects_bad_delta():
@@ -288,6 +288,74 @@ def test_rigidity_ladder_stops_quietly_before_the_compose_budget(monkeypatch):
         approx.find_rigidity_times(x, F(1, 100), [1, 2, 3])
 
 
+def test_one_composition_adds_at_most_the_interior_breakpoints():
+    # The flat map has 2d - 1 interior breakpoints and an iterate's images
+    # are disjoint, so one composition splits at most 2d - 1 pieces and
+    # merges none: the budget's bound on the iterates left is a lower one.
+    rng = random.Random(34)
+    for d in range(1, 5):
+        for perm in genperm.enumerate_permutations(d):
+            x = build(perm, {a: F(v) for a, v in random_grid_widths(perm, rng).items()})
+            _, _, bounds, slopes, shifts = x._flat
+            pieces = [(bounds[p], bounds[p + 1], slopes[p], shifts[p]) for p in range(2 * d)]
+            for _ in range(30):
+                grown = exchange._compose(pieces, bounds, slopes, shifts)
+                assert len(pieces) <= len(grown) <= len(pieces) + 2 * d - 1, x
+                pieces = grown
+
+
+def _running_total_defects(x, ns):
+    """``approx._rigidity_defects`` with the budget checked only on the
+    pieces composed so far, after each composition."""
+    denom, length, bounds, slopes, shifts = x._flat
+    pieces = [(bounds[p], bounds[p + 1], slopes[p], shifts[p]) for p in range(len(slopes))]
+    composed = 0
+    n = 1
+    for target in ns:
+        while n < target:
+            pieces = exchange._compose(pieces, bounds, slopes, shifts)
+            composed += len(pieces)
+            if composed > approx.COMPOSE_BUDGET:
+                raise BudgetExceeded(f"iterate {target} needs over {approx.COMPOSE_BUDGET} pieces")
+            n += 1
+        yield F(approx._defect_numerator(pieces, length), 4 * denom * denom)
+
+
+def _rigidity_outcomes(x):
+    """The three public rigidity calls' values, or their budget messages."""
+    calls = [
+        lambda: approx.rigidity_profile(x, 12),
+        lambda: approx.rigidity_defect(x, 7),
+        lambda: approx.rigidity_defect(x, 12),
+        lambda: approx.find_rigidity_times(x, F(1, 100), [1, 2, 3, 5], tower_budget=40),
+        lambda: approx.find_rigidity_times(x, F(1, 100), [], tower_budget=40),
+    ]
+    outcomes = []
+    for call in calls:
+        try:
+            outcomes.append(call())
+        except BudgetExceeded as err:
+            outcomes.append(str(err))
+    return outcomes
+
+
+def test_rigidity_budget_bound_equals_the_running_total_check(monkeypatch):
+    # Checking the lower bound for the iterates left raises for the same
+    # iterate, with the same message, as checking the total at the end.
+    raised = returned = 0
+    for x in [rotation(37, 9, 100), rotation(5, 3, 11), *random_fleet(seed=35, count=5)]:
+        totals = _composed_totals(x, 12)
+        for budget in sorted({0, 1, 3, 8, 20, 50, *totals, *(t - 1 for t in totals[1:])}):
+            monkeypatch.setattr(approx, "COMPOSE_BUDGET", budget)
+            got = _rigidity_outcomes(x)
+            monkeypatch.setattr(approx, "_rigidity_defects", _running_total_defects)
+            assert got == _rigidity_outcomes(x), (x, budget)
+            monkeypatch.undo()
+            raised += sum(isinstance(outcome, str) for outcome in got)
+            returned += sum(not isinstance(outcome, str) for outcome in got)
+    assert raised > 500 and returned > 300, (raised, returned)
+
+
 def test_find_rigidity_times_empty():
     x = rotation(34, 21, 144)
     assert approx.find_rigidity_times(x, F(1, 10**6), [], tower_budget=5) == []
@@ -351,7 +419,7 @@ def _one_step_pieces(ref):
     return pieces
 
 
-def _compose_with_map(pieces, ref, max_pieces):
+def _compose_with_map(pieces, ref):
     """The pieces of T o P: each image is split at the map's breakpoints."""
     out = []
     for side, lo, hi, oside, slope, const in pieces:
@@ -371,8 +439,6 @@ def _compose_with_map(pieces, ref, max_pieces):
                 s_lo, s_hi = const - seg_hi, const - cursor
             out.append((side, s_lo, s_hi, ref.apply_side[p], nslope, nconst))
             cursor = seg_hi
-        if len(out) > max_pieces:
-            raise PartitionBlowup(f"iterated partition exceeded {max_pieces} pieces")
     out.sort(key=lambda piece: (piece[0].value, piece[1]))
     return out
 
@@ -398,12 +464,12 @@ def _defect_of_pieces(pieces, side_length):
     return total
 
 
-def _reference_profile(x, n_max, max_pieces=approx.DEFAULT_PIECE_BUDGET):
+def _reference_profile(x, n_max):
     ref = FractionLayout(x.perm, x.widths)
     pieces = _one_step_pieces(ref)
     out = [_defect_of_pieces(pieces, x.side_length)]
     for _ in range(n_max - 1):
-        pieces = _compose_with_map(pieces, ref, max_pieces)
+        pieces = _compose_with_map(pieces, ref)
         out.append(_defect_of_pieces(pieces, x.side_length))
     return out
 
@@ -453,37 +519,11 @@ def test_defect_of_same_side_reversing_pieces():
     assert kinks["inside"] > 50 and kinks["outside"] > 50, kinks
 
 
-def test_rigidity_kernel_partition_blowup_at_the_same_composition():
-    checked = 0
-    for x in random_fleet(seed=32, count=6):
-        ref = FractionLayout(x.perm, x.widths)
-        pieces = _one_step_pieces(ref)
-        for n in range(2, 10):
-            grown = _compose_with_map(pieces, ref, approx.DEFAULT_PIECE_BUDGET)
-            if len(grown) > len(pieces):
-                break
-            pieces = grown
-        # the n-th iterate is the first whose composition grows past the cap
-        cap = len(pieces)
-        with pytest.raises(PartitionBlowup):
-            _reference_profile(x, n, max_pieces=cap)
-        with pytest.raises(PartitionBlowup, match=f"exceeded {cap} pieces"):
-            approx.rigidity_profile(x, n, max_pieces=cap)
-        with pytest.raises(PartitionBlowup):
-            approx.rigidity_defect(x, n, max_pieces=cap)
-        profile = approx.rigidity_profile(x, n - 1, max_pieces=cap)
-        assert profile == _reference_profile(x, n - 1, max_pieces=cap)
-        checked += 1
-    assert checked == 6
-
-
 def test_find_rigidity_times_equals_one_defect_per_time():
     x = rotation(37, 9, 100)
     records = approx.find_rigidity_times(x, F(1, 100), [1, 2, 3, 17])
     profile = _reference_profile(x, max(r.n for r in records))
     assert [r.defect for r in records] == [profile[r.n - 1] for r in records]
-    with pytest.raises(PartitionBlowup):
-        approx.find_rigidity_times(x, F(1, 100), [1, 40], max_pieces=3)
 
 
 # --- the flat-grid tower verifier against the Side-keyed level loop ----------

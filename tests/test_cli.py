@@ -6,10 +6,12 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from linvex import cli
+from linvex import approx, cli, modp, rauzy
+from linvex.errors import InconsistentStage
 from linvex.rationals import canonical_json_bytes
 
 
@@ -203,6 +205,39 @@ def test_coprime_tower_command(nonclassical_files, capsys):
         assert int(payload["height"]) % 3 != 0
 
 
+def test_a_non_coprime_tower_is_an_inconsistency(nonclassical_files, capsys, monkeypatch):
+    # A search that returns a height the prime divides is a fault of the
+    # library, not of its input: exit 4, not 1.
+    perm, widths = nonclassical_files
+    tower = approx.CyclicTower(
+        band="A", depth=0, height=6, base=(), delta=Fraction(2, 5), xi=Fraction(1, 2)
+    )
+    monkeypatch.setattr(modp, "find_cyclic_tower", lambda *args, **kwargs: tower)
+    x = cli._load_exchange(perm, widths)
+    with pytest.raises(InconsistentStage, match="non-coprime height"):
+        modp.find_coprime_tower(x, Fraction(2, 5), 3)
+    argv = ["coprime-tower", "--perm", perm, "--widths", widths, "--delta", "2/5", "--p", "3"]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    assert capsys.readouterr().out == ""
+
+
+def test_a_chase_that_does_not_return_is_an_inconsistency(
+    nonclassical_files, capsys, monkeypatch
+):
+    # Every piece of a run returns within the chase's budget, so a chase
+    # past it fails the run's audit instead of becoming an experiment row.
+    perm, widths = nonclassical_files
+    monkeypatch.setattr(rauzy, "DEFAULT_RETURN_BUDGET", 1)
+    with pytest.raises(InconsistentStage, match="disagrees with the return chase"):
+        rauzy.split(cli._load_exchange(perm, widths))
+    argv = [
+        "ergodicity", "--perm", perm, "--widths", widths,
+        "--p", "3", "--bins", "4", "--iters", "100",
+    ]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    assert capsys.readouterr().out == ""
+
+
 def test_ergodicity_and_product(nonclassical_files, rotation_files, tmp_path, capsys):
     nperm, nwid = nonclassical_files
     rperm, rwid = rotation_files
@@ -302,21 +337,37 @@ def test_unread_shared_flag_is_a_usage_error(nonclassical_files, tmp_path, capsy
     assert not (tmp_path / "f").exists()
 
 
-def test_rigidity_ladder_is_bounded_by_the_compose_budget(nonclassical_files, capsys):
+def test_rigidity_ladder_is_bounded_by_the_compose_budget(
+    nonclassical_files, capsys, monkeypatch
+):
     # The tower ladder reaches heights whose defects no budget composes;
-    # those heights are dropped instead of composing for minutes.
+    # those heights are dropped without composing toward them.
     perm, widths = nonclassical_files
+    argv = [
+        "rigidity", "--perm", perm, "--widths", widths,
+        "--xi", "1/4", "--candidates", "1,2,3,5,8", "--budget",
+    ]
+    composed = 0
+    compose = approx._compose
+
+    def counting(*args):
+        nonlocal composed
+        pieces = compose(*args)
+        composed += len(pieces)
+        return pieces
+
+    monkeypatch.setattr(approx, "_compose", counting)
     started = time.perf_counter()
-    code = cli.main(
-        [
-            "rigidity", "--perm", perm, "--widths", widths,
-            "--xi", "1/4", "--candidates", "1,2,3,5,8", "--budget", "50",
-        ]
-    )
+    code = cli.main([*argv, "50"])
     assert code == 0
     assert time.perf_counter() - started < 30
-    records = json.loads(capsys.readouterr().out)["records"]
+    out = capsys.readouterr().out
+    records = json.loads(out)["records"]
     assert {1, 2, 3, 5, 8} <= {r["n"] for r in records}
+    # the height past the budget is dropped within a few thousand pieces
+    assert composed < 10**4
+    assert cli.main([*argv, "20"]) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("candidates, bad", [("1.5", "1.5"), ("3,x", "x"), ("2, 4,,y ", "y")])

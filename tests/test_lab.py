@@ -148,15 +148,14 @@ def test_reports_round_trip_csv():
     assert len(lines) == 1 + len(report.records)
 
 
-def test_rigidity_scan_smoke():
+def test_rigidity_scan_smoke(monkeypatch):
+    monkeypatch.setattr(lab, "SCAN_TOWER_BUDGET", 400)
     cfg = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=4)
-    report = lab.rigidity_scan(cfg, F(1, 50), horizon=8, tower_budget=400)
+    report = lab.rigidity_scan(cfg, F(1, 50), horizon=8)
     assert report.experiment == "rigidity_scan"
     assert len(report.records) == 4
     assert "mean_density" in report.aggregates
-    assert report.to_json_bytes() == lab.rigidity_scan(
-        cfg, F(1, 50), horizon=8, tower_budget=400
-    ).to_json_bytes()
+    assert report.to_json_bytes() == lab.rigidity_scan(cfg, F(1, 50), horizon=8).to_json_bytes()
 
 
 # --- the integer orbit kernel against the lock-step loop ---------------------
@@ -407,8 +406,9 @@ def test_rigidity_scan_rejects_negative_horizon_and_count(monkeypatch):
     with pytest.raises(InvalidInput, match="sample count must be nonnegative, got -2"):
         lab.rigidity_scan(negative, F(1, 50), horizon=8)
     monkeypatch.undo()
+    monkeypatch.setattr(lab, "SCAN_TOWER_BUDGET", 400)
     # an empty horizon covers no window, and no samples make no records
-    report = lab.rigidity_scan(cfg, F(1, 50), horizon=0, tower_budget=400)
+    report = lab.rigidity_scan(cfg, F(1, 50), horizon=0)
     assert [r["density"] for r in report.records] == [0.0, 0.0]
     empty = replace(cfg, count=0)
     assert lab.rigidity_scan(empty, F(1, 50), horizon=8).records == []
@@ -421,19 +421,20 @@ def test_rigidity_scan_records_budget_but_raises_inconsistency(monkeypatch):
         raise BudgetExceeded("no time")
 
     monkeypatch.setattr(lab.approx, "find_rigidity_times", budget)
-    report = lab.rigidity_scan(cfg, F(1, 50), horizon=8, tower_budget=400)
+    report = lab.rigidity_scan(cfg, F(1, 50), horizon=8)
     assert report.records == [
         {"sample": 0, "error": "BudgetExceeded"},
         {"sample": 1, "error": "BudgetExceeded"},
     ]
     monkeypatch.undo()
+    monkeypatch.setattr(lab, "SCAN_TOWER_BUDGET", 400)
 
     def inconsistent(*args, **kwargs):
         raise InconsistentStage("a broken stage")
 
     monkeypatch.setattr(lab.approx, "find_cyclic_tower", inconsistent)
     with pytest.raises(InconsistentStage):
-        lab.rigidity_scan(cfg, F(1, 50), horizon=8, tower_budget=400)
+        lab.rigidity_scan(cfg, F(1, 50), horizon=8)
 
 
 def test_short_orbit_is_an_invariant_violation(monkeypatch):

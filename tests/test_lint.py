@@ -2,7 +2,8 @@
 
 No check in the library may rest on ``assert``, which ``python -O``
 strips, and no handler may catch every exception, which would turn a bug
-into a data row.
+into a data row.  Every error class is raised somewhere in the library,
+or is a base of one that is, so a deleted raise leaves no dead class.
 """
 
 from __future__ import annotations
@@ -63,3 +64,54 @@ except ValueError:
         "line 9: except Exception",
         "line 13: except BaseException",
     ]
+
+
+def _unraised_errors(errors: ast.AST, modules: list[ast.AST]) -> list[str]:
+    """Classes defined in ``errors`` that no ``raise`` in ``modules`` names,
+    directly or through a subclass."""
+    bases = {
+        node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+        for node in errors.body
+        if isinstance(node, ast.ClassDef)
+    }
+    stack = []
+    for tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                stack.append(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    live = set()
+    while stack:
+        name = stack.pop()
+        if name in bases and name not in live:
+            live.add(name)
+            stack.extend(bases[name])
+    return sorted(bases.keys() - live)
+
+
+def test_every_error_class_is_raised():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    errors = trees[[path.name for path in MODULES].index("errors.py")]
+    assert _unraised_errors(errors, trees) == []
+
+
+def test_the_error_rule_follows_bases_and_attributes():
+    errors = ast.parse(
+        """
+class Base(Exception): pass
+class Middle(Base): pass
+class Leaf(Middle, ValueError): pass
+class Named(Base): pass
+class Dead(Base): pass
+class DeadLeaf(Dead): pass
+"""
+    )
+    module = ast.parse(
+        """
+raise Leaf("x")
+raise errors.Named
+raise
+raise stage.halted
+"""
+    )
+    assert _unraised_errors(errors, [module]) == ["Dead", "DeadLeaf"]
