@@ -5,9 +5,22 @@ paths in the graph line up with matrix cocycle bookkeeping.  Each node
 has at most two outgoing edges, one per split direction.  A direction is
 present exactly when the witness solver finds positive integer widths
 satisfying the switch condition that make the direction's winner strictly
-wider.  The witness is checked and the edge target computed by running
-the audited split, all on integers; the witness becomes Fractions only on
-the ``Edge``, where it is stored for reproducibility.
+wider.  Every node builds and checks its own integer witness, which the
+``Edge`` keeps as ints; it becomes Fractions only in ``witness_widths``
+and the JSON.
+
+Inside one ``forward_closure`` most nodes are relabelings of a few
+shapes: a shape is ``(len(top), involution)``, the permutation up to
+renaming its labels.  The first node of each shape runs ``node_edges``,
+whose targets come from the audited one-step run of each witness.  Every
+later node of that shape takes its targets from ``rauzy._insert``
+alone.  The insertion rule reads positions only (the critical bands and
+the other end of the winner), never label names, so its step from a
+relabeled node is the audited step with the labels renamed; and the
+directions, which ``_witness_grid`` decides from the reversing classes
+and the critical positions, are the shape's.  A later node whose
+witnesses give other directions, or whose witness does not make its
+winner wider, raises InconsistentStage.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from typing import Callable, Mapping
 from . import rauzy
 from .errors import ClosureBudgetExceeded, InconsistentStage, Unreachable
 from .exchange import _check_widths
-from .genperm import GeneralizedPermutation, is_combinatorially_reducible
+from .genperm import GeneralizedPermutation, critical_bands, is_combinatorially_reducible
 from .rationals import format_fraction
 
 DEFAULT_NODE_BUDGET = 100_000
@@ -33,10 +46,10 @@ class Edge:
     winner: str
     loser: str
     target: GeneralizedPermutation
-    witness: tuple[tuple[str, Fraction], ...]
+    witness: tuple[tuple[str, int], ...]
 
     def witness_widths(self) -> dict[str, Fraction]:
-        return dict(self.witness)
+        return {label: Fraction(v) for label, v in self.witness}
 
     def to_json_dict(self, node_ids: Mapping[GeneralizedPermutation, int]) -> dict:
         return {
@@ -78,24 +91,35 @@ class RauzyGraph:
 
 
 def node_edges(perm: GeneralizedPermutation) -> tuple[Edge, ...]:
-    """Feasible out-edges of a node, in direction-tag order (bottom, top)."""
+    """Feasible out-edges of a node, in direction-tag order (bottom, top),
+    each target from the audited one-step run of its witness."""
+    return _edges(perm, audit=True)
+
+
+def _edges(perm: GeneralizedPermutation, audit: bool) -> tuple[Edge, ...]:
+    """The out-edges of ``perm``: each witness is built and checked here,
+    and each target comes from ``rauzy._step`` when ``audit`` is set, else
+    from ``rauzy._insert`` for a node whose shape was audited."""
+    alpha_top, alpha_bottom = critical_bands(perm)
     out = []
     for kind in (rauzy.SplitKind.BOTTOM_WINS, rauzy.SplitKind.TOP_WINS):
         witness = rauzy._witness_grid(perm, kind)
         if witness is None:
             continue
         _check_widths(perm, witness)
-        target, _, step = rauzy._step(perm, witness)
-        if step.kind is not kind:
+        top_wins = kind is rauzy.SplitKind.TOP_WINS
+        winner, loser = (alpha_top, alpha_bottom) if top_wins else (alpha_bottom, alpha_top)
+        if witness[winner] <= witness[loser]:
             raise InconsistentStage(f"the {kind.value} witness of {perm} split the other way")
+        target = rauzy._step(perm, witness)[0] if audit else rauzy._insert(perm, top_wins)
         out.append(
             Edge(
                 source=perm,
                 kind=kind,
-                winner=step.winner,
-                loser=step.loser,
+                winner=winner,
+                loser=loser,
                 target=target,
-                witness=tuple((a, Fraction(witness[a])) for a in sorted(witness)),
+                witness=tuple(sorted(witness.items())),
             )
         )
     return tuple(out)
@@ -104,14 +128,26 @@ def node_edges(perm: GeneralizedPermutation) -> tuple[Edge, ...]:
 def forward_closure(
     perm: GeneralizedPermutation, budget: int = DEFAULT_NODE_BUDGET
 ) -> RauzyGraph:
-    """Breadth-first closure under feasible splits, up to a node budget."""
+    """Breadth-first closure under feasible splits, up to a node budget.
+
+    Only the first node of each shape runs the audited ``node_edges``;
+    the others reuse its directions (see the module docstring).
+    """
     edges: dict[GeneralizedPermutation, tuple[Edge, ...]] = {}
     nodes: list[GeneralizedPermutation] = [perm]
     seen = {perm}
     queue = deque([perm])
+    directions: dict[tuple[int, tuple[int, ...]], tuple[rauzy.SplitKind, ...]] = {}
     while queue:
         node = queue.popleft()
-        outs = node_edges(node)
+        shape = (len(node.top), node.involution)
+        audited = directions.get(shape)
+        outs = node_edges(node) if audited is None else _edges(node, audit=False)
+        kinds = tuple(edge.kind for edge in outs)
+        if audited is None:
+            directions[shape] = kinds
+        elif kinds != audited:
+            raise InconsistentStage(f"{node} does not split the ways its shape does")
         edges[node] = outs
         for edge in outs:
             if edge.target in seen:

@@ -55,7 +55,13 @@ def widths_to_json(widths: Mapping[str, Fraction]) -> dict[str, str]:
 def widths_from_json(data: Mapping[str, str]) -> dict[str, Fraction]:
     if not isinstance(data, Mapping):
         raise InvalidInput("widths must be an object of band labels to p/q strings")
-    return {str(label): parse_fraction(value) for label, value in data.items()}
+    widths = {}
+    for label, value in data.items():
+        try:
+            widths[str(label)] = parse_fraction(value)
+        except InvalidInput as err:
+            raise InvalidInput(f"width of band {label}: {err}") from None
+    return widths
 
 
 def canonical_json_bytes(obj) -> bytes:

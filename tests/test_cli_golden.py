@@ -49,6 +49,7 @@ INPUTS = {
     "switchw.json": b'{"A":"1/4","B":"1/2","C":"1/3"}',
     "missingw.json": b'{"A":"1/4","B":"1/2"}',
     "boolw.json": b'{"A":true,"B":"1/2","C":true}',
+    "zerodenw.json": b'{"A":"1/4","B":"1/0","C":"1/4"}',
 }
 
 CASES = {
@@ -192,7 +193,12 @@ ERRORS: dict[str, tuple[str, int, str]] = {
     "split-bool-width": (
         "split --perm {in}/nc.json --widths {in}/boolw.json --out {out}/a.json",
         1,
-        "error: true is not a rational p/q\n",
+        "error: width of band A: true is not a rational p/q\n",
+    ),
+    "split-zero-denominator": (
+        "split --perm {in}/nc.json --widths {in}/zerodenw.json --out {out}/a.json",
+        1,
+        "error: width of band B: '1/0' is not a rational p/q\n",
     ),
 }
 

@@ -6,10 +6,13 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linvex import diagram, genperm, rauzy
 from linvex.errors import (
@@ -242,24 +245,60 @@ def test_witness_and_edges_equal_the_fraction_reference_on_every_small_node():
             if isinstance(got, tuple):
                 edges += len(got)
                 for edge in got:
-                    assert all(type(v) is Fraction for _, v in edge.witness)
+                    assert all(type(v) is int for _, v in edge.witness)
+                    assert all(type(v) is Fraction for v in edge.witness_widths().values())
     assert edges > 4000
 
 
-def test_closure_json_equals_the_fraction_reference(monkeypatch):
+def _reference_closure(perm, memo, budget=diagram.DEFAULT_NODE_BUDGET):
+    """``forward_closure``'s breadth-first search with ``reference_node_edges``
+    run on every labelled node (memoised in ``memo``), not once per shape."""
+    nodes, seen, queue = [perm], {perm}, deque([perm])
+    while queue:
+        node = queue.popleft()
+        if node not in memo:
+            memo[node] = reference_node_edges(node)
+        for edge in memo[node]:
+            if edge.target not in seen:
+                if len(nodes) >= budget:
+                    raise ClosureBudgetExceeded(str(perm))
+                seen.add(edge.target)
+                nodes.append(edge.target)
+                queue.append(edge.target)
+    return diagram.RauzyGraph(root=perm, nodes=nodes, edges={n: memo[n] for n in nodes})
+
+
+def _closure_bytes(closure, perm, *args):
+    """The canonical JSON bytes of a closure, or the class of its domain error."""
+    graph = _outcome(closure, perm, *args)
+    return graph if isinstance(graph, type) else canonical_json_bytes(graph.to_json_dict())
+
+
+def test_closure_json_equals_the_fraction_reference():
     starts = [
-        p for d in (1, 2, 3) for p in genperm.enumerate_permutations(d, non_classical_only=True)
+        p for d in (1, 2, 3, 4) for p in genperm.enumerate_permutations(d, non_classical_only=True)
     ]
-    starts += list(genperm.enumerate_permutations(4, non_classical_only=True))[::5]
-    got = [canonical_json_bytes(diagram.forward_closure(p).to_json_dict()) for p in starts]
-    monkeypatch.setattr(diagram, "node_edges", reference_node_edges)
-    want = [canonical_json_bytes(diagram.forward_closure(p).to_json_dict()) for p in starts]
-    assert len(starts) == 16 + 41
+    memo: dict = {}
+    got = [_closure_bytes(diagram.forward_closure, p) for p in starts]
+    want = [_closure_bytes(_reference_closure, p, memo) for p in starts]
+    assert len(starts) == 217
     assert got == want
+
+
+_D5_STARTS = list(genperm.enumerate_permutations(5, non_classical_only=True))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(perm=st.sampled_from(_D5_STARTS))
+def test_d5_closure_json_equals_the_per_node_reference(perm):
+    # a closure past the budget must stop at the same node on both sides
+    got = _closure_bytes(diagram.forward_closure, perm, 3000)
+    assert got == _closure_bytes(_reference_closure, perm, {}, 3000)
 
 
 # A A B | B C C splits both ways; A is its reversing top band.
 _BOTH_WAYS = validate(["A", "A", "B"], ["B", "C", "C"])
+_OTHER_WAY = {SplitKind.TOP_WINS: SplitKind.BOTTOM_WINS, SplitKind.BOTTOM_WINS: SplitKind.TOP_WINS}
 
 
 def _patch_witness(monkeypatch, edit) -> None:
@@ -286,10 +325,70 @@ def test_faulty_integer_witness_raises_the_width_errors(monkeypatch):
 
 def test_witness_that_splits_the_other_way_is_inconsistent(monkeypatch):
     real = rauzy._witness_grid
-    other = {SplitKind.TOP_WINS: SplitKind.BOTTOM_WINS, SplitKind.BOTTOM_WINS: SplitKind.TOP_WINS}
-    monkeypatch.setattr(rauzy, "_witness_grid", lambda perm, kind: real(perm, other[kind]))
+    monkeypatch.setattr(rauzy, "_witness_grid", lambda perm, kind: real(perm, _OTHER_WAY[kind]))
     with pytest.raises(InconsistentStage, match="split the other way"):
         diagram.node_edges(_BOTH_WAYS)
+    with pytest.raises(InconsistentStage, match="split the other way"):
+        diagram.forward_closure(_BOTH_WAYS)
+
+
+# A B A | C C D D B: 517 labelled nodes of 44 shapes, with 818 edges.
+_MANY_SHAPES = validate(["A", "B", "A"], ["C", "C", "D", "D", "B"])
+
+
+def _shape(perm):
+    return (len(perm.top), perm.involution)
+
+
+def test_closure_audits_one_run_per_shape_direction(monkeypatch):
+    real = rauzy._run
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rauzy, "_run", counting)
+    g = diagram.forward_closure(_MANY_SHAPES)
+    firsts = {}
+    for node in g.nodes:
+        firsts.setdefault(_shape(node), node)
+    assert (g.node_count, len(firsts)) == (517, 44)
+    assert sum(len(g.edges[n]) for n in g.nodes) == 818
+    assert calls[0] == sum(len(g.edges[n]) for n in firsts.values()) == 70
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("other-way", InconsistentStage, "split the other way"),
+        ("zero-width", NonPositiveWidth, "is 0"),
+    ],
+    ids=["other-way", "zero-width"],
+)
+def test_closure_checks_the_witness_of_a_node_after_its_shapes_first(
+    monkeypatch, fault, error, message
+):
+    # the fault reaches one node that splits both ways and whose shape an
+    # earlier node of the closure has, so no audited run sees it
+    g = diagram.forward_closure(_MANY_SHAPES)
+    shapes = set()
+    for node in g.nodes:
+        if _shape(node) in shapes and len(g.edges[node]) == 2:
+            break
+        shapes.add(_shape(node))
+    real = rauzy._witness_grid
+
+    def faulty(perm, kind):
+        if perm != node:
+            return real(perm, kind)
+        if fault == "other-way":
+            return real(perm, _OTHER_WAY[kind])
+        return {**real(perm, kind), perm.top[0]: 0}
+
+    monkeypatch.setattr(rauzy, "_witness_grid", faulty)
+    with pytest.raises(error, match=message):
+        diagram.forward_closure(_MANY_SHAPES)
 
 
 _OPTIMIZED_SWITCH = """
@@ -319,16 +418,28 @@ def test_witness_check_does_not_rely_on_assert():
     assert done.stdout == "caught 1\n"
 
 
+# d = 5 starts whose closures have 600, 1,320 and 10 nodes.
+_D5_HASHED = [
+    validate(["A", "A"], ["B", "B", "C", "C", "D", "D", "E", "E"]),
+    validate(["A", "A", "B", "C"], ["B", "D", "D", "C", "E", "E"]),
+    validate(["A", "B", "C", "A", "D"], ["E", "B", "D", "E", "C"]),
+]
+
+
 def _json_digests() -> list[str]:
     """SHA-256 of the canonical JSON of a depth-30 expansion and of the
-    forward closure of every non-classical start with d <= 4."""
-    digests = []
+    forward closure of every non-classical start with d <= 4, of a
+    depth-30 expansion from random widths on every 100th non-classical
+    d = 5 start, and of the closures of ``_D5_HASHED``."""
+    payloads = []
     for d in range(1, 5):
         for perm in genperm.enumerate_permutations(d, non_classical_only=True):
-            stage = rauzy.expand(sample_exchange(perm, seed=d), 30)
-            for payload in (stage.to_json_dict(), diagram.forward_closure(perm).to_json_dict()):
-                digests.append(hashlib.sha256(canonical_json_bytes(payload)).hexdigest())
-    return digests
+            payloads.append(rauzy.expand(sample_exchange(perm, seed=d), 30).to_json_dict())
+            payloads.append(diagram.forward_closure(perm).to_json_dict())
+    for perm in _D5_STARTS[::100]:
+        payloads.append(rauzy.expand(sample_exchange(perm, seed=5), 30).to_json_dict())
+    payloads += [diagram.forward_closure(perm).to_json_dict() for perm in _D5_HASHED]
+    return [hashlib.sha256(canonical_json_bytes(p)).hexdigest() for p in payloads]
 
 
 def test_json_bytes_do_not_depend_on_the_hash_seed():
@@ -345,5 +456,5 @@ def test_json_bytes_do_not_depend_on_the_hash_seed():
         digests = _json_digests()  # meanwhile, under this process's seed
         out, err = other.communicate(timeout=300)
     assert other.returncode == 0, err
-    assert len(digests) == 2 * 217
+    assert len(digests) == 2 * 217 + 29 + 3
     assert out.split() == digests

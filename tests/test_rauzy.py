@@ -474,6 +474,8 @@ def test_wrong_insertion_is_inconsistent_everywhere(monkeypatch):
     with pytest.raises(InconsistentStage):
         diagram.node_edges(x.perm)
     with pytest.raises(InconsistentStage):
+        diagram.forward_closure(x.perm)
+    with pytest.raises(InconsistentStage):
         approx.find_cyclic_tower(x, F(1, 1000), budget=5)
 
 
