@@ -59,7 +59,7 @@ from .errors import (
     InvalidInput,
     SplitUndefined,
 )
-from .exchange import Exchange, Side, _compose, _grid_layout, _image
+from .exchange import Exchange, Side, _compose, _exact, _grid_layout, _image
 from .genperm import GeneralizedPermutation
 from .rationals import format_fraction
 
@@ -501,8 +501,9 @@ def find_cyclic_tower(
     certificate and re-verified against the original map, within
     ``DEFAULT_VERIFY_BUDGET`` interval steps, before being returned.
     ``height_coprime_to`` restricts to heights coprime to the given prime.
+    ``delta`` must be exact, an int or a Fraction (not a bool), in (0, 1);
     ``budget``, the deepest stage screened, must be a nonnegative int
-    (not a bool), else InvalidInput; past it, BudgetExceeded.
+    (not a bool); else InvalidInput.  Past the budget, BudgetExceeded.
 
     The expansion is walked once per search (``rauzy._walk``).  The
     search hands the stage it is screening, (node, widths, norms), to the
@@ -511,7 +512,7 @@ def find_cyclic_tower(
     exact first return of the original map, with the norms as return
     times.
     """
-    delta = Fraction(delta)
+    delta = _exact(delta, "delta")
     if not (0 < delta < 1):
         raise InvalidInput(f"delta must be in (0, 1), got {delta}")
     if type(budget) is not int or budget < 0:
@@ -670,9 +671,10 @@ def find_rigidity_times(
     depth the search cannot reach, and drops the heights past
     ``COMPOSE_BUDGET`` composed pieces without composing toward them; a
     candidate past it raises.  A candidate that is not a positive int
-    (bools included) is InvalidInput.
+    (bools included), or an ``xi`` that is not an int or a Fraction, is
+    InvalidInput.
     """
-    xi = Fraction(xi)
+    xi = _exact(xi, "xi")
     for n in candidates:
         _check_iterate(n)
     times = sorted(set(candidates))

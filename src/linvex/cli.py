@@ -82,7 +82,7 @@ def _cmd_validate(args) -> int:
         "combinatorially_reducible": genperm.is_combinatorially_reducible(perm),
     }
     if args.check_closure:
-        payload["proxy_irreducible"] = genperm.is_dynamically_irreducible(
+        payload["proxy_irreducible"] = diagram.is_dynamically_irreducible(
             perm, budget=args.budget
         )
     _emit(payload)
@@ -205,23 +205,12 @@ def _side_from_json(value) -> Side:
         raise InvalidInput(f"tower base side {value!r} is neither 'Top' nor 'Bottom'") from None
 
 
-def _json_int(data, key: str) -> int:
-    """An integer field of a JSON object; a float, string or bool is
-    InvalidInput rather than coerced."""
-    value = data[key]
-    if type(value) is not int:
-        raise InvalidInput(f'"{key}" must be an integer, got {value!r}')
-    return value
-
-
 def _tower_from_json(data) -> approx.CyclicTower:
     try:
-        if not isinstance(data["band"], str):
-            raise InvalidInput(f'the tower band {data["band"]!r} is not a string')
         return approx.CyclicTower(
             band=data["band"],
-            depth=_json_int(data, "depth"),
-            height=_json_int(data, "height"),
+            depth=data["depth"],
+            height=data["height"],
             base=tuple(
                 (
                     _side_from_json(item["side"]),

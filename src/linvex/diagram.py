@@ -164,6 +164,23 @@ def forward_closure(
     return RauzyGraph(root=perm, nodes=nodes, edges=edges)
 
 
+def is_dynamically_irreducible(
+    perm: GeneralizedPermutation, budget: int = DEFAULT_NODE_BUDGET
+) -> bool:
+    """Proxy irreducibility: the forward Rauzy closure is clean.
+
+    True when the closure is finite within ``budget``, contains no
+    combinatorially reducible node, and no node whose two split directions
+    are both width-infeasible.  This is a documented proxy, not the exact
+    strong-irreducibility notion of the literature; callers should label
+    results "proxy-irreducible".
+    """
+    if is_combinatorially_reducible(perm):
+        return False
+    graph = forward_closure(perm, budget=budget)
+    return all(graph.edges[n] and not is_combinatorially_reducible(n) for n in graph.nodes)
+
+
 def strongly_connected_components(graph: RauzyGraph) -> list[frozenset[GeneralizedPermutation]]:
     """Tarjan's algorithm, iterative to keep deep diagrams off the C stack."""
     index_of: dict[GeneralizedPermutation, int] = {}

@@ -12,6 +12,13 @@ bottom, or one end on each side.  A permutation is classical when every
 label occurs once per side, and non-classical when at least one band has
 both ends on top and at least one has both ends on bottom.
 
+``validate`` builds each record in one pass over the 2d ends: the pass
+pairs every end with the first end of its label, which gives the
+involution, and a band's class then follows from where its first end and
+that end's partner lie.  Each fact is read through one name: the fields
+``alphabet``, ``involution``, ``classes`` and the three class tuples, or
+the rows themselves for the end counts per side.
+
 Labels are opaque strings; the canonical ordering used for deterministic
 tie-breaking is lexicographic.
 """
@@ -60,14 +67,6 @@ class GeneralizedPermutation:
         return len(self.alphabet)
 
     @property
-    def top_count(self) -> int:
-        return len(self.top)
-
-    @property
-    def bottom_count(self) -> int:
-        return len(self.bottom)
-
-    @property
     def is_classical(self) -> bool:
         return not self.reversing_top and not self.reversing_bottom
 
@@ -75,40 +74,23 @@ class GeneralizedPermutation:
     def is_non_classical(self) -> bool:
         return bool(self.reversing_top) and bool(self.reversing_bottom)
 
-    def label_at(self, position: int) -> str:
-        if position < len(self.top):
-            return self.top[position]
-        return self.bottom[position - len(self.top)]
-
     def positions_of(self, label: str) -> tuple[int, int]:
-        first = None
-        for i in range(2 * self.band_count):
-            if self.label_at(i) == label:
-                if first is None:
-                    first = i
-                else:
-                    return (first, i)
-        raise KeyError(label)
+        """The two positions of ``label``, in order; KeyError for a label
+        outside the alphabet."""
+        if label not in self.classes:
+            raise KeyError(label)
+        first = (self.top + self.bottom).index(label)
+        return (first, self.involution[first])
 
     def orientation_of(self, label: str) -> Orientation:
         return self.classes[label]
-
-    def reversing_top_bands(self) -> tuple[str, ...]:
-        return self.reversing_top
-
-    def reversing_bottom_bands(self) -> tuple[str, ...]:
-        return self.reversing_bottom
 
     def preserving_bands(self) -> tuple[str, ...]:
         return self.preserving
 
     @property
-    def has_preserving_band(self) -> bool:
-        return bool(self.preserving)
-
-    @property
     def is_all_reversing(self) -> bool:
-        return not self.has_preserving_band
+        return not self.preserving
 
     def is_realizable(self) -> bool:
         """True when some positive width vector satisfies the switch condition.
@@ -144,44 +126,35 @@ def _validate_cached(
     if not top or not bottom:
         raise SideEmptyError("each side needs at least one interval end")
 
-    counts: dict[str, int] = {}
-    for label in top + bottom:
-        counts[label] = counts.get(label, 0) + 1
-    bad = {label: n for label, n in counts.items() if n != 2}
-    if bad:
-        raise LabelCountError(f"labels must occur exactly twice, got {bad}")
-
-    alphabet = tuple(sorted(counts))
-    total = len(top) + len(bottom)
-
-    seen: dict[str, int] = {}
-    involution = [-1] * total
-    for i in range(total):
-        label = top[i] if i < len(top) else bottom[i - len(top)]
-        if label in seen:
-            j = seen.pop(label)
+    ends = top + bottom
+    first: dict[str, int] = {}
+    involution = [-1] * len(ends)
+    for i, label in enumerate(ends):
+        j = first.setdefault(label, i)
+        if j != i:
             involution[i] = j
             involution[j] = i
-        else:
-            seen[label] = i
+    # A label seen once leaves a -1; with every label seen at least twice,
+    # one seen three times or more leaves fewer labels than half the ends.
+    if -1 in involution or 2 * len(first) != len(ends):
+        counts = {label: ends.count(label) for label in first}
+        bad = {label: n for label, n in counts.items() if n != 2}
+        raise LabelCountError(f"labels must occur exactly twice, got {bad}")
 
+    alphabet = tuple(sorted(first))
+    n_top = len(top)
     classes: dict[str, Orientation] = {}
+    members: dict[Orientation, list[str]] = {o: [] for o in Orientation}
     for label in alphabet:
-        ends = [
-            i
-            for i in range(total)
-            if (top[i] if i < len(top) else bottom[i - len(top)]) == label
-        ]
-        on_top = sum(1 for i in ends if i < len(top))
-        if on_top == 2:
-            classes[label] = Orientation.REVERSING_TOP
-        elif on_top == 0:
-            classes[label] = Orientation.REVERSING_BOTTOM
+        i = first[label]
+        if involution[i] < n_top:
+            orientation = Orientation.REVERSING_TOP
+        elif i >= n_top:
+            orientation = Orientation.REVERSING_BOTTOM
         else:
-            classes[label] = Orientation.PRESERVING
-
-    def members(orientation: Orientation) -> tuple[str, ...]:
-        return tuple(a for a in alphabet if classes[a] is orientation)
+            orientation = Orientation.PRESERVING
+        classes[label] = orientation
+        members[orientation].append(label)
 
     return GeneralizedPermutation(
         top=top,
@@ -189,9 +162,9 @@ def _validate_cached(
         alphabet=alphabet,
         involution=tuple(involution),
         classes=classes,
-        preserving=members(Orientation.PRESERVING),
-        reversing_top=members(Orientation.REVERSING_TOP),
-        reversing_bottom=members(Orientation.REVERSING_BOTTOM),
+        preserving=tuple(members[Orientation.PRESERVING]),
+        reversing_top=tuple(members[Orientation.REVERSING_TOP]),
+        reversing_bottom=tuple(members[Orientation.REVERSING_BOTTOM]),
         _hash=hash((top, bottom)),
     )
 
@@ -225,7 +198,7 @@ def is_combinatorially_reducible(perm: GeneralizedPermutation) -> bool:
     ends form a set closed under the involution.  On classical permutations
     this is exactly the usual prefix criterion.
     """
-    l, m = perm.top_count, perm.bottom_count
+    l, m = len(perm.top), len(perm.bottom)
     for k_t in range(l + 1):
         for k_b in range(m + 1):
             if (k_t, k_b) in ((0, 0), (l, m)):
@@ -240,43 +213,26 @@ def is_combinatorially_reducible(perm: GeneralizedPermutation) -> bool:
     return False
 
 
-def is_dynamically_irreducible(
-    perm: GeneralizedPermutation, budget: int = 100_000
-) -> bool:
-    """Proxy irreducibility: the forward Rauzy closure is clean.
-
-    True when the closure is finite within ``budget``, contains no
-    combinatorially reducible node, and no node whose two split directions
-    are both width-infeasible.  This is a documented proxy, not the exact
-    strong-irreducibility notion of the literature; callers should label
-    results "proxy-irreducible".
-    """
-    from . import diagram  # local import, diagram depends on this module
-
-    if is_combinatorially_reducible(perm):
-        return False
-    graph = diagram.forward_closure(perm, budget=budget)
-    for node in graph.nodes:
-        if is_combinatorially_reducible(node):
-            return False
-        if not graph.edges[node]:
-            return False
-    return True
-
-
-def _pairings(positions: list[int]) -> Iterator[list[tuple[int, int]]]:
-    if not positions:
-        yield []
-        return
-    first = positions[0]
-    for k in range(1, len(positions)):
-        partner = positions[k]
-        rest = positions[1:k] + positions[k + 1 :]
-        for sub in _pairings(rest):
-            yield [(first, partner)] + sub
-
-
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _canonical_words(word: list[str], letter: int) -> Iterator[tuple[str, ...]]:
+    """Every canonical filling of the free ("") positions of ``word``.
+
+    The first free position takes ``_LETTERS[letter]``; its partner is each
+    later free position in turn, and the rest is filled recursively.
+    """
+    if "" not in word:
+        yield tuple(word)
+        return
+    first = word.index("")
+    word[first] = _LETTERS[letter]
+    for partner in range(first + 1, len(word)):
+        if not word[partner]:
+            word[partner] = word[first]
+            yield from _canonical_words(word, letter + 1)
+            word[partner] = ""
+    word[first] = ""
 
 
 def enumerate_permutations(
@@ -289,27 +245,24 @@ def enumerate_permutations(
 
     Canonical means labels are assigned in order of first occurrence
     reading the top row then the bottom row, so each abstract gluing is
-    produced exactly once.
+    produced exactly once.  The order: for each top length l = 1 .. 2d-1,
+    the canonical words of 2d ends, where the first free position takes
+    the next letter and its partner runs over the later free positions
+    from left to right, each choice completed recursively before the
+    next.  ``d`` must be an int (not a bool) in 0 .. 26, else
+    InvalidInput; d = 0 yields nothing.
     """
-    if d > len(_LETTERS):
-        raise ValueError("enumeration supports at most 26 bands")
+    if type(d) is not int or not 0 <= d <= len(_LETTERS):
+        raise InvalidInput(f"d must be an int in 0 .. {len(_LETTERS)}, got {d!r}")
     total = 2 * d
-    for l in range(1, total):
-        for pairing in _pairings(list(range(total))):
-            assignment = [""] * total
-            next_label = 0
-            for i in range(total):
-                if assignment[i]:
-                    continue
-                label = _LETTERS[next_label]
-                next_label += 1
-                for a, b in pairing:
-                    if a == i or b == i:
-                        assignment[a] = assignment[b] = label
-                        break
-            perm = validate(assignment[:l], assignment[l:])
-            if realizable_only and not perm.is_realizable():
-                continue
-            if non_classical_only and not perm.is_non_classical:
-                continue
-            yield perm
+    perms = (
+        _validate_cached(word[:l], word[l:])
+        for l in range(1, total)
+        for word in _canonical_words([""] * total, 0)
+    )
+    return (
+        p
+        for p in perms
+        if (p.is_realizable() or not realizable_only)
+        and (p.is_non_classical or not non_classical_only)
+    )

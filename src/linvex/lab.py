@@ -31,7 +31,7 @@ from .errors import (
     InvalidInput,
     InvariantViolation,
 )
-from .exchange import Exchange
+from .exchange import Exchange, _exact
 from .genperm import GeneralizedPermutation
 from .rationals import canonical_json_bytes, format_fraction
 
@@ -115,8 +115,8 @@ def sample_widths(cfg: SamplerConfig) -> list[dict[str, Fraction]]:
     seed = effective_seed(cfg.seed)
     out = []
     labels = list(perm.alphabet)
-    top_rev = set(perm.reversing_top_bands())
-    bottom_rev = set(perm.reversing_bottom_bands())
+    top_rev = perm.reversing_top
+    bottom_rev = perm.reversing_bottom
     for index in range(cfg.count):
         rng = substream(seed, index)
         for _ in range(RESAMPLE_CAP):
@@ -351,13 +351,14 @@ def rigidity_scan(
     For each sampled exchange, tower heights from a shrinking ladder are
     graded by exact defect; window i in 0 .. horizon-1 counts as covered
     when some flagged time lands in [2^i, 2^(i+1)).  A negative
-    ``horizon`` or sample count is InvalidInput.
+    ``horizon`` or sample count, or an ``xi`` that is not an int or a
+    Fraction, is InvalidInput.
     """
     if horizon < 0:
         raise InvalidInput(f"horizon must be nonnegative, got {horizon}")
     if cfg.count < 0:
         raise InvalidInput(f"sample count must be nonnegative, got {cfg.count}")
-    xi = Fraction(xi)
+    xi = _exact(xi, "xi")
     seed = effective_seed(cfg.seed)
     params = {
         "xi": format_fraction(xi),

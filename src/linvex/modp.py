@@ -168,7 +168,7 @@ def check_claim_invariant(state: RemainderState) -> ClaimStatus:
     a ClaimViolation carrying the full state when neither exists.
     """
     node = state.node
-    if not (node.reversing_top and node.reversing_bottom):
+    if not node.is_non_classical:
         raise InvalidInput("the remainder invariant concerns non-classical nodes")
     prime = state.prime
     for band, remainder in state.remainders:

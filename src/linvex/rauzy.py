@@ -499,10 +499,10 @@ def _witness_grid(perm: GeneralizedPermutation, kind: SplitKind) -> dict[str, in
     else:
         winner, loser = alpha_bottom, alpha_top
 
+    if not perm.is_realizable():
+        return None  # no positive widths satisfy the switch at all
     top_rev = set(perm.reversing_top)
     bottom_rev = set(perm.reversing_bottom)
-    if bool(top_rev) != bool(bottom_rev):
-        return None  # no positive widths satisfy the switch at all
 
     widths: dict[str, int] = {}
     base_top = max(len(bottom_rev), 1)
@@ -524,11 +524,3 @@ def _witness_grid(perm: GeneralizedPermutation, kind: SplitKind) -> dict[str, in
             widths[partners[0]] += bump
         widths[winner] += bump
     return widths
-
-
-def direction_witness(
-    perm: GeneralizedPermutation, kind: SplitKind
-) -> dict[str, Fraction] | None:
-    """The witness of ``_witness_grid`` as Fractions, or None."""
-    widths = _witness_grid(perm, kind)
-    return None if widths is None else {a: Fraction(v) for a, v in widths.items()}

@@ -8,7 +8,7 @@ from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from fractions import Fraction as F
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import pytest
 
@@ -17,8 +17,10 @@ from linvex.errors import (
     EndpointHit,
     InconsistentStage,
     InvalidInput,
+    LabelCountError,
     NonPositiveWidth,
     NotReturning,
+    SideEmptyError,
     SwitchConditionViolated,
 )
 from linvex.exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, Side
@@ -106,7 +108,7 @@ def random_fleet(seed: int, count: int, pools=None, denominator_bound: int = 2**
 def random_grid_widths(perm, rng: random.Random) -> dict[str, int]:
     """Positive integer widths satisfying the switch condition."""
     widths = {a: rng.randrange(1, 24) for a in perm.alphabet}
-    top, bottom = perm.reversing_top_bands(), perm.reversing_bottom_bands()
+    top, bottom = perm.reversing_top, perm.reversing_bottom
     excess = sum(widths[a] for a in top) - sum(widths[a] for a in bottom)
     if excess > 0:
         widths[rng.choice(bottom)] += excess
@@ -520,8 +522,8 @@ def _reference_validate_widths(
     for label, value in cleaned.items():
         if value <= 0:
             raise NonPositiveWidth(f"width of band {label} is {value}")
-    top_sum = sum((cleaned[a] for a in perm.reversing_top_bands()), Fraction(0))
-    bottom_sum = sum((cleaned[a] for a in perm.reversing_bottom_bands()), Fraction(0))
+    top_sum = sum((cleaned[a] for a in perm.reversing_top), Fraction(0))
+    bottom_sum = sum((cleaned[a] for a in perm.reversing_bottom), Fraction(0))
     if top_sum != bottom_sum:
         raise SwitchConditionViolated(
             f"reversing totals differ: top {top_sum} vs bottom {bottom_sum}"
@@ -535,7 +537,7 @@ def reference_direction_witness(
     """Integer widths making the given split direction strictly feasible.
 
     The library's witness before it moved to integers, kept verbatim as
-    the differential reference for ``rauzy.direction_witness``.
+    the differential reference for ``rauzy._witness_grid``.
 
     Returns None when the switch condition forces the opposite comparison,
     which happens exactly when the would-be winner is a reversing band and
@@ -549,8 +551,8 @@ def reference_direction_witness(
     else:
         winner, loser = alpha_bottom, alpha_top
 
-    top_rev = set(perm.reversing_top_bands())
-    bottom_rev = set(perm.reversing_bottom_bands())
+    top_rev = set(perm.reversing_top)
+    bottom_rev = set(perm.reversing_bottom)
     if bool(top_rev) != bool(bottom_rev):
         return None  # no positive widths satisfy the switch at all
 
@@ -612,6 +614,118 @@ def reference_node_edges(perm: GeneralizedPermutation) -> tuple[diagram.Edge, ..
             )
         )
     return tuple(out)
+
+
+def reference_validate(top: tuple[str, ...], bottom: tuple[str, ...]) -> GeneralizedPermutation:
+    """The record of two rows, built by rescanning the ends per label.
+
+    The library's ``genperm._validate_cached`` before the one-pass record,
+    kept verbatim (without its cache) as the differential reference.
+    """
+    if not top or not bottom:
+        raise SideEmptyError("each side needs at least one interval end")
+
+    counts: dict[str, int] = {}
+    for label in top + bottom:
+        counts[label] = counts.get(label, 0) + 1
+    bad = {label: n for label, n in counts.items() if n != 2}
+    if bad:
+        raise LabelCountError(f"labels must occur exactly twice, got {bad}")
+
+    alphabet = tuple(sorted(counts))
+    total = len(top) + len(bottom)
+
+    seen: dict[str, int] = {}
+    involution = [-1] * total
+    for i in range(total):
+        label = top[i] if i < len(top) else bottom[i - len(top)]
+        if label in seen:
+            j = seen.pop(label)
+            involution[i] = j
+            involution[j] = i
+        else:
+            seen[label] = i
+
+    classes: dict[str, Orientation] = {}
+    for label in alphabet:
+        ends = [
+            i
+            for i in range(total)
+            if (top[i] if i < len(top) else bottom[i - len(top)]) == label
+        ]
+        on_top = sum(1 for i in ends if i < len(top))
+        if on_top == 2:
+            classes[label] = Orientation.REVERSING_TOP
+        elif on_top == 0:
+            classes[label] = Orientation.REVERSING_BOTTOM
+        else:
+            classes[label] = Orientation.PRESERVING
+
+    def members(orientation: Orientation) -> tuple[str, ...]:
+        return tuple(a for a in alphabet if classes[a] is orientation)
+
+    return GeneralizedPermutation(
+        top=top,
+        bottom=bottom,
+        alphabet=alphabet,
+        involution=tuple(involution),
+        classes=classes,
+        preserving=members(Orientation.PRESERVING),
+        reversing_top=members(Orientation.REVERSING_TOP),
+        reversing_bottom=members(Orientation.REVERSING_BOTTOM),
+        _hash=hash((top, bottom)),
+    )
+
+
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _pairings(positions: list[int]) -> Iterator[list[tuple[int, int]]]:
+    if not positions:
+        yield []
+        return
+    first = positions[0]
+    for k in range(1, len(positions)):
+        partner = positions[k]
+        rest = positions[1:k] + positions[k + 1 :]
+        for sub in _pairings(rest):
+            yield [(first, partner)] + sub
+
+
+def reference_enumerate(
+    d: int,
+    *,
+    realizable_only: bool = True,
+    non_classical_only: bool = False,
+) -> Iterator[GeneralizedPermutation]:
+    """Canonical permutations on d bands, labelled pairing by pairing.
+
+    The library's ``genperm.enumerate_permutations`` before the one
+    generator over canonical words, kept verbatim (on the reference
+    record) as the differential reference for its sequence.
+    """
+    if d > len(_LETTERS):
+        raise ValueError("enumeration supports at most 26 bands")
+    total = 2 * d
+    for l in range(1, total):
+        for pairing in _pairings(list(range(total))):
+            assignment = [""] * total
+            next_label = 0
+            for i in range(total):
+                if assignment[i]:
+                    continue
+                label = _LETTERS[next_label]
+                next_label += 1
+                for a, b in pairing:
+                    if a == i or b == i:
+                        assignment[a] = assignment[b] = label
+                        break
+            perm = reference_validate(tuple(assignment[:l]), tuple(assignment[l:]))
+            if realizable_only and not perm.is_realizable():
+                continue
+            if non_classical_only and not perm.is_non_classical:
+                continue
+            yield perm
 
 
 def tower_fleet(seed: int):

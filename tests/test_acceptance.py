@@ -127,9 +127,9 @@ def test_criterion_5_switch_conservation(oracle_fleet):
         for _ in range(stage.depth):
             current, _ = rauzy.split(current)
             perm = current.perm
-            top = sum((current.widths[a] for a in perm.reversing_top_bands()), F(0))
+            top = sum((current.widths[a] for a in perm.reversing_top), F(0))
             bottom = sum(
-                (current.widths[a] for a in perm.reversing_bottom_bands()), F(0)
+                (current.widths[a] for a in perm.reversing_bottom), F(0)
             )
             assert top == bottom
             assert current.side_length == sum(current.widths.values(), F(0))

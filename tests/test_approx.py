@@ -126,6 +126,22 @@ def test_find_tower_rejects_bad_delta():
         approx.find_cyclic_tower(x, F(3, 2))
 
 
+@pytest.mark.parametrize("value", [0.3, "1/4", True, None], ids=["float", "str", "bool", "none"])
+def test_tower_constant_and_rigidity_bound_must_be_exact(monkeypatch, value):
+    # a float used to run on its binary expansion, and "1/4" was parsed
+    x = rotation(3, 1, 7)
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("walked before the exactness check")
+
+    monkeypatch.setattr(rauzy, "_walk", untouched)
+    monkeypatch.setattr(approx, "_compose", untouched)
+    with pytest.raises(InvalidInput, match="^delta must be an int or a Fraction"):
+        approx.find_cyclic_tower(x, value)
+    with pytest.raises(InvalidInput, match="^xi must be an int or a Fraction"):
+        approx.find_rigidity_times(x, value, [1, 2])
+
+
 @pytest.mark.parametrize("budget", [2.5, 6.0, F(6), True, "6", None, -1])
 def test_find_tower_rejects_a_budget_that_is_not_a_nonnegative_int(budget):
     # 2.5 used to run and report "within 2.5 splits"

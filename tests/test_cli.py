@@ -141,7 +141,9 @@ def test_tower_roundtrip(nonclassical_files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "changes", [{"band": 5}, {"band": "Z"}, {"depth": -1}], ids=["band-5", "band-Z", "depth-neg"]
+    "changes",
+    [{"band": 5}, {"band": "Z"}, {"band": [1]}, {"depth": -1}],
+    ids=["band-5", "band-Z", "band-list", "depth-neg"],
 )
 def test_verify_tower_rejects_an_edited_band_or_depth(
     nonclassical_files, tmp_path, capsys, changes

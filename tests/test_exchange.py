@@ -279,7 +279,7 @@ def _corrupted(perm, widths, denom, rng):
     yield widths
     yield {**widths, label: 0}
     yield {**widths, label: -widths[label]}
-    reversing = perm.reversing_top_bands() + perm.reversing_bottom_bands()
+    reversing = perm.reversing_top + perm.reversing_bottom
     if reversing:
         band = rng.choice(reversing)
         yield {**widths, band: widths[band] + F(1, denom)}

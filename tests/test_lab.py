@@ -414,6 +414,17 @@ def test_rigidity_scan_rejects_negative_horizon_and_count(monkeypatch):
     assert lab.rigidity_scan(empty, F(1, 50), horizon=8).records == []
 
 
+@pytest.mark.parametrize("xi", [0.02, "1/50", True], ids=["float", "str", "bool"])
+def test_rigidity_scan_rejects_an_inexact_xi(monkeypatch, xi):
+    def sampling(cfg):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(lab, "sample_widths", sampling)
+    cfg = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=2)
+    with pytest.raises(InvalidInput, match="^xi must be an int or a Fraction"):
+        lab.rigidity_scan(cfg, xi, horizon=8)
+
+
 def test_rigidity_scan_records_budget_but_raises_inconsistency(monkeypatch):
     cfg = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=2)
 

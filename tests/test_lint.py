@@ -4,6 +4,8 @@ No check in the library may rest on ``assert``, which ``python -O``
 strips, and no handler may catch every exception, which would turn a bug
 into a data row.  Every error class is raised somewhere in the library,
 or is a base of one that is, so a deleted raise leaves no dead class.
+No function body imports, so the module graph is the one the top-level
+imports show and a cycle between modules fails at import time.
 """
 
 from __future__ import annotations
@@ -63,6 +65,47 @@ except ValueError:
         "line 5: bare except",
         "line 9: except Exception",
         "line 13: except BaseException",
+    ]
+
+
+def _function_imports(tree: ast.AST) -> list[str]:
+    """The import statements that sit inside a function body."""
+    lines = {
+        inner.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {n}: import in a function body" for n in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_function_body_imports(path):
+    assert _function_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_import_rule_sees_nested_and_method_imports():
+    source = """
+import os
+from . import diagram
+
+
+def f():
+    from . import diagram
+
+    def g():
+        import json
+
+
+class C:
+    async def m(self):
+        import math
+"""
+    assert _function_imports(ast.parse(source)) == [
+        "line 7: import in a function body",
+        "line 10: import in a function body",
+        "line 15: import in a function body",
     ]
 
 

@@ -224,8 +224,8 @@ def test_coprime_sequence_bound_over_assignments():
     # exhaust valid reversing-pair assignments for a small all-reversing
     # start: a sequence always exists and its length stays bounded
     perm = validate(["A", "A"], ["B", "B", "C", "C"])
-    top_rev = perm.reversing_top_bands()
-    bottom_rev = perm.reversing_bottom_bands()
+    top_rev = perm.reversing_top
+    bottom_rev = perm.reversing_bottom
     longest = 0
     count = 0
     for p in (2, 3):
@@ -301,8 +301,8 @@ def _reference_claim(state):
     for band in node.preserving_bands():
         if values[band] % p != 0:
             return modp.CoprimeOP(band=band, remainder=values[band] % p)
-    for top_band in node.reversing_top_bands():
-        for bottom_band in node.reversing_bottom_bands():
+    for top_band in node.reversing_top:
+        for bottom_band in node.reversing_bottom:
             if (values[top_band] + values[bottom_band]) % p != 0:
                 return modp.ReversingPair(
                     top_band, bottom_band, values[top_band] % p, values[bottom_band] % p

@@ -34,6 +34,7 @@ from conftest import (
     perm_pool,
     random_fleet,
     random_grid_widths,
+    reference_direction_witness,
     sample_exchange,
     tower_fleet,
 )
@@ -162,10 +163,10 @@ def test_switch_condition_preserved_along_expansion():
                 break
             perm = current.perm
             top = sum(
-                (current.widths[a] for a in perm.reversing_top_bands()), F(0)
+                (current.widths[a] for a in perm.reversing_top), F(0)
             )
             bottom = sum(
-                (current.widths[a] for a in perm.reversing_bottom_bands()), F(0)
+                (current.widths[a] for a in perm.reversing_bottom), F(0)
             )
             assert top == bottom
             assert current.side_length == sum(current.widths.values(), F(0))
@@ -185,8 +186,8 @@ def test_step_preserves_positivity_and_the_switch_condition(perm, seed):
             break
         assert set(widths) == set(perm.alphabet)
         assert all(v > 0 for v in widths.values())
-        top = sum(widths[a] for a in perm.reversing_top_bands())
-        assert top == sum(widths[a] for a in perm.reversing_bottom_bands())
+        top = sum(widths[a] for a in perm.reversing_top)
+        assert top == sum(widths[a] for a in perm.reversing_bottom)
 
 
 def test_visit_counts_identity_at_depth_zero():
@@ -242,8 +243,9 @@ def test_return_time_depth_zero_is_one():
 
 def test_direction_witness_classical_both_ways():
     for kind in SplitKind:
-        w = rauzy.direction_witness(ROTATION, kind)
+        w = rauzy._witness_grid(ROTATION, kind)
         assert w is not None
+        assert w == reference_direction_witness(ROTATION, kind)
         x = build(ROTATION, w)
         _, step = rauzy.split(x)
         assert step.kind is kind
@@ -254,18 +256,19 @@ def test_direction_witness_one_sided_case():
     # bottom-reversing band: the switch forces the opposite comparison
     p = genperm.validate(["A", "A", "D", "B", "B"], ["D", "C", "C"])
     assert p.orientation_of("B").value == "reversing_top"
-    assert p.reversing_bottom_bands() == ("C",)
-    assert rauzy.direction_witness(p, SplitKind.TOP_WINS) is None
-    w = rauzy.direction_witness(p, SplitKind.BOTTOM_WINS)
+    assert p.reversing_bottom == ("C",)
+    assert rauzy._witness_grid(p, SplitKind.TOP_WINS) is None
+    w = rauzy._witness_grid(p, SplitKind.BOTTOM_WINS)
     assert w is not None
+    assert w == reference_direction_witness(p, SplitKind.BOTTOM_WINS)
     _, step = rauzy.split(build(p, w))
     assert step.kind is SplitKind.BOTTOM_WINS
 
 
 def test_direction_witness_tie_locked_node():
     p = genperm.validate(["A", "B", "A"], ["C", "B", "C"])
-    assert rauzy.direction_witness(p, SplitKind.TOP_WINS) is None
-    assert rauzy.direction_witness(p, SplitKind.BOTTOM_WINS) is None
+    assert rauzy._witness_grid(p, SplitKind.TOP_WINS) is None
+    assert rauzy._witness_grid(p, SplitKind.BOTTOM_WINS) is None
 
 
 def test_stage_json_round_trip_fields():
@@ -333,9 +336,9 @@ def _grid_cases():
     for d in range(1, 6):
         for perm in genperm.enumerate_permutations(d):
             for kind in SplitKind:
-                witness = rauzy.direction_witness(perm, kind)
+                witness = rauzy._witness_grid(perm, kind)
                 if witness is not None:
-                    yield perm, {a: int(v) for a, v in witness.items()}, 1
+                    yield perm, witness, 1
             for _ in range(2):
                 yield perm, random_grid_widths(perm, rng), rng.randrange(1, 50)
 
@@ -485,8 +488,7 @@ def test_swapped_equal_width_labels_are_caught_on_a_witness_edge(monkeypatch):
     # target leaves the induced flat map unchanged, so only the
     # label-inheritance check can see it.
     perm = genperm.validate(["A", "A", "B"], ["B", "C", "C"])
-    witness = rauzy.direction_witness(perm, SplitKind.TOP_WINS)
-    widths = {a: int(v) for a, v in witness.items()}
+    widths = rauzy._witness_grid(perm, SplitKind.TOP_WINS)
     target, new_widths, step = rauzy._step(perm, widths)
     assert (step.winner, new_widths) == ("B", {"A": 1, "B": 1, "C": 1})
     swap = {"A": "C", "C": "A"}
