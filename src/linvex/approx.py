@@ -487,6 +487,17 @@ def _merge_intervals(intervals: Sequence[tuple[int, int]]) -> list[tuple[int, in
     return merged
 
 
+def _check_search(delta, budget) -> Fraction:
+    """A tower search's ``delta`` as a Fraction, once it and ``budget`` are
+    checked as ``find_cyclic_tower`` documents; else InvalidInput."""
+    delta = _exact(delta, "delta")
+    if not (0 < delta < 1):
+        raise InvalidInput(f"delta must be in (0, 1), got {delta}")
+    if type(budget) is not int or budget < 0:
+        raise InvalidInput(f"budget must be a nonnegative int, got {budget!r}")
+    return delta
+
+
 def find_cyclic_tower(
     x: Exchange,
     delta: Fraction,
@@ -512,11 +523,7 @@ def find_cyclic_tower(
     exact first return of the original map, with the norms as return
     times.
     """
-    delta = _exact(delta, "delta")
-    if not (0 < delta < 1):
-        raise InvalidInput(f"delta must be in (0, 1), got {delta}")
-    if type(budget) is not int or budget < 0:
-        raise InvalidInput(f"budget must be a nonnegative int, got {budget!r}")
+    delta = _check_search(delta, budget)
 
     # The expansion runs on the integer grid of x; certificates convert
     # back to fractions.  Both screens compare exact integer cross products.

@@ -65,6 +65,13 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _publish(args, payload) -> int:
+    """Print ``payload``, write it to ``--out`` if given, and succeed."""
+    _emit(payload)
+    _write_artifact(args.out, payload)
+    return EXIT_OK
+
+
 def _point_from_args(args) -> Point:
     side = Side.TOP if args.side.lower() == "top" else Side.BOTTOM
     return Point(side, parse_fraction(args.offset))
@@ -85,9 +92,7 @@ def _cmd_validate(args) -> int:
         payload["proxy_irreducible"] = diagram.is_dynamically_irreducible(
             perm, budget=args.budget
         )
-    _emit(payload)
-    _write_artifact(args.out, payload)
-    return EXIT_OK
+    return _publish(args, payload)
 
 
 def _cmd_apply(args) -> int:
@@ -123,9 +128,7 @@ def _cmd_split(args) -> int:
         "permutation": induced.perm.to_json_dict(),
         "widths": widths_to_json(induced.widths),
     }
-    _emit(payload)
-    _write_artifact(args.out, payload)
-    return EXIT_OK
+    return _publish(args, payload)
 
 
 def _cmd_expand(args) -> int:
@@ -150,8 +153,7 @@ def _cmd_visits(args) -> int:
         "labels": list(counts.labels),
         "verdict": "EQUAL" if equal else "UNEQUAL",
     }
-    _emit(payload)
-    _write_artifact(args.out, payload)
+    _publish(args, payload)
     if not equal:
         raise InvariantViolation("orbit visit counts disagree with the cocycle matrix")
     return EXIT_OK
@@ -183,26 +185,14 @@ def _cmd_attractors(args) -> int:
             {"size": len(c), "members": sorted(ids[n] for n in c)} for c in comps
         ],
     }
-    _emit(payload)
-    _write_artifact(args.out, payload)
-    return EXIT_OK
+    return _publish(args, payload)
 
 
 def _cmd_tower(args) -> int:
     x = _load_exchange(args.perm, args.widths)
     tower = approx.find_cyclic_tower(x, parse_fraction(args.delta), budget=args.budget)
     report = approx.verify_tower(x, tower)
-    payload = {**tower.to_json_dict(), "verification": report.to_json_dict()}
-    _emit(payload)
-    _write_artifact(args.out, payload)
-    return EXIT_OK
-
-
-def _side_from_json(value) -> Side:
-    try:
-        return Side(value)
-    except ValueError:
-        raise InvalidInput(f"tower base side {value!r} is neither 'Top' nor 'Bottom'") from None
+    return _publish(args, {**tower.to_json_dict(), "verification": report.to_json_dict()})
 
 
 def _tower_from_json(data) -> approx.CyclicTower:
@@ -213,7 +203,7 @@ def _tower_from_json(data) -> approx.CyclicTower:
             height=data["height"],
             base=tuple(
                 (
-                    _side_from_json(item["side"]),
+                    Side(item["side"]),
                     parse_fraction(item["lo"]),
                     parse_fraction(item["hi"]),
                 )
@@ -231,11 +221,7 @@ def _tower_from_json(data) -> approx.CyclicTower:
 def _cmd_verify_tower(args) -> int:
     x = _load_exchange(args.perm, args.widths)
     tower = _tower_from_json(_load_json(args.tower))
-    report = approx.verify_tower(x, tower)
-    payload = report.to_json_dict()
-    _emit(payload)
-    _write_artifact(args.out, payload)
-    return EXIT_OK
+    return _publish(args, approx.verify_tower(x, tower).to_json_dict())
 
 
 def _cmd_rigidity(args) -> int:
@@ -249,10 +235,7 @@ def _cmd_rigidity(args) -> int:
     records = approx.find_rigidity_times(
         x, parse_fraction(args.xi), candidates, tower_budget=args.budget
     )
-    payload = {"records": [r.to_json_dict() for r in records]}
-    _emit(payload)
-    _write_artifact(args.out, payload)
-    return EXIT_OK
+    return _publish(args, {"records": [r.to_json_dict() for r in records]})
 
 
 def _cmd_modp_trace(args) -> int:
@@ -309,9 +292,7 @@ def _cmd_coprime_tower(args) -> int:
             **result.to_json_dict(),
             "verification": report.to_json_dict(),
         }
-    _emit(payload)
-    _write_artifact(args.out, payload)
-    return EXIT_OK
+    return _publish(args, payload)
 
 
 def _cmd_ergodicity(args) -> int:
@@ -319,18 +300,14 @@ def _cmd_ergodicity(args) -> int:
     report = lab.total_ergodicity_experiment(
         x, args.p, args.bins, args.iters, seed=args.seed, tower_budget=args.budget
     )
-    _emit(report.to_json_dict())
-    _write_report(args, report)
-    return EXIT_OK
+    return _publish_report(args, report)
 
 
 def _cmd_product(args) -> int:
     x1 = _load_exchange(args.perm1, args.widths1)
     x2 = _load_exchange(args.perm2, args.widths2)
     report = lab.product_experiment(x1, x2, args.boxes, args.iters, seed=args.seed)
-    _emit(report.to_json_dict())
-    _write_report(args, report)
-    return EXIT_OK
+    return _publish_report(args, report)
 
 
 def _cmd_scan(args) -> int:
@@ -342,20 +319,82 @@ def _cmd_scan(args) -> int:
         count=args.count,
     )
     report = lab.rigidity_scan(cfg, parse_fraction(args.xi), args.horizon)
+    return _publish_report(args, report)
+
+
+def _publish_report(args, report: lab.ExperimentReport) -> int:
+    """Print ``report``; with ``--out``, write its JSON there and its CSV beside it."""
     _emit(report.to_json_dict())
-    _write_report(args, report)
-    return EXIT_OK
-
-
-def _write_report(args, report: lab.ExperimentReport) -> None:
     if args.out:
         Path(args.out).write_bytes(report.to_json_bytes())
         Path(args.out).with_suffix(".csv").write_text(report.to_csv_text())
+    return EXIT_OK
 
 
-def _add_exchange_args(sub) -> None:
-    sub.add_argument("--perm", required=True, help="permutation JSON file")
-    sub.add_argument("--widths", required=True, help="widths JSON file")
+# Each flag's argparse keywords, declared once.
+_FLAGS = {
+    "seed": dict(type=int, default=0, help="seed"),
+    "budget": dict(type=int, default=10_000, help="split or node budget"),
+    "out": dict(help="artifact output path"),
+    "perm": dict(required=True, help="permutation JSON file"),
+    "widths": dict(required=True, help="widths JSON file"),
+    "check-closure": dict(action="store_true"),
+    "side": dict(required=True, choices=["top", "bottom", "Top", "Bottom"]),
+    "offset": dict(required=True),
+    "inverse": dict(action="store_true"),
+    "steps": dict(type=int, required=True),
+    "depth": dict(type=int, required=True),
+    "delta": dict(required=True),
+    "tower": dict(required=True),
+    "xi": dict(required=True),
+    "candidates": dict(default=""),
+    "p": dict(type=int, required=True),
+    "bins": dict(type=int, default=100),
+    "iters": dict(type=int, default=100_000),
+    "perm1": dict(required=True),
+    "widths1": dict(required=True),
+    "perm2": dict(required=True),
+    "widths2": dict(required=True),
+    "boxes": dict(type=int, default=20),
+    "count": dict(type=int, default=10),
+    "denominator-bound": dict(type=int, default=lab.DEFAULT_DENOMINATOR_BOUND),
+    "horizon": dict(type=int, default=10),
+}
+
+# Each subcommand: its handler, its help and its flags in --help order.
+# A subcommand takes only the shared flags (seed, budget, out) it reads.
+_COMMANDS = {
+    "validate": (_cmd_validate, "validate a permutation file", "budget out perm check-closure"),
+    "apply": (_cmd_apply, "apply the exchange to one point", "perm widths side offset inverse"),
+    "orbit": (_cmd_orbit, "dump an orbit as JSON lines", "out perm widths side offset steps"),
+    "split": (_cmd_split, "one induction step", "out perm widths"),
+    "expand": (_cmd_expand, "iterate the induction, dump the stage", "out perm widths steps"),
+    "visits": (_cmd_visits, "orbit count matrix vs cocycle matrix", "out perm widths depth"),
+    "diagram": (_cmd_diagram, "forward closure of a permutation", "budget out perm"),
+    "attractors": (_cmd_attractors, "attractors of the forward closure", "budget out perm"),
+    "tower": (_cmd_tower, "find and verify a cyclic tower", "budget out perm widths delta"),
+    "verify-tower": (_cmd_verify_tower, "re-verify a tower certificate", "out perm widths tower"),
+    "rigidity": (
+        _cmd_rigidity, "grade candidate rigidity times", "budget out perm widths xi candidates"
+    ),
+    "modp-trace": (
+        _cmd_modp_trace, "remainder table along an expansion", "out perm widths p steps"
+    ),
+    "coprime-tower": (
+        _cmd_coprime_tower, "tower with height coprime to p", "budget out perm widths delta p"
+    ),
+    "ergodicity": (
+        _cmd_ergodicity, "total ergodicity evidence", "seed budget out perm widths p bins iters"
+    ),
+    "product": (
+        _cmd_product,
+        "product equidistribution evidence",
+        "seed out perm1 widths1 perm2 widths2 boxes iters",
+    ),
+    "scan": (
+        _cmd_scan, "rigidity time density scan", "seed out perm count denominator-bound xi horizon"
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,112 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for linear involutions without flips.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = {
-        "seed": dict(type=int, default=0, help="seed"),
-        "budget": dict(type=int, default=10_000, help="split or node budget"),
-        "out": dict(default=None, help="artifact output path"),
-    }
-
-    def add_parser(name, *flags, **kwargs):
-        """A subcommand taking only the shared flags its handler reads."""
-        s = sub.add_parser(name, **kwargs)
-        for flag in flags:
-            s.add_argument(f"--{flag}", **shared[flag])
-        return s
-
-    s = add_parser("validate", "budget", "out", help="validate a permutation file")
-    s.add_argument("--perm", required=True)
-    s.add_argument("--check-closure", action="store_true")
-    s.set_defaults(fn=_cmd_validate)
-
-    s = add_parser("apply", help="apply the exchange to one point")
-    _add_exchange_args(s)
-    s.add_argument("--side", required=True, choices=["top", "bottom", "Top", "Bottom"])
-    s.add_argument("--offset", required=True)
-    s.add_argument("--inverse", action="store_true")
-    s.set_defaults(fn=_cmd_apply)
-
-    s = add_parser("orbit", "out", help="dump an orbit as JSON lines")
-    _add_exchange_args(s)
-    s.add_argument("--side", required=True, choices=["top", "bottom", "Top", "Bottom"])
-    s.add_argument("--offset", required=True)
-    s.add_argument("--steps", type=int, required=True)
-    s.set_defaults(fn=_cmd_orbit)
-
-    s = add_parser("split", "out", help="one induction step")
-    _add_exchange_args(s)
-    s.set_defaults(fn=_cmd_split)
-
-    s = add_parser("expand", "out", help="iterate the induction, dump the stage")
-    _add_exchange_args(s)
-    s.add_argument("--steps", type=int, required=True)
-    s.set_defaults(fn=_cmd_expand)
-
-    s = add_parser("visits", "out", help="orbit count matrix vs cocycle matrix")
-    _add_exchange_args(s)
-    s.add_argument("--depth", type=int, required=True)
-    s.set_defaults(fn=_cmd_visits)
-
-    s = add_parser("diagram", "budget", "out", help="forward closure of a permutation")
-    s.add_argument("--perm", required=True)
-    s.set_defaults(fn=_cmd_diagram)
-
-    s = add_parser("attractors", "budget", "out", help="attractors of the forward closure")
-    s.add_argument("--perm", required=True)
-    s.set_defaults(fn=_cmd_attractors)
-
-    s = add_parser("tower", "budget", "out", help="find and verify a cyclic tower")
-    _add_exchange_args(s)
-    s.add_argument("--delta", required=True)
-    s.set_defaults(fn=_cmd_tower)
-
-    s = add_parser("verify-tower", "out", help="re-verify a tower certificate")
-    _add_exchange_args(s)
-    s.add_argument("--tower", required=True)
-    s.set_defaults(fn=_cmd_verify_tower)
-
-    s = add_parser("rigidity", "budget", "out", help="grade candidate rigidity times")
-    _add_exchange_args(s)
-    s.add_argument("--xi", required=True)
-    s.add_argument("--candidates", default="")
-    s.set_defaults(fn=_cmd_rigidity)
-
-    s = add_parser("modp-trace", "out", help="remainder table along an expansion")
-    _add_exchange_args(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--steps", type=int, required=True)
-    s.set_defaults(fn=_cmd_modp_trace)
-
-    s = add_parser("coprime-tower", "budget", "out", help="tower with height coprime to p")
-    _add_exchange_args(s)
-    s.add_argument("--delta", required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.set_defaults(fn=_cmd_coprime_tower)
-
-    s = add_parser("ergodicity", "seed", "budget", "out", help="total ergodicity evidence")
-    _add_exchange_args(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--bins", type=int, default=100)
-    s.add_argument("--iters", type=int, default=100_000)
-    s.set_defaults(fn=_cmd_ergodicity)
-
-    s = add_parser("product", "seed", "out", help="product equidistribution evidence")
-    s.add_argument("--perm1", required=True)
-    s.add_argument("--widths1", required=True)
-    s.add_argument("--perm2", required=True)
-    s.add_argument("--widths2", required=True)
-    s.add_argument("--boxes", type=int, default=20)
-    s.add_argument("--iters", type=int, default=100_000)
-    s.set_defaults(fn=_cmd_product)
-
-    s = add_parser("scan", "seed", "out", help="rigidity time density scan")
-    s.add_argument("--perm", required=True)
-    s.add_argument("--count", type=int, default=10)
-    s.add_argument("--denominator-bound", type=int, default=lab.DEFAULT_DENOMINATOR_BOUND)
-    s.add_argument("--xi", required=True)
-    s.add_argument("--horizon", type=int, default=10)
-    s.set_defaults(fn=_cmd_scan)
-
+    for name, (fn, text, flags) in _COMMANDS.items():
+        s = sub.add_parser(name, help=text)
+        for flag in flags.split():
+            s.add_argument(f"--{flag}", **_FLAGS[flag])
+        s.set_defaults(fn=fn)
     return parser
 
 

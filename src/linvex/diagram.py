@@ -275,16 +275,3 @@ def shortest_path(
             queue.append(edge.target)
     raise Unreachable("no reachable node satisfies the predicate")
 
-
-def reachable_from(
-    graph: RauzyGraph, start: GeneralizedPermutation
-) -> set[GeneralizedPermutation]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for edge in graph.edges[node]:
-            if edge.target not in seen:
-                seen.add(edge.target)
-                queue.append(edge.target)
-    return seen

@@ -9,15 +9,14 @@ approximation adequate for full-measure phenomena.
 Orbit statistics run on an integer grid: all layout data shares one
 common denominator, so a million-step orbit is exact integer arithmetic.
 Experiments are deterministic given their seed; per-sample substreams
-derive from (seed, index).  The environment variable LINVEX_SEED
-overrides configured seeds.
+derive from (seed, index).  Sizes (sample counts, iterations, horizons,
+denominator bounds) must be ints, not bools, in range; else InvalidInput.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -44,14 +43,12 @@ TOLERANCE = 0.05
 SCAN_TOWER_BUDGET = 2_000
 
 
-def effective_seed(seed: int) -> int:
-    env = os.environ.get("LINVEX_SEED")
-    if env is None:
-        return int(seed)
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidInput(f"LINVEX_SEED={env!r} is not an integer") from None
+def _check_size(value, what: str, least: int = 0) -> None:
+    """InvalidInput unless ``value`` is an int (not a bool) of at least
+    ``least``, 0 or 1, worded as ``rauzy._walk`` words its depth."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise InvalidInput(f"{what} must be a {kind} int, got {value!r}")
 
 
 def substream(seed: int, index) -> random.Random:
@@ -107,34 +104,34 @@ def _gaps(rng: random.Random, parts: int, grid: int) -> list[Fraction]:
     raise DegenerateSample(f"could not draw {parts} positive gaps on grid {grid}")
 
 
+def _check_sampler(cfg: SamplerConfig) -> None:
+    _check_size(cfg.count, "sample count")
+    _check_size(cfg.denominator_bound, "denominator bound", 1)
+    if cfg.denominator_bound < cfg.perm.band_count:
+        raise InvalidInput("denominator bound must be at least the band count")
+
+
 def sample_widths(cfg: SamplerConfig) -> list[dict[str, Fraction]]:
     """Draw ``count`` exact width vectors for the configured permutation."""
     perm = cfg.perm
-    if cfg.denominator_bound < perm.band_count:
-        raise InvalidInput("denominator bound must be at least the band count")
-    seed = effective_seed(cfg.seed)
+    _check_sampler(cfg)
     out = []
     labels = list(perm.alphabet)
     top_rev = perm.reversing_top
     bottom_rev = perm.reversing_bottom
     for index in range(cfg.count):
-        rng = substream(seed, index)
-        for _ in range(RESAMPLE_CAP):
-            gaps = _gaps(rng, perm.band_count, cfg.denominator_bound)
-            widths = dict(zip(labels, gaps))
-            if top_rev:
-                top_sum = sum((widths[a] for a in top_rev), Fraction(0))
-                bottom_sum = sum((widths[a] for a in bottom_rev), Fraction(0))
-                level = (top_sum + bottom_sum) / 2
-                for a in top_rev:
-                    widths[a] = widths[a] * level / top_sum
-                for a in bottom_rev:
-                    widths[a] = widths[a] * level / bottom_sum
-            if all(v > 0 for v in widths.values()):
-                out.append(widths)
-                break
-        else:
-            raise DegenerateSample("sampler kept producing zero widths")
+        # The gaps are positive and rescaling keeps them so.
+        gaps = _gaps(substream(cfg.seed, index), perm.band_count, cfg.denominator_bound)
+        widths = dict(zip(labels, gaps))
+        if top_rev:
+            top_sum = sum((widths[a] for a in top_rev), Fraction(0))
+            bottom_sum = sum((widths[a] for a in bottom_rev), Fraction(0))
+            level = (top_sum + bottom_sum) / 2
+            for a in top_rev:
+                widths[a] = widths[a] * level / top_sum
+            for a in bottom_rev:
+                widths[a] = widths[a] * level / bottom_sum
+        out.append(widths)
     return out
 
 
@@ -211,7 +208,7 @@ def total_ergodicity_experiment(
     modp.check_prime(p)
     if bins < 1:
         raise InvalidInput(f"bins must be at least 1, got {bins}")
-    seed = effective_seed(seed)
+    _check_size(iters, "iters")
     params = {
         "prime": p,
         "bins_per_side": bins,
@@ -289,7 +286,7 @@ def product_experiment(
     """
     if boxes < 1:
         raise InvalidInput(f"boxes must be at least 1, got {boxes}")
-    seed = effective_seed(seed)
+    _check_size(iters, "iters")
     params = {
         "boxes": boxes,
         "iterations": iters,
@@ -350,20 +347,17 @@ def rigidity_scan(
 
     For each sampled exchange, tower heights from a shrinking ladder are
     graded by exact defect; window i in 0 .. horizon-1 counts as covered
-    when some flagged time lands in [2^i, 2^(i+1)).  A negative
-    ``horizon`` or sample count, or an ``xi`` that is not an int or a
-    Fraction, is InvalidInput.
+    when some flagged time lands in [2^i, 2^(i+1)).  A ``horizon`` or
+    sample count that is not a nonnegative int, or an ``xi`` that is not an
+    int or a Fraction, is InvalidInput, raised before any sampling.
     """
-    if horizon < 0:
-        raise InvalidInput(f"horizon must be nonnegative, got {horizon}")
-    if cfg.count < 0:
-        raise InvalidInput(f"sample count must be nonnegative, got {cfg.count}")
+    _check_size(horizon, "horizon")
+    _check_sampler(cfg)
     xi = _exact(xi, "xi")
-    seed = effective_seed(cfg.seed)
     params = {
         "xi": format_fraction(xi),
         "horizon": horizon,
-        "seed": seed,
+        "seed": cfg.seed,
         "samples": cfg.count,
         "denominator_bound": cfg.denominator_bound,
     }

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from . import diagram, rauzy
-from .approx import CyclicTower, find_cyclic_tower
+from .approx import CyclicTower, _check_search, find_cyclic_tower
 from .errors import InconsistentStage, InvalidInput, Unreachable
 from .exchange import Exchange
 from .genperm import GeneralizedPermutation
@@ -255,9 +255,12 @@ def find_coprime_tower(
     All-reversing permutations are structurally obstructed at p = 2:
     preserving bands only ever appear with even column norms there, so
     every tower height is even.  That outcome is reported as data, not
-    raised, to keep it distinct from budget exhaustion.
+    raised, to keep it distinct from budget exhaustion.  ``delta`` and
+    ``budget`` are checked as ``find_cyclic_tower`` checks them, before
+    that outcome.
     """
     check_prime(prime)
+    _check_search(delta, budget)
     if prime == 2 and x.perm.is_all_reversing:
         return StructuralObstruction(
             reason="all bands reverse orientation: preserving bands keep even "

@@ -318,6 +318,82 @@ def test_shared_flags_per_subcommand():
     assert sum(len(v) for v in flags.values()) == 25
 
 
+# The parser as the hand-written subcommand blocks built it, written out
+# by hand: each flag's (dest, type, default, required, choices, action),
+# the same on every subcommand that takes it, and each subcommand's flags
+# in --help order.
+_STORE, _TRUE = argparse._StoreAction, argparse._StoreTrueAction
+_FLAG_SHAPES = {
+    "--seed": ("seed", int, 0, False, None, _STORE),
+    "--budget": ("budget", int, 10_000, False, None, _STORE),
+    "--out": ("out", None, None, False, None, _STORE),
+    "--perm": ("perm", None, None, True, None, _STORE),
+    "--widths": ("widths", None, None, True, None, _STORE),
+    "--check-closure": ("check_closure", None, False, False, None, _TRUE),
+    "--side": ("side", None, None, True, ["top", "bottom", "Top", "Bottom"], _STORE),
+    "--offset": ("offset", None, None, True, None, _STORE),
+    "--inverse": ("inverse", None, False, False, None, _TRUE),
+    "--steps": ("steps", int, None, True, None, _STORE),
+    "--depth": ("depth", int, None, True, None, _STORE),
+    "--delta": ("delta", None, None, True, None, _STORE),
+    "--tower": ("tower", None, None, True, None, _STORE),
+    "--xi": ("xi", None, None, True, None, _STORE),
+    "--candidates": ("candidates", None, "", False, None, _STORE),
+    "--p": ("p", int, None, True, None, _STORE),
+    "--bins": ("bins", int, 100, False, None, _STORE),
+    "--iters": ("iters", int, 100_000, False, None, _STORE),
+    "--perm1": ("perm1", None, None, True, None, _STORE),
+    "--widths1": ("widths1", None, None, True, None, _STORE),
+    "--perm2": ("perm2", None, None, True, None, _STORE),
+    "--widths2": ("widths2", None, None, True, None, _STORE),
+    "--boxes": ("boxes", int, 20, False, None, _STORE),
+    "--count": ("count", int, 10, False, None, _STORE),
+    "--denominator-bound": ("denominator_bound", int, 2**40, False, None, _STORE),
+    "--horizon": ("horizon", int, 10, False, None, _STORE),
+}
+_PARSER_SHAPE = [
+    ("validate", "--budget --out --perm --check-closure"),
+    ("apply", "--perm --widths --side --offset --inverse"),
+    ("orbit", "--out --perm --widths --side --offset --steps"),
+    ("split", "--out --perm --widths"),
+    ("expand", "--out --perm --widths --steps"),
+    ("visits", "--out --perm --widths --depth"),
+    ("diagram", "--budget --out --perm"),
+    ("attractors", "--budget --out --perm"),
+    ("tower", "--budget --out --perm --widths --delta"),
+    ("verify-tower", "--out --perm --widths --tower"),
+    ("rigidity", "--budget --out --perm --widths --xi --candidates"),
+    ("modp-trace", "--out --perm --widths --p --steps"),
+    ("coprime-tower", "--budget --out --perm --widths --delta --p"),
+    ("ergodicity", "--seed --budget --out --perm --widths --p --bins --iters"),
+    ("product", "--seed --out --perm1 --widths1 --perm2 --widths2 --boxes --iters"),
+    ("scan", "--seed --out --perm --count --denominator-bound --xi --horizon"),
+]
+
+
+def test_parser_shape_is_pinned():
+    # Help text aside, the golden hashes do not see the parser: an
+    # option's type, default or action could move with every case passing.
+    (sub,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    shape = [
+        (
+            name,
+            [
+                (a.option_strings, a.dest, a.type, a.default, a.required, a.choices, type(a))
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        )
+        for name, parser in sub.choices.items()
+    ]
+    assert shape == [
+        (name, [([flag], *_FLAG_SHAPES[flag]) for flag in flags.split()])
+        for name, flags in _PARSER_SHAPE
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -382,14 +458,22 @@ def test_rigidity_rejects_non_integer_candidates(rotation_files, capsys, candida
     assert captured.err.startswith("error: ") and repr(bad) in captured.err
 
 
-def test_malformed_env_seed_is_a_domain_error(rotation_files, monkeypatch, capsys):
+def test_linvex_seed_in_the_environment_changes_nothing(
+    rotation_files, tmp_path, monkeypatch, capsys
+):
     perm, _ = rotation_files
-    monkeypatch.setenv("LINVEX_SEED", "abc")
-    argv = ["scan", "--perm", perm, "--xi", "1/20", "--count", "1", "--horizon", "3"]
-    assert cli.main(argv) == cli.EXIT_DOMAIN
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "LINVEX_SEED='abc'" in captured.err
+    argv = ["scan", "--perm", perm, "--xi", "1/20", "--count", "2", "--horizon", "3"]
+    runs = []
+    for env in (None, "abc", "777"):
+        if env is None:
+            monkeypatch.delenv("LINVEX_SEED", raising=False)
+        else:
+            monkeypatch.setenv("LINVEX_SEED", env)
+        out = tmp_path / f"scan{len(runs)}.json"
+        assert cli.main([*argv, "--seed", "5", "--out", str(out)]) == 0
+        runs.append((capsys.readouterr(), out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+    assert runs[0][0].err == ""
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize(
@@ -421,7 +505,7 @@ def test_scan_rejects_negative_horizon_and_count(rotation_files, capsys, flag, w
     assert cli.main([*argv, flag, "-2"]) == cli.EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and f"{word} must be nonnegative" in captured.err
+    assert captured.err == f"error: {word} must be a nonnegative int, got -2\n"
 
 
 @pytest.mark.parametrize(
@@ -430,8 +514,9 @@ def test_scan_rejects_negative_horizon_and_count(rotation_files, capsys, flag, w
         (["tower", "--delta", "1/4", "--budget", "-1"], "budget"),
         (["expand", "--steps", "-1"], "expansion depth"),
         (["modp-trace", "--p", "3", "--steps", "-1"], "expansion depth"),
+        (["ergodicity", "--p", "3", "--iters", "-1"], "iters"),
     ],
-    ids=["tower-budget", "expand-steps", "modp-trace-steps"],
+    ids=["tower-budget", "expand-steps", "modp-trace-steps", "ergodicity-iters"],
 )
 def test_negative_budget_or_depth_is_a_domain_error(nonclassical_files, capsys, argv, word):
     perm, widths = nonclassical_files

@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -230,14 +229,12 @@ def run_case(name: str, root: Path) -> tuple[int, str, dict[str, str]]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_subcommand_output_is_pinned(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("LINVEX_SEED", raising=False)
+def test_subcommand_output_is_pinned(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(ERRORS))
-def test_rejected_input_is_pinned(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("LINVEX_SEED", raising=False)
+def test_rejected_input_is_pinned(name, tmp_path):
     case, code, stderr = ERRORS[name]
     assert _run(case, tmp_path) == (code, "", stderr, {})
 
@@ -253,7 +250,6 @@ def test_every_subcommand_has_a_case():
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("LINVEX_SEED", None)
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, artifacts = run_case(name, Path(tmp))

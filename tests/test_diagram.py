@@ -160,7 +160,7 @@ def test_scc_matches_pairwise_reachability():
     assert sum(len(c) for c in comps) == g.node_count
     for comp in comps:
         for a in comp:
-            reach = diagram.reachable_from(g, a)
+            reach = set(diagram.forward_closure(a).nodes)
             assert comp <= reach
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
@@ -56,17 +57,6 @@ def test_sample_widths_all_reversing_switch():
 def test_sampler_determinism():
     cfg = lab.SamplerConfig(perm=NONCLASSICAL, denominator_bound=2**20, seed=9, count=5)
     assert lab.sample_widths(cfg) == lab.sample_widths(cfg)
-
-
-def test_sampler_env_seed_override(monkeypatch):
-    cfg = lab.SamplerConfig(perm=ROTATION, denominator_bound=1000, seed=1, count=3)
-    base = lab.sample_widths(cfg)
-    monkeypatch.setenv("LINVEX_SEED", "777")
-    overridden = lab.sample_widths(cfg)
-    assert overridden != base
-    cfg777 = lab.SamplerConfig(perm=ROTATION, denominator_bound=1000, seed=777, count=3)
-    monkeypatch.delenv("LINVEX_SEED")
-    assert overridden == lab.sample_widths(cfg777)
 
 
 def test_sampler_marginal_report_only():
@@ -400,10 +390,10 @@ def test_rigidity_scan_rejects_negative_horizon_and_count(monkeypatch):
 
     monkeypatch.setattr(lab, "sample_widths", sampling)
     cfg = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=2)
-    with pytest.raises(InvalidInput, match="horizon must be nonnegative, got -2"):
+    with pytest.raises(InvalidInput, match="horizon must be a nonnegative int, got -2"):
         lab.rigidity_scan(cfg, F(1, 50), horizon=-2)
     negative = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=-2)
-    with pytest.raises(InvalidInput, match="sample count must be nonnegative, got -2"):
+    with pytest.raises(InvalidInput, match="sample count must be a nonnegative int, got -2"):
         lab.rigidity_scan(negative, F(1, 50), horizon=8)
     monkeypatch.undo()
     monkeypatch.setattr(lab, "SCAN_TOWER_BUDGET", 400)
@@ -489,9 +479,72 @@ def test_ergodicity_rejects_a_p_that_is_not_prime_before_any_search(monkeypatch,
         lab.total_ergodicity_experiment(_nonclassical(), p, bins=4, iters=200, seed=1)
 
 
-def test_malformed_env_seed_is_invalid_input(monkeypatch):
-    monkeypatch.setenv("LINVEX_SEED", "abc")
-    with pytest.raises(InvalidInput, match="'abc'"):
-        lab.effective_seed(1)
-    monkeypatch.setenv("LINVEX_SEED", " 12 ")
-    assert lab.effective_seed(1) == 12
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda x: lab.product_experiment(x, x, 4, 2.5),
+            "iters must be a nonnegative int, got 2.5",
+        ),
+        (
+            lambda x: lab.product_experiment(x, x, 4, -5),
+            "iters must be a nonnegative int, got -5",
+        ),
+        (
+            lambda x: lab.product_experiment(x, x, 4, True),
+            "iters must be a nonnegative int, got True",
+        ),
+        (
+            lambda x: lab.total_ergodicity_experiment(x, 2, 4, 2.5),
+            "iters must be a nonnegative int, got 2.5",
+        ),
+        (
+            lambda x: lab.total_ergodicity_experiment(x, 2, 4, -5),
+            "iters must be a nonnegative int, got -5",
+        ),
+        (
+            lambda x: lab.sample_widths(lab.SamplerConfig(perm=ROTATION, count=-1)),
+            "sample count must be a nonnegative int, got -1",
+        ),
+        (
+            lambda x: lab.sample_widths(lab.SamplerConfig(perm=ROTATION, count=2.5)),
+            "sample count must be a nonnegative int, got 2.5",
+        ),
+        (
+            lambda x: lab.sample_widths(lab.SamplerConfig(perm=ROTATION, denominator_bound=1e6)),
+            "denominator bound must be a positive int, got 1000000.0",
+        ),
+        (
+            lambda x: lab.rigidity_scan(lab.SamplerConfig(perm=ROTATION), F(1, 20), 2.5),
+            "horizon must be a nonnegative int, got 2.5",
+        ),
+        (
+            lambda x: lab.rigidity_scan(
+                lab.SamplerConfig(perm=ROTATION, denominator_bound=False), F(1, 20), 3
+            ),
+            "denominator bound must be a positive int, got False",
+        ),
+    ],
+    ids=[
+        "product-iters-float",
+        "product-iters-negative",
+        "product-iters-bool",
+        "ergodicity-iters-float",
+        "ergodicity-iters-negative",
+        "count-negative",
+        "count-float",
+        "bound-float",
+        "scan-horizon-float",
+        "scan-bound-bool",
+    ],
+)
+def test_lab_sizes_must_be_ints_in_range(monkeypatch, call, message):
+    def untouched(*args, **kwargs):
+        raise AssertionError("ran before the size check")
+
+    for name in ("_gaps", "_orbit_cells"):
+        monkeypatch.setattr(lab, name, untouched)
+    monkeypatch.setattr(lab.modp, "find_coprime_tower", untouched)
+    with pytest.raises(InvalidInput, match="^" + re.escape(message) + "$"):
+        call(_nonclassical())
+

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from linvex import approx, genperm, modp, rauzy
 from linvex.errors import InvalidInput
+from linvex.exchange import Exchange
 from linvex.genperm import Orientation, validate
 
 from conftest import (
@@ -259,6 +260,27 @@ def test_find_coprime_tower_structural_obstruction_p2():
         x = sample_exchange(perm, seed=9)
         result = modp.find_coprime_tower(x, F(1, 4), 2)
         assert isinstance(result, modp.StructuralObstruction)
+
+
+@pytest.mark.parametrize(
+    "delta, budget, message",
+    [
+        (0.3, 10_000, "delta must be an int or a Fraction, got 0.3"),
+        ("1/4", 10_000, "delta must be an int or a Fraction, got '1/4'"),
+        (7, 10_000, "delta must be in (0, 1), got 7"),
+        (F(1, 4), -1, "budget must be a nonnegative int, got -1"),
+        (F(1, 4), True, "budget must be a nonnegative int, got True"),
+    ],
+)
+def test_coprime_tower_checks_its_search_before_the_obstruction(delta, budget, message):
+    # An all-reversing exchange at p = 2 is obstructed, but a bad delta or
+    # budget is still invalid input, worded as the cyclic search words it.
+    x = Exchange(validate(["A", "A"], ["B", "B"]), {"A": F(1, 2), "B": F(1, 2)})
+    match = "^" + re.escape(message) + "$"
+    with pytest.raises(InvalidInput, match=match):
+        modp.find_coprime_tower(x, delta, 2, budget=budget)
+    with pytest.raises(InvalidInput, match=match):
+        approx.find_cyclic_tower(x, delta, budget=budget)
 
 
 def test_find_coprime_tower_p3():
