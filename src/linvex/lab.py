@@ -10,7 +10,8 @@ Orbit statistics run on an integer grid: all layout data shares one
 common denominator, so a million-step orbit is exact integer arithmetic.
 Experiments are deterministic given their seed; per-sample substreams
 derive from (seed, index).  Sizes (sample counts, iterations, horizons,
-denominator bounds) must be ints, not bools, in range; else InvalidInput.
+denominator bounds, box and bin counts) must be ints, not bools, in
+range; else InvalidInput.
 """
 
 from __future__ import annotations
@@ -150,15 +151,40 @@ def _orbit_cells(
     exchange's ``_flat``, see ``exchange.Exchange``) takes count * stride
     steps and records the point before every stride-th step, binned as
     (f mod span) * cells // span.  None means one of the steps hit an
-    endpoint.
+    endpoint: a reversing position's own left end.
+
+    A recorded point is binned and stepped by one lookup in a table built
+    once per call.  Its edges refine the map's breakpoints ``bounds[:-1]``
+    by the cell thresholds base + ceil(k * span / cells) of each side,
+    for base in range(0, 2L, span) and k in 0 .. cells - 1, less those at
+    or past 2L.  On each refined interval the cell of its left edge holds
+    throughout, as does the map's position; the interval keeps that cell
+    with the position's slope, shift and left end.  The other stride - 1
+    steps of each stride look up the position in ``bounds`` alone.
     """
-    _, _, bounds, slopes, shifts = flat_map
+    _, length, bounds, slopes, shifts = flat_map
+    end = 2 * length
+    thresholds = {base - (-k * span // cells) for base in range(0, end, span) for k in range(cells)}
+    edges = sorted({t for t in thresholds if t < end}.union(bounds[:-1]))
+    rows = []
+    for e in edges:
+        p = bisect_right(bounds, e) - 1
+        rows.append((e % span * cells // span, slopes[p], shifts[p], bounds[p]))
+    # edges[0] is 0, so a point's row is the count of the other edges at or below it.
+    cuts = edges[1:]
     f = start
     out = []
     append = out.append
-    substeps = range(stride)
+    substeps = range(stride - 1)
     for _ in range(count):
-        append(f % span * cells // span)
+        cell, slope, shift, left = rows[bisect_right(cuts, f)]
+        append(cell)
+        if slope == 1:
+            f += shift
+        elif f == left:
+            return None
+        else:
+            f = shift - f
         for _ in substeps:
             p = bisect_right(bounds, f) - 1
             if slopes[p] == 1:
@@ -206,8 +232,7 @@ def total_ergodicity_experiment(
     per side and passes when every relative deviation is below ``TOLERANCE``.
     """
     modp.check_prime(p)
-    if bins < 1:
-        raise InvalidInput(f"bins must be at least 1, got {bins}")
+    _check_size(bins, "bins", 1)
     _check_size(iters, "iters")
     params = {
         "prime": p,
@@ -284,8 +309,7 @@ def product_experiment(
     offset within the starting side; a non-classical factor flattens both
     sides into one coordinate.
     """
-    if boxes < 1:
-        raise InvalidInput(f"boxes must be at least 1, got {boxes}")
+    _check_size(boxes, "boxes", 1)
     _check_size(iters, "iters")
     params = {
         "boxes": boxes,

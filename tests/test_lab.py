@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
 import re
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linvex import lab
 from linvex.errors import (
@@ -25,6 +28,7 @@ from conftest import (
     STUCK_FREE_NONCLASSICAL,
     IntegerLayout,
     perm_pool,
+    random_grid_widths,
     sample_exchange,
 )
 
@@ -352,6 +356,135 @@ def test_occupancy_kernel_equals_lock_step_loop(monkeypatch, steps, restarts):
                 assert got.records[1]["restarts"] == restarts
 
 
+def _reference_cells(flat_map, start, count, stride, cells, span):
+    """The orbit kernel as a per-step loop: bin the point, then take
+    ``stride`` steps, each one a lookup in the map's own breakpoints."""
+    _, _, bounds, slopes, shifts = flat_map
+    f = start
+    out = []
+    for _ in range(count):
+        out.append(f % span * cells // span)
+        for _ in range(stride):
+            p = bisect_right(bounds, f) - 1
+            if slopes[p] == 1:
+                f += shifts[p]
+            elif f == bounds[p]:
+                return None
+            else:
+                f = shifts[p] - f
+    return out
+
+
+_ORBIT_POOL = perm_pool(CLASSICAL) + perm_pool(STUCK_FREE_NONCLASSICAL)
+
+
+@st.composite
+def _orbit_exchanges(draw):
+    """A rational rotation, or a pool exchange on a small or a 2^40 grid."""
+    kind = draw(st.sampled_from(["rotation", "small", "sampled"]))
+    if kind == "rotation":
+        q = draw(st.integers(2, 30))
+        b = draw(st.integers(1, q - 1))
+        a = draw(st.integers(1, q - b))
+        return build(ROTATION, {"A": F(a, q), "B": F(b, q)})
+    perm = draw(st.sampled_from(_ORBIT_POOL))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "small":
+        return Exchange(perm, random_grid_widths(perm, random.Random(seed)))
+    return sample_exchange(perm, seed)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    x=_orbit_exchanges(),
+    stride=st.integers(1, 7),
+    count=st.integers(0, 40),
+    whole=st.booleans(),
+    data=st.data(),
+)
+def test_orbit_cells_equals_the_per_step_loop(x, stride, count, whole, data):
+    flat_map = x._flat
+    length = flat_map[1]
+    span = 2 * length if whole else length
+    # cells from 1 to three times the span, so on small grids some cell
+    # thresholds coincide and some reach 2L
+    cells = data.draw(st.integers(1, min(3 * span, 400)), label="cells")
+    start = data.draw(st.integers(0, 2 * length - 1), label="start")
+    got = lab._orbit_cells(flat_map, start, count, stride, cells, span)
+    assert got == _reference_cells(flat_map, start, count, stride, cells, span)
+
+
+def _small_nonclassical():
+    return Exchange(NONCLASSICAL, {"A": 2, "B": 3, "C": 2})
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["span-2L", "span-L"])
+def test_orbit_cells_with_one_cell(whole):
+    rotation = build(ROTATION, {"A": F(296169, 2**19), "B": F(228119, 2**19)})
+    for x in (rotation, _small_nonclassical(), _nonclassical()):
+        flat_map = x._flat
+        length = flat_map[1]
+        span = 2 * length if whole else length
+        for start in (1, length - 1, length + 1):
+            got = lab._orbit_cells(flat_map, start, 30, 2, 1, span)
+            assert got == _reference_cells(flat_map, start, 30, 2, 1, span)
+            assert got is None or got == [0] * 30
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["span-2L", "span-L"])
+def test_orbit_cells_with_more_cells_than_grid_points(whole):
+    # on the 8-point grid of this rotation, 10 cells put the last threshold
+    # of the last side at 2L itself
+    x = build(ROTATION, {"A": F(3, 7), "B": F(1, 7)})
+    flat_map = x._flat
+    length = flat_map[1]
+    assert 2 * length == 8
+    span = 2 * length if whole else length
+    for cells in (10, span + 1, 3 * span):
+        for start in range(2 * length):
+            for stride in (1, 2, 3):
+                got = lab._orbit_cells(flat_map, start, 12, stride, cells, span)
+                assert got == _reference_cells(flat_map, start, 12, stride, cells, span)
+
+
+def _reversing_interior_thresholds(flat_map, cells, span):
+    """Cell thresholds strictly inside a reversing position of the map."""
+    _, length, bounds, slopes, _ = flat_map
+    found = []
+    for base in range(0, 2 * length, span):
+        for k in range(cells):
+            t = base - (-k * span // cells)
+            p = bisect_right(bounds, t) - 1
+            if t < 2 * length and slopes[p] == -1 and t != bounds[p]:
+                found.append(t)
+    return found
+
+
+def test_orbit_cells_from_a_cell_edge_inside_a_reversing_position():
+    for x in (_small_nonclassical(), _nonclassical()):
+        flat_map = x._flat
+        span = 2 * flat_map[1]
+        starts = _reversing_interior_thresholds(flat_map, 4, span)
+        assert starts
+        for start in starts:
+            got = lab._orbit_cells(flat_map, start, 1, 1, 4, span)
+            assert got == [start * 4 // span]
+
+
+@pytest.mark.parametrize("cells", [1, 4, 7, 14, 30])
+def test_orbit_cells_from_a_reversing_left_end_is_none(cells):
+    for x in (_small_nonclassical(), _nonclassical()):
+        flat_map = x._flat
+        _, length, bounds, slopes, _ = flat_map
+        lefts = [bounds[p] for p, slope in enumerate(slopes) if slope == -1]
+        assert lefts
+        for whole in (True, False):
+            span = 2 * length if whole else length
+            for start in lefts:
+                assert lab._orbit_cells(flat_map, start, 1, 1, cells, span) is None
+                assert lab._orbit_cells(flat_map, start, 3, 5, cells, span) is None
+
+
 # --- failures that must not become data --------------------------------------
 
 
@@ -457,9 +590,9 @@ def test_zero_sizes_are_rejected_before_any_orbit(monkeypatch, size):
 
     monkeypatch.setattr(lab, "_orbit_cells", untouched)
     monkeypatch.setattr(lab.modp, "find_coprime_tower", untouched)
-    with pytest.raises(InvalidInput, match="boxes must be at least 1"):
+    with pytest.raises(InvalidInput, match=f"^boxes must be a positive int, got {size}$"):
         lab.product_experiment(x, x, boxes=size, iters=200, seed=1)
-    with pytest.raises(InvalidInput, match="bins must be at least 1"):
+    with pytest.raises(InvalidInput, match=f"^bins must be a positive int, got {size}$"):
         lab.total_ergodicity_experiment(x, 2, bins=size, iters=200, seed=1)
     # zero iterations do not excuse a zero size
     with pytest.raises(InvalidInput):
@@ -503,6 +636,22 @@ def test_ergodicity_rejects_a_p_that_is_not_prime_before_any_search(monkeypatch,
             "iters must be a nonnegative int, got -5",
         ),
         (
+            lambda x: lab.product_experiment(x, x, 2.5, 100),
+            "boxes must be a positive int, got 2.5",
+        ),
+        (
+            lambda x: lab.product_experiment(x, x, True, 100),
+            "boxes must be a positive int, got True",
+        ),
+        (
+            lambda x: lab.total_ergodicity_experiment(x, 2, 2.5, 100),
+            "bins must be a positive int, got 2.5",
+        ),
+        (
+            lambda x: lab.total_ergodicity_experiment(x, 2, True, 100),
+            "bins must be a positive int, got True",
+        ),
+        (
             lambda x: lab.sample_widths(lab.SamplerConfig(perm=ROTATION, count=-1)),
             "sample count must be a nonnegative int, got -1",
         ),
@@ -531,6 +680,10 @@ def test_ergodicity_rejects_a_p_that_is_not_prime_before_any_search(monkeypatch,
         "product-iters-bool",
         "ergodicity-iters-float",
         "ergodicity-iters-negative",
+        "product-boxes-float",
+        "product-boxes-bool",
+        "ergodicity-bins-float",
+        "ergodicity-bins-bool",
         "count-negative",
         "count-float",
         "bound-float",
