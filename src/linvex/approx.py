@@ -59,7 +59,7 @@ from .errors import (
     InvalidInput,
     SplitUndefined,
 )
-from .exchange import Exchange, Side, _compose, _exact, _grid_layout, _image
+from .exchange import Exchange, Side, _check_size, _compose, _exact, _grid_layout, _image
 from .genperm import GeneralizedPermutation
 from .rationals import format_fraction
 
@@ -200,8 +200,10 @@ def verify_tower(
     BudgetExceeded when that is over budget; its only piece-steps, the
     base steps, must also fit the budget, or the replay runs.  Property
     failures are reported in the verdicts, never raised; only exceeding
-    the step budget raises.
+    the step budget raises.  ``step_budget`` must be a nonnegative int
+    (not a bool), else InvalidInput.
     """
+    _check_size(step_budget, "step budget")
     return _verify(x, tower, step_budget, None)
 
 
@@ -493,8 +495,7 @@ def _check_search(delta, budget) -> Fraction:
     delta = _exact(delta, "delta")
     if not (0 < delta < 1):
         raise InvalidInput(f"delta must be in (0, 1), got {delta}")
-    if type(budget) is not int or budget < 0:
-        raise InvalidInput(f"budget must be a nonnegative int, got {budget!r}")
+    _check_size(budget, "budget")
     return delta
 
 
@@ -644,23 +645,17 @@ def _defect_numerator(pieces: list[tuple[int, int, int, int]], length: int) -> i
     return total + 4 * length * crossing
 
 
-def _check_iterate(n: int) -> None:
-    if type(n) is not int or n < 1:
-        raise InvalidInput(f"rigidity iterate must be a positive int, got {n!r}")
-
-
 def rigidity_defect(x: Exchange, n: int) -> Fraction:
     """Exact integral of the displacement of the n-th iterate; ``n`` must
     be a positive int (not a bool), else InvalidInput."""
-    _check_iterate(n)
+    _check_size(n, "rigidity iterate", 1)
     return next(_rigidity_defects(x, [n]))
 
 
 def rigidity_profile(x: Exchange, n_max: int) -> list[Fraction]:
     """Defects of all iterates 1 .. n_max, sharing the composed partition;
     ``n_max`` must be a nonnegative int (not a bool), else InvalidInput."""
-    if type(n_max) is not int or n_max < 0:
-        raise InvalidInput(f"rigidity n_max must be a nonnegative int, got {n_max!r}")
+    _check_size(n_max, "rigidity n_max")
     return list(_rigidity_defects(x, range(1, n_max + 1)))
 
 
@@ -683,7 +678,7 @@ def find_rigidity_times(
     """
     xi = _exact(xi, "xi")
     for n in candidates:
-        _check_iterate(n)
+        _check_size(n, "rigidity iterate", 1)
     times = sorted(set(candidates))
     heights: set[int] = set()
     ladder_delta = Fraction(1, 4)

@@ -15,12 +15,10 @@ from pathlib import Path
 from . import approx, diagram, genperm, lab, modp, rauzy
 from .errors import (
     BudgetExceeded,
-    ClosureBudgetExceeded,
     InconsistentStage,
     InvalidInput,
     InvariantViolation,
     LinvexError,
-    NotReturning,
     SplitUndefined,
 )
 from .exchange import Exchange, Point, Side
@@ -36,8 +34,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
-
-_BUDGET_ERRORS = (BudgetExceeded, ClosureBudgetExceeded, NotReturning)
 
 
 def _load_json(path: str):
@@ -334,7 +330,7 @@ def _publish_report(args, report: lab.ExperimentReport) -> int:
 # Each flag's argparse keywords, declared once.
 _FLAGS = {
     "seed": dict(type=int, default=0, help="seed"),
-    "budget": dict(type=int, default=10_000, help="split or node budget"),
+    "budget": dict(type=int, default=approx.DEFAULT_SPLIT_BUDGET, help="split or node budget"),
     "out": dict(help="artifact output path"),
     "perm": dict(required=True, help="permutation JSON file"),
     "widths": dict(required=True, help="widths JSON file"),
@@ -419,7 +415,7 @@ def main(argv=None) -> int:
     except (InvariantViolation, InconsistentStage) as err:
         sys.stderr.write(f"INVARIANT VIOLATION: {err}\n")
         return EXIT_VIOLATION
-    except _BUDGET_ERRORS as err:
+    except BudgetExceeded as err:
         sys.stderr.write(f"budget exhausted: {err}\n")
         return EXIT_BUDGET
     except (LinvexError, OSError) as err:

@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import rauzy
-from .errors import ClosureBudgetExceeded, InconsistentStage, Unreachable
-from .exchange import _check_widths
+from .errors import BudgetExceeded, InconsistentStage, Unreachable
+from .exchange import _check_size, _check_widths
 from .genperm import GeneralizedPermutation, critical_bands, is_combinatorially_reducible
 from .rationals import format_fraction
 
@@ -131,8 +131,11 @@ def forward_closure(
     """Breadth-first closure under feasible splits, up to a node budget.
 
     Only the first node of each shape runs the audited ``node_edges``;
-    the others reuse its directions (see the module docstring).
+    the others reuse its directions (see the module docstring).  The
+    budget, a nonnegative int, caps the nodes; a closure with more raises
+    BudgetExceeded.
     """
+    _check_size(budget, "budget")
     edges: dict[GeneralizedPermutation, tuple[Edge, ...]] = {}
     nodes: list[GeneralizedPermutation] = [perm]
     seen = {perm}
@@ -152,15 +155,13 @@ def forward_closure(
         for edge in outs:
             if edge.target in seen:
                 continue
-            if len(nodes) + 1 > budget or budget <= 0:
-                raise ClosureBudgetExceeded(
-                    f"closure exceeded {budget} nodes from {perm}"
-                )
+            if len(nodes) >= budget:
+                raise BudgetExceeded(f"closure exceeded {budget} nodes from {perm}")
             seen.add(edge.target)
             nodes.append(edge.target)
             queue.append(edge.target)
-    if budget <= 0 and any(edges[n] for n in nodes):
-        raise ClosureBudgetExceeded("budget 0 allows only edge-free nodes")
+    if budget == 0 and any(edges[n] for n in nodes):
+        raise BudgetExceeded("budget 0 allows only edge-free nodes")
     return RauzyGraph(root=perm, nodes=nodes, edges=edges)
 
 

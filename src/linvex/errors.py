@@ -40,10 +40,6 @@ class EndpointHit(LinvexError):
         super().__init__(message or f"map undefined at {point!r}")
 
 
-class NotReturning(LinvexError):
-    """A piece failed to return to the cut intervals within budget."""
-
-
 class SplitUndefined(LinvexError):
     """Base class for the three undefined cases of the induction step."""
 
@@ -60,12 +56,11 @@ class InconsistentStage(LinvexError):
     """Stage data does not cohere with the exchange it was built from."""
 
 
-class ClosureBudgetExceeded(LinvexError):
-    """A forward closure grew past the configured node budget."""
-
-
 class BudgetExceeded(LinvexError):
-    """An iterative search exhausted its step budget."""
+    """A loop ran past its limit of steps (return chases, probes, tower
+    replays, the splits of a tower search), nodes (forward closures),
+    states (the mod-p search), pieces (rigidity composition) or retries
+    (the samplers)."""
 
 
 class ExpansionHalted(LinvexError):
@@ -79,10 +74,6 @@ class ExpansionHalted(LinvexError):
 
 class Unreachable(LinvexError):
     """No node satisfying the target predicate is reachable."""
-
-
-class DegenerateSample(LinvexError):
-    """The sampler kept producing zero widths past its retry cap."""
 
 
 class InvariantViolation(LinvexError):

@@ -37,11 +37,11 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import genperm
 from .errors import (
+    BudgetExceeded,
     EndpointHit,
     InconsistentStage,
     InvalidInput,
     NonPositiveWidth,
-    NotReturning,
     SwitchConditionViolated,
 )
 from .genperm import GeneralizedPermutation
@@ -81,6 +81,14 @@ def _exact(value, what: str) -> Fraction:
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     raise InvalidInput(f"{what} must be an int or a Fraction, got {value!r}")
+
+
+def _check_size(value, what: str, least: int = 0) -> None:
+    """InvalidInput naming ``what`` unless ``value`` is an int (not a
+    bool) of at least ``least``, 0 or 1: a size, a depth or a budget."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise InvalidInput(f"{what} must be a {kind} int, got {value!r}")
 
 
 def _check_widths(perm: GeneralizedPermutation, widths: Mapping[str, int], denom: int = 1) -> None:
@@ -179,8 +187,7 @@ class Exchange:
         return Point(side.flipped(), offset)
 
     def orbit(self, start: Point, steps: int) -> OrbitSegment:
-        if steps < 0:
-            raise InvalidInput("orbit length must be nonnegative")
+        _check_size(steps, "orbit length")
         points = [start]
         hit: int | None = None
         for k in range(steps):
@@ -198,7 +205,7 @@ class Exchange:
         band keeps one of its ends bitwise equal to an original end, which
         reproduces the usual induction labels at a Rauzy cut.  Otherwise
         all bands get fresh canonical names.  A chase longer than
-        ``DEFAULT_RETURN_BUDGET`` steps raises NotReturning.
+        ``DEFAULT_RETURN_BUDGET`` steps raises BudgetExceeded.
         """
         cut = _exact(cut, "cut")
         if not (0 < cut <= self.side_length):
@@ -339,7 +346,7 @@ def _chase(
         pieces = out
     lo, hi = pieces[0][:2]
     side = 1 if lo >= length else 0
-    raise NotReturning(
+    raise BudgetExceeded(
         f"piece [{lo - side * length}, {hi - side * length}) on side {side} "
         f"exceeded {budget} steps"
     )
@@ -360,7 +367,10 @@ def first_return_on_grid(
     InconsistentStage.  A piece has slope +1 or -1, so its image has its
     length by construction.  Tiling both sides to the same length also
     gives the induced switch condition, and every piece is nonempty.
+    A chase past ``budget`` steps, a nonnegative int, raises
+    BudgetExceeded.
     """
+    _check_size(budget, "budget")
     flat = _grid_layout(perm, widths)
     length, bounds = flat[0], flat[1]
     pieces = sorted(_chase(flat, cut, budget))

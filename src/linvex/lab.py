@@ -24,32 +24,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import approx, modp
-from .errors import (
-    BudgetExceeded,
-    DegenerateSample,
-    ExpansionHalted,
-    InvalidInput,
-    InvariantViolation,
-)
-from .exchange import Exchange, _exact
+from .errors import BudgetExceeded, ExpansionHalted, InvalidInput, InvariantViolation
+from .exchange import Exchange, _check_size, _exact
 from .genperm import GeneralizedPermutation
 from .rationals import canonical_json_bytes, format_fraction
 
 DEFAULT_DENOMINATOR_BOUND = 2**40
+# Draws a sampler or an orbit start retries before BudgetExceeded.
 RESAMPLE_CAP = 100
 # Fixed experiment settings, recorded in the parameters of every report.
 TOWER_DELTA = Fraction(1, 4)
 TOLERANCE = 0.05
 # Deepest stage each tower search of a rigidity scan screens.
 SCAN_TOWER_BUDGET = 2_000
-
-
-def _check_size(value, what: str, least: int = 0) -> None:
-    """InvalidInput unless ``value`` is an int (not a bool) of at least
-    ``least``, 0 or 1, worded as ``rauzy._walk`` words its depth."""
-    if type(value) is not int or value < least:
-        kind = "positive" if least else "nonnegative"
-        raise InvalidInput(f"{what} must be a {kind} int, got {value!r}")
 
 
 def substream(seed: int, index) -> random.Random:
@@ -102,7 +89,7 @@ def _gaps(rng: random.Random, parts: int, grid: int) -> list[Fraction]:
         values = [hi - lo for lo, hi in zip([0] + cuts, cuts + [grid])]
         if all(v > 0 for v in values):
             return [Fraction(v, grid) for v in values]
-    raise DegenerateSample(f"could not draw {parts} positive gaps on grid {grid}")
+    raise BudgetExceeded(f"could not draw {parts} positive gaps on grid {grid}")
 
 
 def _check_sampler(cfg: SamplerConfig) -> None:
@@ -213,7 +200,7 @@ def _occupancy_run(
             return counts, restarts
         restarts += 1
         if restarts > RESAMPLE_CAP:
-            raise DegenerateSample("orbit kept hitting endpoints")
+            raise BudgetExceeded("orbit kept hitting endpoints")
 
 
 def total_ergodicity_experiment(
@@ -222,7 +209,7 @@ def total_ergodicity_experiment(
     bins: int,
     iters: int,
     seed: int = 0,
-    tower_budget: int = 10_000,
+    tower_budget: int = approx.DEFAULT_SPLIT_BUDGET,
 ) -> ExperimentReport:
     """Two evidence streams for total ergodicity at a prime.
 
@@ -337,7 +324,7 @@ def product_experiment(
         if second is not None:
             break
     else:
-        raise DegenerateSample("joint orbit kept hitting endpoints")
+        raise BudgetExceeded("joint orbit kept hitting endpoints")
     counts = [0] * (boxes * boxes)
     for a, b in zip(first, second):
         counts[a * boxes + b] += 1

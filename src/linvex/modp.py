@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from . import diagram, rauzy
-from .approx import CyclicTower, _check_search, find_cyclic_tower
-from .errors import InconsistentStage, InvalidInput, Unreachable
+from .approx import DEFAULT_SPLIT_BUDGET, CyclicTower, _check_search, find_cyclic_tower
+from .errors import BudgetExceeded, InconsistentStage, InvalidInput, InvariantViolation
 from .exchange import Exchange
 from .genperm import GeneralizedPermutation
 
@@ -195,9 +195,9 @@ def coprime_band_sequence(
     Searches the product of the forward closure with symbolic remainder
     propagation; the target is any node holding an orientation preserving
     band with nonzero remainder.  Returns [] when the state already
-    satisfies the first disjunct; the search stops after ``STATE_BUDGET``
-    states.  Raising Unreachable here would falsify the invariant's
-    constructive step, so callers should treat it loudly.
+    satisfies the first disjunct.  Past ``STATE_BUDGET`` states the
+    search raises BudgetExceeded.  An exhausted search falsifies the
+    invariant's constructive step and raises InvariantViolation.
     """
     if state.node != perm:
         raise InvalidInput("state does not belong to the given permutation")
@@ -220,7 +220,7 @@ def coprime_band_sequence(
         node, rems = queue.popleft()
         explored += 1
         if explored > STATE_BUDGET:
-            raise Unreachable(f"product search exceeded {STATE_BUDGET} states")
+            raise BudgetExceeded(f"product search exceeded {STATE_BUDGET} states")
         current = RemainderState(prime=state.prime, node=node, remainders=rems)
         for edge in graph.edges[node]:
             nxt = propagate(current, edge.winner, edge.loser, edge.target)
@@ -238,7 +238,7 @@ def coprime_band_sequence(
                     back = parent[back]
                 return path
             queue.append(key)
-    raise Unreachable(
+    raise InvariantViolation(
         "no splitting sequence reaches a coprime preserving band; "
         "this falsifies the constructive remainder claim"
     )
@@ -248,7 +248,7 @@ def find_coprime_tower(
     x: Exchange,
     delta: Fraction,
     prime: int,
-    budget: int = 10_000,
+    budget: int = DEFAULT_SPLIT_BUDGET,
 ) -> CyclicTower | StructuralObstruction:
     """A verified cyclic tower whose height is coprime to ``prime``.
 

@@ -36,16 +36,16 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
+    BudgetExceeded,
     EndpointHit,
     InconsistentStage,
     InvalidInput,
-    NotReturning,
     SplitUndefined,
     SplitUndefinedSameBand,
     SplitUndefinedTie,
 )
 from . import exchange, genperm
-from .exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, _grid_layout
+from .exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, _check_size, _grid_layout
 from .genperm import GeneralizedPermutation, Orientation, critical_bands
 from .rationals import to_grid
 
@@ -292,7 +292,7 @@ def _run(
     dropped = length - cut
     try:
         pieces = exchange._chase(flat, cut, DEFAULT_RETURN_BUDGET)
-    except NotReturning:
+    except BudgetExceeded:
         # each piece returns after its column norm, at most 1 + len(run)
         # rounds, so a chase past the budget disagrees with the run
         pieces = []
@@ -364,8 +364,7 @@ def _walk(x: Exchange, n: int) -> Iterator[tuple]:
     The next run starts from the flat map of the exchange ``split`` built,
     on the same grid (see the module docstring).
     """
-    if type(n) is not int or n < 0:
-        raise InvalidInput(f"expansion depth must be a nonnegative int, got {n!r}")
+    _check_size(n, "expansion depth")
     denom = x._flat[0]
     node, widths = x.perm, to_grid(x.widths, denom)
     norms = dict.fromkeys(node.alphabet, 1)
@@ -434,7 +433,7 @@ _PROBE_FRACTIONS = (
     Fraction(5, 11),
     Fraction(4, 13),
 )
-# Original-map steps a probe takes before NotReturning.
+# Original-map steps a probe takes before BudgetExceeded.
 PROBE_BUDGET = 10**7
 
 
@@ -462,7 +461,7 @@ def _probe_visits(x: Exchange, induced: Exchange, band: str) -> dict[str, int]:
                     return counts
         except EndpointHit:
             continue
-        raise NotReturning(f"probe for band {band} did not return in {PROBE_BUDGET} steps")
+        raise BudgetExceeded(f"probe for band {band} did not return in {PROBE_BUDGET} steps")
     raise EndpointHit(None, f"all probe points for band {band} hit endpoints")
 
 

@@ -14,12 +14,12 @@ import pytest
 
 from linvex import diagram, genperm, lab, rauzy
 from linvex.errors import (
+    BudgetExceeded,
     EndpointHit,
     InconsistentStage,
     InvalidInput,
     LabelCountError,
     NonPositiveWidth,
-    NotReturning,
     SideEmptyError,
     SwitchConditionViolated,
 )
@@ -373,7 +373,7 @@ def _chase(layout: _GridLayout, cut: int, budget: int) -> list[tuple]:
                 work.extend(_split_item(*item, at=cut))
                 continue
         if steps >= budget:
-            raise NotReturning(
+            raise BudgetExceeded(
                 f"piece [{slo}, {shi}) on side {side} exceeded {budget} steps"
             )
         side_starts = starts[cs]

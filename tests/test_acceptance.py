@@ -17,7 +17,6 @@ import pytest
 from linvex import approx, diagram, genperm, lab, modp, rauzy
 from linvex.errors import (
     BudgetExceeded,
-    ClosureBudgetExceeded,
     ExpansionHalted,
     SplitUndefined,
 )
@@ -316,7 +315,7 @@ def test_criterion_11_diagram_attractors():
             for edge in edges_memo[node]:
                 if edge.target not in seen:
                     if len(nodes) >= budget:
-                        raise ClosureBudgetExceeded(str(perm))
+                        raise BudgetExceeded(str(perm))
                     seen.add(edge.target)
                     nodes.append(edge.target)
                     queue.append(edge.target)
@@ -331,7 +330,7 @@ def test_criterion_11_diagram_attractors():
         for perm in genperm.enumerate_permutations(d, non_classical_only=True):
             try:
                 graph = closure(perm)
-            except ClosureBudgetExceeded:
+            except BudgetExceeded:
                 continue
             scanned += 1
             comps = diagram.attractors(graph)

@@ -750,8 +750,10 @@ def _assert_budget_like_reference(x: Exchange, tower: CyclicTower) -> None:
     work = _reference_work(x, tower)
     assert approx.verify_tower(x, tower, work) == reference_verify_tower(x, tower, work)
     if work == 0:
-        # no level is counted, so not even a negative budget raises
-        assert approx.verify_tower(x, tower, -1) == reference_verify_tower(x, tower, -1)
+        # no level is counted, so no budget runs out; a negative one is
+        # not a budget at all
+        with pytest.raises(InvalidInput, match="step budget must be a nonnegative int"):
+            approx.verify_tower(x, tower, -1)
         return
     with pytest.raises(BudgetExceeded) as want:
         reference_verify_tower(x, tower, work - 1)

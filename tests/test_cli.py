@@ -169,6 +169,39 @@ def test_budget_exit_code(nonclassical_files, capsys):
     assert code == 3
 
 
+def test_sampler_retries_past_the_cap_exit_3(tmp_path, capsys):
+    # Six positive gaps on a grid of six need five distinct interior cuts.
+    perm = tmp_path / "perm.json"
+    perm.write_bytes(
+        canonical_json_bytes(
+            {"top": ["A", "A", "B", "B", "C"], "bottom": ["C", "D", "D", "E", "E", "F", "F"]}
+        )
+    )
+    argv = ["scan", "--perm", str(perm), "--count", "1", "--denominator-bound", "6"]
+    assert cli.main([*argv, "--xi", "1/4", "--horizon", "3"]) == cli.EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: could not draw 6 positive gaps on grid 6\n"
+
+
+def test_a_probe_past_its_budget_exits_3(nonclassical_files, capsys, monkeypatch):
+    perm, widths = nonclassical_files
+    monkeypatch.setattr(rauzy, "PROBE_BUDGET", 1)
+    argv = ["visits", "--perm", perm, "--widths", widths, "--depth", "6"]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exhausted: probe for band ")
+
+
+def test_a_negative_closure_budget_is_a_domain_error(nonclassical_files, capsys):
+    perm, _ = nonclassical_files
+    assert cli.main(["diagram", "--perm", perm, "--budget", "-1"]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be a nonnegative int, got -1\n"
+
+
 def test_rigidity_command(rotation_files, capsys):
     perm, widths = rotation_files
     code = cli.main(

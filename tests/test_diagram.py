@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from linvex import diagram, genperm, rauzy
 from linvex.errors import (
-    ClosureBudgetExceeded,
+    BudgetExceeded,
     InconsistentStage,
     LinvexError,
     NonPositiveWidth,
@@ -70,7 +70,7 @@ def test_budget_zero():
     stuck = validate(["A", "B", "A"], ["C", "B", "C"])  # no feasible edges
     g = diagram.forward_closure(stuck, budget=0)
     assert g.node_count == 1
-    with pytest.raises(ClosureBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         diagram.forward_closure(validate(["A", "B"], ["B", "A"]), budget=0)
 
 
@@ -261,7 +261,7 @@ def _reference_closure(perm, memo, budget=diagram.DEFAULT_NODE_BUDGET):
         for edge in memo[node]:
             if edge.target not in seen:
                 if len(nodes) >= budget:
-                    raise ClosureBudgetExceeded(str(perm))
+                    raise BudgetExceeded(str(perm))
                 seen.add(edge.target)
                 nodes.append(edge.target)
                 queue.append(edge.target)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from linvex import genperm
 from linvex.errors import (
+    BudgetExceeded,
     EndpointHit,
     InvalidInput,
     LinvexError,
     NonPositiveWidth,
-    NotReturning,
     SwitchConditionViolated,
 )
 from linvex.exchange import (
@@ -405,7 +405,7 @@ def test_first_return_equals_side_keyed_reference_on_every_small_node(seed):
     # one drawn seed per sweep seeds the widths and random cuts of every
     # node; cuts are L, the Rauzy cut and two random ones
     rng = random.Random(seed)
-    seen = {"inherited": 0, "fresh": 0, NotReturning: 0}
+    seen = {"inherited": 0, "fresh": 0, BudgetExceeded: 0}
     for perm in NODES:
         widths = random_grid_widths(perm, rng)
         length = sum(widths[a] for a in perm.top)
@@ -430,6 +430,6 @@ def test_first_return_equals_side_keyed_reference_on_every_small_node(seed):
 def test_not_returning_names_the_side_local_piece():
     # the (3/7, 1/7) rotation cut at 1/7: [0, 1) on the top side needs
     # four steps to come back
-    with pytest.raises(NotReturning) as err:
+    with pytest.raises(BudgetExceeded) as err:
         first_return_on_grid(ROTATION, {"A": 3, "B": 1}, 1, 2)
     assert str(err.value) == "piece [0, 1) on side 0 exceeded 2 steps"

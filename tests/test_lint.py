@@ -5,7 +5,9 @@ strips, and no handler may catch every exception, which would turn a bug
 into a data row.  Every error class is raised somewhere in the library,
 or is a base of one that is, so a deleted raise leaves no dead class.
 No function body imports, so the module graph is the one the top-level
-imports show and a cycle between modules fails at import time.
+imports show and a cycle between modules fails at import time.  No budget
+default is a number: each names the module constant that holds it, so no
+limit is written twice.
 """
 
 from __future__ import annotations
@@ -158,3 +160,76 @@ raise stage.halted
 """
     )
     assert _unraised_errors(errors, [module]) == ["Dead", "DeadLeaf"]
+
+
+def _is_number(node: ast.AST) -> bool:
+    """A numeric literal: number constants, signs and arithmetic only."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float, complex)
+    if isinstance(node, ast.UnaryOp):
+        return _is_number(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _is_number(node.left) and _is_number(node.right)
+    return False
+
+
+def _literal_budgets(tree: ast.AST) -> list[str]:
+    """Numeric defaults of a parameter whose name contains ``budget``, and
+    of the ``budget`` entry of a ``_FLAGS`` dict."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = [
+                *zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                *zip(args.kwonlyargs, args.kw_defaults),
+            ]
+            found += [
+                (default.lineno, f"{arg.arg}={ast.unparse(default)}")
+                for arg, default in pairs
+                if "budget" in arg.arg and default is not None and _is_number(default)
+            ]
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_FLAGS" for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            for key, value in zip(node.value.keys, node.value.values):
+                if isinstance(key, ast.Constant) and key.value == "budget":
+                    found += [
+                        (kw.value.lineno, f"_FLAGS budget default={ast.unparse(kw.value)}")
+                        for kw in getattr(value, "keywords", ())
+                        if kw.arg == "default" and _is_number(kw.value)
+                    ]
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_budget_default_is_a_literal(path):
+    assert _literal_budgets(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_budget_rule_sees_every_literal_default():
+    source = """
+def f(x, budget=10_000, step_budget=LIMIT, *, tower_budget=2 * 10**6):
+    pass
+
+
+def g(budget=-1, /, size=5, *, node_budget=None, other=3):
+    return lambda state_budget=1.5: state_budget
+
+
+_FLAGS = {
+    "seed": dict(type=int, default=0),
+    "budget": dict(type=int, default=10_000),
+}
+_FLAGS = {"budget": dict(type=int, default=approx.DEFAULT_SPLIT_BUDGET)}
+"""
+    assert _literal_budgets(ast.parse(source)) == [
+        "line 2: budget=10000",
+        "line 2: tower_budget=2 * 10 ** 6",
+        "line 6: budget=-1",
+        "line 7: state_budget=1.5",
+        "line 12: _FLAGS budget default=10000",
+    ]

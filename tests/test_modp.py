@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linvex import approx, genperm, modp, rauzy
-from linvex.errors import InvalidInput
+from linvex import approx, diagram, genperm, modp, rauzy
+from linvex.errors import InvalidInput, InvariantViolation
 from linvex.exchange import Exchange
 from linvex.genperm import Orientation, validate
 
@@ -219,6 +219,15 @@ def test_coprime_sequence_on_all_reversing_start():
 def test_coprime_sequence_empty_when_already_coprime():
     p = validate(["A", "A", "B"], ["B", "C", "C"])
     assert modp.coprime_band_sequence(p, modp.initial_state(p, 3)) == []
+
+
+def test_an_exhausted_coprime_search_is_an_invariant_violation(monkeypatch):
+    # no edges leave the start, which has no preserving band at all
+    perm = validate(["A", "A"], ["B", "B", "C", "C"])
+    edgeless = diagram.RauzyGraph(root=perm, nodes=[perm], edges={perm: ()})
+    monkeypatch.setattr(modp.diagram, "forward_closure", lambda p: edgeless)
+    with pytest.raises(InvariantViolation, match="falsifies the constructive remainder claim"):
+        modp.coprime_band_sequence(perm, modp.initial_state(perm, 3))
 
 
 def test_coprime_sequence_bound_over_assignments():
