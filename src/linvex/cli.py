@@ -68,6 +68,12 @@ def _publish(args, payload) -> int:
     return EXIT_OK
 
 
+def _budget(args, keyword: str) -> dict:
+    """``{keyword: --budget}`` when the flag is given, else nothing, so
+    the library's default for the limit the command spends applies."""
+    return {} if args.budget is None else {keyword: args.budget}
+
+
 def _point_from_args(args) -> Point:
     side = Side.TOP if args.side.lower() == "top" else Side.BOTTOM
     return Point(side, parse_fraction(args.offset))
@@ -86,7 +92,7 @@ def _cmd_validate(args) -> int:
     }
     if args.check_closure:
         payload["proxy_irreducible"] = diagram.is_dynamically_irreducible(
-            perm, budget=args.budget
+            perm, **_budget(args, "budget")
         )
     return _publish(args, payload)
 
@@ -157,7 +163,7 @@ def _cmd_visits(args) -> int:
 
 def _cmd_diagram(args) -> int:
     perm = _load_perm(args.perm)
-    graph = diagram.forward_closure(perm, budget=args.budget)
+    graph = diagram.forward_closure(perm, **_budget(args, "budget"))
     payload = graph.to_json_dict()
     _emit(
         {
@@ -172,7 +178,7 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_attractors(args) -> int:
     perm = _load_perm(args.perm)
-    graph = diagram.forward_closure(perm, budget=args.budget)
+    graph = diagram.forward_closure(perm, **_budget(args, "budget"))
     comps = diagram.attractors(graph)
     ids = {node: i for i, node in enumerate(graph.nodes)}
     payload = {
@@ -186,7 +192,7 @@ def _cmd_attractors(args) -> int:
 
 def _cmd_tower(args) -> int:
     x = _load_exchange(args.perm, args.widths)
-    tower = approx.find_cyclic_tower(x, parse_fraction(args.delta), budget=args.budget)
+    tower = approx.find_cyclic_tower(x, parse_fraction(args.delta), **_budget(args, "budget"))
     report = approx.verify_tower(x, tower)
     return _publish(args, {**tower.to_json_dict(), "verification": report.to_json_dict()})
 
@@ -229,7 +235,7 @@ def _cmd_rigidity(args) -> int:
         except ValueError:
             raise InvalidInput(f"rigidity candidate {v.strip()!r} is not an integer") from None
     records = approx.find_rigidity_times(
-        x, parse_fraction(args.xi), candidates, tower_budget=args.budget
+        x, parse_fraction(args.xi), candidates, **_budget(args, "tower_budget")
     )
     return _publish(args, {"records": [r.to_json_dict() for r in records]})
 
@@ -277,7 +283,7 @@ def _cmd_modp_trace(args) -> int:
 def _cmd_coprime_tower(args) -> int:
     x = _load_exchange(args.perm, args.widths)
     result = modp.find_coprime_tower(
-        x, parse_fraction(args.delta), args.p, budget=args.budget
+        x, parse_fraction(args.delta), args.p, **_budget(args, "budget")
     )
     if isinstance(result, modp.StructuralObstruction):
         payload = {"outcome": "structural_obstruction", "reason": result.reason}
@@ -294,7 +300,7 @@ def _cmd_coprime_tower(args) -> int:
 def _cmd_ergodicity(args) -> int:
     x = _load_exchange(args.perm, args.widths)
     report = lab.total_ergodicity_experiment(
-        x, args.p, args.bins, args.iters, seed=args.seed, tower_budget=args.budget
+        x, args.p, args.bins, args.iters, seed=args.seed, **_budget(args, "tower_budget")
     )
     return _publish_report(args, report)
 
@@ -330,7 +336,7 @@ def _publish_report(args, report: lab.ExperimentReport) -> int:
 # Each flag's argparse keywords, declared once.
 _FLAGS = {
     "seed": dict(type=int, default=0, help="seed"),
-    "budget": dict(type=int, default=approx.DEFAULT_SPLIT_BUDGET, help="split or node budget"),
+    "budget": dict(type=int, help="split or node budget (default: the library's)"),
     "out": dict(help="artifact output path"),
     "perm": dict(required=True, help="permutation JSON file"),
     "widths": dict(required=True, help="widths JSON file"),

@@ -21,6 +21,11 @@ directions, which ``_witness_grid`` decides from the reversing classes
 and the critical positions, are the shape's.  A later node whose
 witnesses give other directions, or whose witness does not make its
 winner wider, raises InconsistentStage.
+
+Strongly connected components and attractors run on node ids, the
+positions in ``RauzyGraph.nodes``: one iterative Tarjan, ``_tarjan``,
+takes successor id lists and returns components in the order they close,
+which is the order both functions report them in.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .genperm import GeneralizedPermutation, critical_bands, is_combinatorially_
 from .rationals import format_fraction
 
 DEFAULT_NODE_BUDGET = 100_000
+# Enum members bound once: an attribute read costs far more than a name.
+_BOTTOM_WINS, _TOP_WINS = rauzy.SplitKind.BOTTOM_WINS, rauzy.SplitKind.TOP_WINS
 
 
 @dataclass(frozen=True)
@@ -102,12 +109,12 @@ def _edges(perm: GeneralizedPermutation, audit: bool) -> tuple[Edge, ...]:
     from ``rauzy._insert`` for a node whose shape was audited."""
     alpha_top, alpha_bottom = critical_bands(perm)
     out = []
-    for kind in (rauzy.SplitKind.BOTTOM_WINS, rauzy.SplitKind.TOP_WINS):
+    for kind in (_BOTTOM_WINS, _TOP_WINS):
         witness = rauzy._witness_grid(perm, kind)
         if witness is None:
             continue
         _check_widths(perm, witness)
-        top_wins = kind is rauzy.SplitKind.TOP_WINS
+        top_wins = kind is _TOP_WINS
         winner, loser = (alpha_top, alpha_bottom) if top_wins else (alpha_bottom, alpha_top)
         if witness[winner] <= witness[loser]:
             raise InconsistentStage(f"the {kind.value} witness of {perm} split the other way")
@@ -119,7 +126,7 @@ def _edges(perm: GeneralizedPermutation, audit: bool) -> tuple[Edge, ...]:
                 winner=winner,
                 loser=loser,
                 target=target,
-                witness=tuple(sorted(witness.items())),
+                witness=tuple(witness.items()),  # already in alphabet order
             )
         )
     return tuple(out)
@@ -182,66 +189,80 @@ def is_dynamically_irreducible(
     return all(graph.edges[n] and not is_combinatorially_reducible(n) for n in graph.nodes)
 
 
-def strongly_connected_components(graph: RauzyGraph) -> list[frozenset[GeneralizedPermutation]]:
-    """Tarjan's algorithm, iterative to keep deep diagrams off the C stack."""
-    index_of: dict[GeneralizedPermutation, int] = {}
-    low: dict[GeneralizedPermutation, int] = {}
-    on_stack: set[GeneralizedPermutation] = set()
-    stack: list[GeneralizedPermutation] = []
-    components: list[frozenset[GeneralizedPermutation]] = []
+def _tarjan(succ: list[list[int]]) -> list[list[int]]:
+    """Tarjan's algorithm on nodes 0 .. n-1 with successor lists ``succ``,
+    iterative to keep deep diagrams off the C stack; the components come
+    in the order they close."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
 
-    for start in graph.nodes:
-        if start in index_of:
+    for start in range(len(succ)):
+        if index[start] >= 0:
             continue
-        work: list[tuple[GeneralizedPermutation, int]] = [(start, 0)]
+        work = [(start, 0)]
         while work:
             node, edge_pos = work.pop()
             if edge_pos == 0:
-                index_of[node] = low[node] = counter
+                index[node] = low[node] = counter
                 counter += 1
                 stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            outs = graph.edges[node]
+                on_stack[node] = True
+            outs = succ[node]
             while edge_pos < len(outs):
-                target = outs[edge_pos].target
+                target = outs[edge_pos]
                 edge_pos += 1
-                if target not in index_of:
+                if index[target] < 0:
                     work.append((node, edge_pos))
                     work.append((target, 0))
-                    advanced = True
                     break
-                if target in on_stack:
-                    low[node] = min(low[node], index_of[target])
-            if advanced:
-                continue
-            if low[node] == index_of[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if on_stack[target] and index[target] < low[node]:
+                    low[node] = index[target]
+            else:
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return components
+
+
+def _successors(graph: RauzyGraph) -> list[list[int]]:
+    """Each node's edge targets as positions in ``graph.nodes``."""
+    ids = {node: i for i, node in enumerate(graph.nodes)}
+    return [[ids[edge.target] for edge in graph.edges[node]] for node in graph.nodes]
+
+
+def strongly_connected_components(graph: RauzyGraph) -> list[frozenset[GeneralizedPermutation]]:
+    """The components of ``_tarjan`` on node ids, in the order they close."""
+    nodes = graph.nodes
+    return [frozenset(nodes[i] for i in comp) for comp in _tarjan(_successors(graph))]
 
 
 def attractors(graph: RauzyGraph) -> list[frozenset[GeneralizedPermutation]]:
     """Strongly connected components with no edge leaving them."""
-    out = []
-    for component in strongly_connected_components(graph):
-        if all(
-            edge.target in component
-            for node in component
-            for edge in graph.edges[node]
-        ):
-            out.append(component)
-    return out
+    succ = _successors(graph)
+    components = _tarjan(succ)
+    comp_of = [0] * len(succ)
+    for c, comp in enumerate(components):
+        for i in comp:
+            comp_of[i] = c
+    nodes = graph.nodes
+    return [
+        frozenset(nodes[i] for i in comp)
+        for c, comp in enumerate(components)
+        if all(comp_of[t] == c for i in comp for t in succ[i])
+    ]
 
 
 def shortest_path(

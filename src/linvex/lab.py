@@ -30,7 +30,7 @@ from .genperm import GeneralizedPermutation
 from .rationals import canonical_json_bytes, format_fraction
 
 DEFAULT_DENOMINATOR_BOUND = 2**40
-# Draws a sampler or an orbit start retries before BudgetExceeded.
+# A sampler draws, and an orbit experiment starts its orbit, at most this often.
 RESAMPLE_CAP = 100
 # Fixed experiment settings, recorded in the parameters of every report.
 TOWER_DELTA = Fraction(1, 4)
@@ -199,7 +199,7 @@ def _occupancy_run(
                 counts[c] += 1
             return counts, restarts
         restarts += 1
-        if restarts > RESAMPLE_CAP:
+        if restarts == RESAMPLE_CAP:
             raise BudgetExceeded("orbit kept hitting endpoints")
 
 

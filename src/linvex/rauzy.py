@@ -481,45 +481,48 @@ def visit_counts(x: Exchange, n: int | Stage) -> Matrix:
     return Matrix(labels, [[columns[band][row] for band in labels] for row in labels])
 
 
+# Enum members bound once: an attribute read costs far more than a name.
+_TOP_WINS = SplitKind.TOP_WINS
+_PRESERVING, _REVERSING_TOP = Orientation.PRESERVING, Orientation.REVERSING_TOP
+
+
 def _witness_grid(perm: GeneralizedPermutation, kind: SplitKind) -> dict[str, int] | None:
     """Integer widths making the given split direction strictly feasible.
 
     The widths are positive and satisfy the switch condition, on the grid
-    of denominator 1.  Returns None when the switch condition forces the
-    opposite comparison, which happens exactly when the would-be winner
-    is a reversing band and the loser is alone in the opposite reversing
-    class.
+    of denominator 1, and their keys come in ``perm.alphabet`` order.
+    Returns None when the switch condition forces the opposite comparison,
+    which happens exactly when the would-be winner is a reversing band and
+    the loser is alone in the opposite reversing class.
     """
     alpha_top, alpha_bottom = critical_bands(perm)
     if alpha_top == alpha_bottom:
         return None
-    if kind is SplitKind.TOP_WINS:
+    if kind is _TOP_WINS:
         winner, loser = alpha_top, alpha_bottom
     else:
         winner, loser = alpha_bottom, alpha_top
 
     if not perm.is_realizable():
         return None  # no positive widths satisfy the switch at all
-    top_rev = set(perm.reversing_top)
-    bottom_rev = set(perm.reversing_bottom)
-
-    widths: dict[str, int] = {}
-    base_top = max(len(bottom_rev), 1)
-    base_bottom = max(len(top_rev), 1)
-    for label in perm.alphabet:
-        if label in top_rev:
-            widths[label] = base_top
-        elif label in bottom_rev:
-            widths[label] = base_bottom
-        else:
-            widths[label] = 1
+    top_rev, bottom_rev = perm.reversing_top, perm.reversing_bottom
+    # Realizable, so each reversing class is empty exactly when the other is.
+    widths = dict.fromkeys(perm.alphabet, 1)
+    for label in top_rev:
+        widths[label] = len(bottom_rev)
+    for label in bottom_rev:
+        widths[label] = len(top_rev)
 
     if widths[winner] <= widths[loser]:
         bump = widths[loser] - widths[winner] + 1
-        if perm.orientation_of(winner) is not Orientation.PRESERVING:
-            partners = sorted((bottom_rev if winner in top_rev else top_rev) - {loser})
-            if not partners:
+        orientation = perm.classes[winner]
+        if orientation is not _PRESERVING:
+            # The class tuples are in alphabet order: the first other band.
+            for partner in bottom_rev if orientation is _REVERSING_TOP else top_rev:
+                if partner != loser:
+                    break
+            else:
                 return None
-            widths[partners[0]] += bump
+            widths[partner] += bump
         widths[winner] += bump
     return widths

@@ -616,6 +616,72 @@ def reference_node_edges(perm: GeneralizedPermutation) -> tuple[diagram.Edge, ..
     return tuple(out)
 
 
+def reference_strongly_connected_components(
+    graph: diagram.RauzyGraph,
+) -> list[frozenset[GeneralizedPermutation]]:
+    """Tarjan's algorithm, iterative to keep deep diagrams off the C stack.
+
+    The library's SCC before it moved to integer node ids, kept verbatim
+    (dicts and sets keyed by the permutations) as the differential
+    reference for ``diagram.strongly_connected_components``.
+    """
+    index_of: dict[GeneralizedPermutation, int] = {}
+    low: dict[GeneralizedPermutation, int] = {}
+    on_stack: set[GeneralizedPermutation] = set()
+    stack: list[GeneralizedPermutation] = []
+    components: list[frozenset[GeneralizedPermutation]] = []
+    counter = 0
+
+    for start in graph.nodes:
+        if start in index_of:
+            continue
+        work: list[tuple[GeneralizedPermutation, int]] = [(start, 0)]
+        while work:
+            node, edge_pos = work.pop()
+            if edge_pos == 0:
+                index_of[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            outs = graph.edges[node]
+            while edge_pos < len(outs):
+                target = outs[edge_pos].target
+                edge_pos += 1
+                if target not in index_of:
+                    work.append((node, edge_pos))
+                    work.append((target, 0))
+                    advanced = True
+                    break
+                if target in on_stack:
+                    low[node] = min(low[node], index_of[target])
+            if advanced:
+                continue
+            if low[node] == index_of[node]:
+                component = set()
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.add(member)
+                    if member == node:
+                        break
+                components.append(frozenset(component))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return components
+
+
+def reference_attractors(graph: diagram.RauzyGraph) -> list[frozenset[GeneralizedPermutation]]:
+    """The reference components with no edge leaving them, tested by
+    membership of each edge target, as the library did before node ids."""
+    return [
+        component
+        for component in reference_strongly_connected_components(graph)
+        if all(edge.target in component for node in component for edge in graph.edges[node])
+    ]
+
+
 def reference_validate(top: tuple[str, ...], bottom: tuple[str, ...]) -> GeneralizedPermutation:
     """The record of two rows, built by rescanning the ends per label.
 

@@ -105,12 +105,13 @@ def _product_attempts(monkeypatch):
 
 
 def _orbit_restarts(monkeypatch):
-    # The cap counts restarts, so a run with as many restarts as the cap passes.
+    # The cap counts orbit starts, as it counts draws in the two rows above:
+    # a run takes its restarts plus one.
     def run(limit):
         monkeypatch.setattr(lab, "RESAMPLE_CAP", limit)
         return lab._occupancy_run(_SMALL, lab.substream(3, "birkhoff"), 3, 1, 2)
 
-    return run, run(lab.RESAMPLE_CAP)[1]
+    return run, run(lab.RESAMPLE_CAP)[1] + 1
 
 
 LIMITS = {

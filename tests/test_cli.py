@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from linvex import approx, cli, modp, rauzy
+from linvex import approx, cli, diagram, modp, rauzy
 from linvex.errors import InconsistentStage
 from linvex.rationals import canonical_json_bytes
 
@@ -121,6 +122,47 @@ def test_diagram_and_attractors(nonclassical_files, tmp_path, capsys):
     assert cli.main(["attractors", "--perm", perm]) == 0
     attractors = json.loads(capsys.readouterr().out)["attractors"]
     assert attractors
+
+
+def _spent_budgets(monkeypatch, module, name, keyword):
+    """Spy on ``module.name``: the list fills with the ``keyword`` value of
+    each call, its default included when the caller passes none."""
+    real = getattr(module, name)
+    spent = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        spent.append(bound.arguments[keyword])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return spent
+
+
+@pytest.mark.parametrize(
+    "command, spends",
+    [
+        (["diagram"], "forward_closure"),
+        (["attractors"], "forward_closure"),
+        (["validate", "--check-closure"], "is_dynamically_irreducible"),
+    ],
+)
+def test_closure_commands_spend_the_node_budget_by_default(
+    nonclassical_files, monkeypatch, capsys, command, spends
+):
+    perm, _ = nonclassical_files
+    spent = _spent_budgets(monkeypatch, diagram, spends, "budget")
+    assert cli.main([*command, "--perm", perm]) == 0
+    assert cli.main([*command, "--perm", perm, "--budget", "500"]) == 0
+    assert spent == [diagram.DEFAULT_NODE_BUDGET, 500]
+
+
+def test_tower_command_spends_the_split_budget_by_default(nonclassical_files, monkeypatch, capsys):
+    perm, widths = nonclassical_files
+    spent = _spent_budgets(monkeypatch, approx, "find_cyclic_tower", "budget")
+    assert cli.main(["tower", "--perm", perm, "--widths", widths, "--delta", "2/5"]) == 0
+    assert spent == [approx.DEFAULT_SPLIT_BUDGET]
 
 
 def test_tower_roundtrip(nonclassical_files, tmp_path, capsys):
@@ -358,7 +400,7 @@ def test_shared_flags_per_subcommand():
 _STORE, _TRUE = argparse._StoreAction, argparse._StoreTrueAction
 _FLAG_SHAPES = {
     "--seed": ("seed", int, 0, False, None, _STORE),
-    "--budget": ("budget", int, 10_000, False, None, _STORE),
+    "--budget": ("budget", int, None, False, None, _STORE),
     "--out": ("out", None, None, False, None, _STORE),
     "--perm": ("perm", None, None, True, None, _STORE),
     "--widths": ("widths", None, None, True, None, _STORE),

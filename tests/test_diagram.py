@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -30,8 +31,10 @@ from linvex.rauzy import SplitKind
 from conftest import (
     STUCK_FREE_NONCLASSICAL,
     perm_pool,
+    reference_attractors,
     reference_direction_witness,
     reference_node_edges,
+    reference_strongly_connected_components,
     sample_exchange,
 )
 
@@ -153,15 +156,60 @@ def test_attractors_two_cycles_one_exit():
     assert comps == [frozenset({perms["c"], perms["d"]})]
 
 
+@functools.lru_cache(maxsize=None)
+def _small_closures(d_max: int, non_classical_only: bool) -> tuple[diagram.RauzyGraph, ...]:
+    """The forward closure of every start with d <= ``d_max``, in
+    enumeration order."""
+    return tuple(
+        diagram.forward_closure(p)
+        for d in range(1, d_max + 1)
+        for p in genperm.enumerate_permutations(d, non_classical_only=non_classical_only)
+    )
+
+
+def _reach(graph, start):
+    """The nodes of ``graph`` that ``start`` reaches, itself included."""
+    seen, queue = {start}, deque([start])
+    while queue:
+        for edge in graph.edges[queue.popleft()]:
+            if edge.target not in seen:
+                seen.add(edge.target)
+                queue.append(edge.target)
+    return seen
+
+
 def test_scc_matches_pairwise_reachability():
-    p = validate(["A", "A", "B"], ["B", "C", "C"])
-    g = diagram.forward_closure(p)
-    comps = diagram.strongly_connected_components(g)
-    assert sum(len(c) for c in comps) == g.node_count
-    for comp in comps:
-        for a in comp:
-            reach = set(diagram.forward_closure(a).nodes)
-            assert comp <= reach
+    d4 = [g for g in _small_closures(4, True) if g.root.band_count == 4]
+    largest = sorted(d4, key=lambda g: -g.node_count)[:5]
+    graphs = [*_small_closures(3, False), *largest]
+    assert largest[0].node_count == 517
+    for g in graphs:
+        comps = diagram.strongly_connected_components(g)
+        assert sum(len(c) for c in comps) == g.node_count
+        comp_of = {node: comp for comp in comps for node in comp}
+        reach = {node: _reach(g, node) for node in g.nodes}
+        for a in g.nodes:
+            mutual = {b for b in reach[a] if a in reach[b]}
+            assert comp_of[a] == mutual, (g.root, a)
+
+
+def test_scc_and_attractors_equal_the_object_keyed_reference():
+    closures = _small_closures(4, True)
+    assert (len(closures), sum(g.node_count for g in closures)) == (217, 40018)
+    for g in closures:
+        assert diagram.strongly_connected_components(g) == reference_strongly_connected_components(g)
+        assert diagram.attractors(g) == reference_attractors(g)
+
+
+def test_witnesses_come_in_alphabet_order_on_every_small_closure_node():
+    for g in _small_closures(4, True):
+        for node in g.nodes:
+            for kind in SplitKind:
+                witness = rauzy._witness_grid(node, kind)
+                if witness is not None:
+                    assert list(witness) == list(node.alphabet), (node, kind)
+            for edge in g.edges[node]:
+                assert edge.witness == tuple(sorted(edge.witness))
 
 
 def test_shortest_path_trivial_and_unreachable():
