@@ -16,12 +16,13 @@ The verifier has two paths with equal reports.  The replay, the
 authority, chases each base interval's orbit through all height - 1
 levels, one bisect and one affine update per level, with the remainder
 of an image that crosses a breakpoint left on a stack.  The ladder has
-one rung: the stage of the expansion that the certificate names, whose
-flat map the walk's audits prove to be the exact first return of the
+one rung (``_rung``): the stage of the expansion that the certificate
+names, laid out as its flat map with each position's return time.  The
+walk's audits prove that map to be the exact first return of the
 original map to the stage's side length, with each piece returning
 after its band's column norm.  The base then takes a handful of steps
 under that map instead of height steps under the original one.  A
-search hands every certificate it verifies the stage it walked;
+search hands every certificate it verifies the rung it screened;
 ``verify_tower`` walks for one only when the tower is much taller than
 its depth.  When the ladder cannot decide, the replay runs.
 
@@ -29,8 +30,9 @@ The searcher walks the expansion and screens candidates with two exact
 measures that need no orbit iteration: the covered fraction is
 ``height * base width / total`` and the base-overlap of an orientation
 preserving band is the intersection length of its two end intervals
-(the height-iterate of the base is the side swap of the base).  The
-verifier remains authoritative; every returned tower has been verified.
+(the height-iterate of the base is the side swap of the base), read
+off the stage's rung.  The verifier remains authoritative; every
+returned tower has been verified.
 
 Rigidity defects integrate the displacement of an iterated map exactly:
 the n-th power is built as a refined piecewise isometry and each piece
@@ -172,16 +174,17 @@ def verify_tower(
 ) -> TowerVerification:
     """Check the four tower properties by exact interval iteration.
 
-    The certificate must be well formed: ``band`` a band of x, ``depth``
-    and ``height`` of type int (not bool), ``depth`` >= 0, ``height``
-    >= 1, at least one base interval, every interval on the grid of the
-    widths with 0 <= lo < hi <= L, and the intervals pairwise disjoint on
-    each side; otherwise InvalidInput.
+    The certificate must be well formed (``_flat_base``): ``depth`` a
+    nonnegative int and ``height`` a positive int (not bools), ``band`` a
+    band of x, ``delta`` an int or a Fraction (not a bool), at least one
+    base interval, every bound an int or a Fraction (not a bool) on the
+    grid of the widths with 0 <= lo < hi <= L, and the intervals pairwise
+    disjoint on each side; otherwise InvalidInput.
 
     A tower taller than 64 (depth + 1) goes down the ladder first
     (``_verify_on_ladder``): one rung, the audited stage of x's expansion
     at the certificate's depth (or the last one whose sides still contain
-    the base), which this call walks to.  Its base runs under the stage's
+    the base), which this call walks to.  Its base runs under the rung's
     map, the exact first return to the stage's side length, adding up
     column norms as return times.  The replay decides every other
     tower and every tower the ladder cannot decide, and the two give
@@ -208,31 +211,22 @@ def verify_tower(
 
 
 def _verify(
-    x: Exchange, tower: CyclicTower, step_budget: int, stage: _GridStage | None
+    x: Exchange, tower: CyclicTower, step_budget: int, rung: _Rung | None
 ) -> TowerVerification:
-    """``verify_tower`` with ``stage``, the (node, widths, norms) of x's
-    expansion at the certificate's depth, as the ladder's one rung.  With
-    a stage in hand every certificate tries the ladder first; None walks
-    for one only for a tower taller than ``_LADDER_HEIGHT_PER_DEPTH``
-    times its depth plus one."""
-    for name in ("depth", "height"):
-        value = getattr(tower, name)
-        if type(value) is not int:
-            raise InvalidInput(f"tower {name} must be an integer, got {value!r}")
-    if tower.band not in x.perm.alphabet:
-        raise InvalidInput(f"tower band {tower.band!r} is not a band of {x.perm}")
-    if tower.depth < 0:
-        raise InvalidInput(f"tower depth must be nonnegative, got {tower.depth}")
-    denom, length, bounds, slopes, shifts = x._flat
-    base = _flat_base(tower, denom, length)
+    """``verify_tower`` with the ``_rung`` of x's expansion at the
+    certificate's depth in hand, or None.  With a rung every certificate
+    tries the ladder first; None walks for one only for a tower taller
+    than ``_LADDER_HEIGHT_PER_DEPTH`` times its depth plus one."""
+    base = _flat_base(x, tower)
+    length, bounds, slopes, shifts = x._flat[1:]
     height = tower.height
     last = height - 1
-    if stage is not None or height > _LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1):
+    if rung is not None or height > _LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1):
         # Every base interval fills at least one piece of each level, so
         # the replay would spend at least this much and raise.
         if len(base) * last > step_budget:
             raise _over_budget(step_budget)
-        report = _verify_on_ladder(x, tower, base, step_budget, stage)
+        report = _verify_on_ladder(x, tower, base, step_budget, rung)
         if report is not None:
             return report
     # Sorted, pairwise disjoint base intervals, with a 2L sentinel start:
@@ -332,9 +326,15 @@ def _verification(
 # tries the ladder.
 _LADDER_HEIGHT_PER_DEPTH = 64
 
-# A stage of x's expansion on x's integer grid: (node, widths, norms), the
-# node, its widths and each band's column norm, which is its return time.
-_GridStage = tuple[GeneralizedPermutation, dict[str, int], dict[str, int]]
+# A stage of x's expansion on x's integer grid: (cut, bounds, slopes,
+# shifts, times), its flat map and each position's return time.
+_Rung = tuple[int, list[int], list[int], list[int], list[int]]
+
+
+def _rung(node: GeneralizedPermutation, widths: dict[str, int], norms: dict[str, int]) -> _Rung:
+    """The one layout of a stage: ``_grid_layout(node, widths)`` and the
+    column norm of each position's band."""
+    return (*_grid_layout(node, widths), [norms[label] for label in node.top + node.bottom])
 
 
 def _verify_on_ladder(
@@ -342,17 +342,17 @@ def _verify_on_ladder(
     tower: CyclicTower,
     base: list[tuple[int, int]],
     step_budget: int,
-    stage: _GridStage | None = None,
+    rung: _Rung | None = None,
 ) -> TowerVerification | None:
     """The report of a tower verified on the first-return map of a stage
     of x's expansion, or None when the ladder cannot decide.
 
-    ``base`` is the validated flat base.  ``stage`` is the stage the
-    search is screening or, when None, the stage ``_walked_stage`` walks
-    to at the certificate's depth.  The ladder has one rung: the stage's
-    flat map ``exchange._grid_layout(node, widths)`` on its own
-    coordinates [0, 2 cut), with return time ``norms[label]`` at each
-    position.  Every run of the walk is audited (``rauzy._run``), so by
+    ``base`` is the validated flat base.  ``rung`` is the search's rung
+    or, when None, the one ``_walked_stage`` walks to at the certificate's
+    depth; it is read as given.  The ladder has one rung: the stage's
+    flat map on its own coordinates [0, 2 cut), with its band's column
+    norm as return time at each position.  Every run of the walk is
+    audited (``rauzy._run``), so by
     induction that map is the exact first return of ``x._flat`` to
     [0, cut) and [L, L + cut), and each position returns after its
     label's column norm.  A position never meets a breakpoint of the
@@ -368,13 +368,11 @@ def _verify_on_ladder(
     length = x._flat[1]
     # the base's right end on its side: the stage's sides must contain it
     need = max(hi - (length if lo >= length else 0) for lo, hi in base)
-    if stage is None:
-        stage = _walked_stage(x, tower.depth, need)
-    node, widths, norms = stage
-    cut, bounds, slopes, shifts = _grid_layout(node, widths)
+    if rung is None:
+        rung = _walked_stage(x, tower.depth, need)
+    cut, bounds, slopes, shifts, times = rung
     if cut < need:
         return None
-    times = [norms[label] for label in node.top + node.bottom]
     # bottom points move down by L - cut in the stage's coordinates
     drop = length - cut
     rbase = [(lo, hi) if lo < length else (lo - drop, hi - drop) for lo, hi in base]
@@ -407,10 +405,10 @@ def _verify_on_ladder(
     return _verification(x, tower, base, True, True, union_int, overlap_int)
 
 
-def _walked_stage(x: Exchange, depth: int, need: int) -> _GridStage:
-    """The stage of x's expansion at ``depth``, or the last one whose side
-    length is still at least ``need``; an undefined split ends the walk
-    early.  Depth 0, the side length of x, always qualifies."""
+def _walked_stage(x: Exchange, depth: int, need: int) -> _Rung:
+    """The rung of x's expansion at ``depth``, or of the last stage whose
+    side length is still at least ``need``; an undefined split ends the
+    walk early.  Depth 0, the side length of x, always qualifies."""
     kept = None
     try:
         for node, widths, norms, _ in rauzy._walk(x, depth):
@@ -419,21 +417,28 @@ def _walked_stage(x: Exchange, depth: int, need: int) -> _GridStage:
             kept = node, widths, norms
     except SplitUndefined:
         pass
-    return kept
+    return _rung(*kept)
 
 
-def _flat_base(tower: CyclicTower, denom: int, length: int) -> list[tuple[int, int]]:
-    """The validated base of a certificate as sorted flat grid intervals."""
-    if tower.height < 1:
-        raise InvalidInput(f"tower height must be at least 1, got {tower.height}")
+def _flat_base(x: Exchange, tower: CyclicTower) -> list[tuple[int, int]]:
+    """The base of a certificate as sorted flat grid intervals of x, once
+    every field is checked as ``verify_tower`` documents, in its order.
+    Any exact delta grades, so its range is not checked."""
+    _check_size(tower.depth, "tower depth")
+    _check_size(tower.height, "tower height", 1)
+    if tower.band not in x.perm.alphabet:
+        raise InvalidInput(f"tower band {tower.band!r} is not a band of {x.perm}")
+    _exact(tower.delta, "tower delta")
     if not tower.base:
         raise InvalidInput("tower base is empty")
+    denom, length = x._flat[:2]
     offsets = {Side.TOP: 0, Side.BOTTOM: length}
     base = []
     for side, lo, hi in tower.base:
         if side not in offsets:
             raise InvalidInput(f"tower base side {side!r} is not a Side")
-        lo_int, hi_int = lo * denom, hi * denom
+        lo_int = _exact(lo, "tower base bound") * denom
+        hi_int = _exact(hi, "tower base bound") * denom
         if lo_int.denominator != 1 or hi_int.denominator != 1:
             raise InvalidInput("tower base does not live on the layout grid")
         if not 0 <= lo_int < hi_int <= length:
@@ -517,12 +522,11 @@ def find_cyclic_tower(
     ``budget``, the deepest stage screened, must be a nonnegative int
     (not a bool); else InvalidInput.  Past the budget, BudgetExceeded.
 
-    The expansion is walked once per search (``rauzy._walk``).  The
-    search hands the stage it is screening, (node, widths, norms), to the
-    verification as the ladder's one rung, so a certificate does not walk
-    the expansion again; the walk's audits make that stage's map the
-    exact first return of the original map, with the norms as return
-    times.
+    The expansion is walked once per search (``rauzy._walk``).  A stage
+    is laid out (``_rung``) the first time one of its bands passes the
+    coverage screen; the ends are read off that rung, and the search
+    hands it to the verification as the ladder's one rung, so a
+    certificate does not walk the expansion again.
     """
     delta = _check_search(delta, budget)
 
@@ -533,6 +537,7 @@ def find_cyclic_tower(
     try:
         # the screens and verifications split nothing: a halt is the walk's
         for depth, (node, widths, norms, _) in enumerate(rauzy._walk(x, budget)):
+            rung = None
             for band in node.preserving_bands():
                 height = norms[band]
                 if height_coprime_to is not None and math.gcd(height, height_coprime_to) != 1:
@@ -541,9 +546,15 @@ def find_cyclic_tower(
                 # The covered fraction 2 * height * width / total measure of x.
                 if (length - height * width) * d_den >= d_num * length:
                     continue
-                (s1, lo1, hi1), (s2, lo2, hi2) = ends = _grid_ends(node, widths, band)
-                if s1 is s2:
+                if rung is None:
+                    rung = _rung(node, widths, norms)
+                    cut, bounds = rung[:2]
+                p, q = node.positions_of(band)
+                if not p < len(node.top) <= q:
                     raise InconsistentStage(f"preserving band {band} has same-side ends")
+                # the top end, and the bottom end on its side's coordinates
+                lo1, hi1 = bounds[p], bounds[p + 1]
+                lo2, hi2 = bounds[q] - cut, bounds[q + 1] - cut
                 # The height-iterate of the base is its own side swap, so the
                 # return overlap is twice the intersection of the end spans.
                 overlap = max(0, min(hi1, hi2) - max(lo1, lo2))
@@ -560,35 +571,19 @@ def find_cyclic_tower(
                     band=band,
                     depth=depth,
                     height=height,
-                    base=tuple(
-                        (side, Fraction(lo, denom), Fraction(hi, denom))
-                        for side, lo, hi in ends
+                    base=(
+                        (Side.TOP, Fraction(lo1, denom), Fraction(hi1, denom)),
+                        (Side.BOTTOM, Fraction(lo2, denom), Fraction(hi2, denom)),
                     ),
                     delta=delta,
-                    xi=1 - Fraction(width, sum(widths[a] for a in node.top)),
+                    xi=1 - Fraction(width, cut),
                 )
-                report = _verify(x, tower, DEFAULT_VERIFY_BUDGET, (node, widths, norms))
+                report = _verify(x, tower, DEFAULT_VERIFY_BUDGET, rung)
                 if report.passed:
                     return tower
     except SplitUndefined as err:
         raise ExpansionHalted(err, depth) from err
     raise BudgetExceeded(f"no tower with delta {delta} within {budget} splits")
-
-
-def _grid_ends(
-    node: GeneralizedPermutation, widths: dict[str, int], band: str
-) -> tuple[tuple[Side, int, int], ...]:
-    """The side intervals of a band's two ends, on the integer grid."""
-    n_top = len(node.top)
-    out = []
-    for p in node.positions_of(band):
-        if p < n_top:
-            side, row, k = Side.TOP, node.top, p
-        else:
-            side, row, k = Side.BOTTOM, node.bottom, p - n_top
-        lo = sum(widths[a] for a in row[:k])
-        out.append((side, lo, lo + widths[band]))
-    return tuple(out)
 
 
 def _rigidity_defects(x: Exchange, ns: Sequence[int]) -> Iterator[Fraction]:

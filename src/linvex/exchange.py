@@ -201,10 +201,14 @@ class Exchange:
     def first_return_map(self, cut: Fraction) -> "Exchange":
         """The induced exchange on the truncated domain, by orbit chasing.
 
-        Band labels are inherited from this exchange wherever an induced
-        band keeps one of its ends bitwise equal to an original end, which
-        reproduces the usual induction labels at a Rauzy cut.  Otherwise
-        all bands get fresh canonical names.  A chase longer than
+        An induced band takes the label of an original end that one of
+        its pieces equals bitwise, and a band left without one takes the
+        one label left unused, which reproduces the usual induction labels
+        at a Rauzy cut.  The labels are inherited only if no band's pieces
+        equal the ends of two labels, no label is claimed twice, and the
+        bands without a label and the unused labels are both none or both
+        exactly one; otherwise the bands are named b1, b2, ... in the
+        order of their first pieces, top then bottom.  A chase longer than
         ``DEFAULT_RETURN_BUDGET`` steps raises BudgetExceeded.
         """
         cut = _exact(cut, "cut")
@@ -390,69 +394,44 @@ def first_return_on_grid(
     # Pair each piece with its partner under the flow part of the induced
     # map (the image with the side flipped back).  The induced map of an
     # exchange is again an exchange, so this pairing must be a
-    # fixed-point-free involution on pieces.
+    # fixed-point-free involution on pieces: a key's mate must be the one
+    # an earlier piece paired it with, and no earlier piece's.
     partner: dict[int, int] = {}
-    for piece in pieces:
+    for key, piece in index.items():
         lo, hi = _image(*piece)
         flip = -length if lo >= length else length
         mate = index.get(lo + flip)
         if mate is None or mate[1] != hi + flip:
             raise InconsistentStage("induced flow does not pair pieces")
-        if mate[0] == piece[0]:
+        if mate[0] == key:
             raise InconsistentStage("a piece pairs with itself")
-        partner[piece[0]] = mate[0]
-    for key, mate in partner.items():
-        if partner.get(mate) != key:
+        if partner.setdefault(key, mate[0]) != mate[0] or partner.setdefault(mate[0], key) != key:
             raise InconsistentStage("induced flow pairing is not an involution")
+    bands = [(key, mate) for key, mate in partner.items() if key < mate]
 
-    bands: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for key in index:
-        if key in seen:
-            continue
-        mate = partner[key]
-        seen.add(key)
-        seen.add(mate)
-        bands.append((key, mate))
-
+    # The labels of the old ends each band's pieces equal; inherited only
+    # when every band names at most one, no label is named twice, and at
+    # most one band and one label are left over, to pair.
     old_ends = {
         (bounds[p], bounds[p + 1]): label for p, label in enumerate(perm.top + perm.bottom)
     }
-    claimed: dict[int, str] = {}
-    used: dict[str, int] = {}
-    inherited = True
-    for i, (key, mate) in enumerate(bands):
-        labels = set()
-        for piece_key in (key, mate):
-            found = old_ends.get(index[piece_key][:2])
-            if found is not None:
-                labels.add(found)
-        if len(labels) > 1:
-            inherited = False
-            break
-        if labels:
-            label = labels.pop()
-            if label in used:
-                inherited = False
-                break
-            used[label] = i
-            claimed[i] = label
-    if inherited:
-        leftover_bands = [i for i in range(len(bands)) if i not in claimed]
-        leftover_labels = [a for a in perm.alphabet if a not in used]
-        if len(leftover_bands) == len(leftover_labels) == 1:
-            claimed[leftover_bands[0]] = leftover_labels[0]
-        elif leftover_bands or leftover_labels:
-            inherited = False
-    if not inherited or len(claimed) != len(bands):
-        claimed = {i: f"b{i + 1}" for i in range(len(bands))}
+    found = [{old_ends.get(index[key][:2]) for key in band} - {None} for band in bands]
+    claimed = [label for labels in found for label in labels]
+    unused = [label for label in perm.alphabet if label not in claimed]
+    unlabelled = sum(not labels for labels in found)
+    if (
+        all(len(labels) <= 1 for labels in found)
+        and len(set(claimed)) == len(claimed)
+        and unlabelled == len(unused) <= 1
+    ):
+        names = [labels.pop() if labels else unused[0] for labels in found]
+    else:
+        names = [f"b{i + 1}" for i in range(len(bands))]
 
     label_of_key: dict[int, str] = {}
     induced_widths: dict[str, int] = {}
-    for i, (key, mate) in enumerate(bands):
-        label = claimed[i]
-        label_of_key[key] = label
-        label_of_key[mate] = label
+    for (key, mate), label in zip(bands, names):
+        label_of_key[key] = label_of_key[mate] = label
         induced_widths[label] = index[key][1] - key
 
     top_row = [label_of_key[key] for key in index if key < length]

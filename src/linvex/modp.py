@@ -146,16 +146,20 @@ def propagate(
     """Push remainders through one split: loser gains the winner, mod p.
 
     The alphabet is fixed along an expansion and the remainders are in
-    alphabet order, so only the loser's entry is replaced.
+    alphabet order, so only the loser's entry is replaced.  A target with
+    another alphabet, or a winner or loser outside it, is InvalidInput.
     """
     alphabet = state.node.alphabet
     if target.alphabet != alphabet:
         raise InvalidInput(
             f"split target alphabet {list(target.alphabet)} differs from {list(alphabet)}"
         )
+    try:
+        i, w = alphabet.index(loser), alphabet.index(winner)
+    except ValueError:
+        raise InvalidInput(f"winner {winner!r} or loser {loser!r} not in {alphabet}") from None
     remainders = state.remainders
-    i = alphabet.index(loser)
-    value = (remainders[i][1] + remainders[alphabet.index(winner)][1]) % state.prime
+    value = (remainders[i][1] + remainders[w][1]) % state.prime
     remainders = remainders[:i] + ((loser, value),) + remainders[i + 1 :]
     return RemainderState(state.prime, target, remainders)
 

@@ -901,7 +901,7 @@ def test_random_base_tower_on_the_shortest_sides():
 
 def _ladder(x: Exchange, tower: CyclicTower) -> TowerVerification | None:
     """``approx._verify_on_ladder`` on the validated base, whatever the height."""
-    base = approx._flat_base(tower, *x._flat[:2])
+    base = approx._flat_base(x, tower)
     return approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET)
 
 
@@ -1041,29 +1041,25 @@ def test_ladder_on_the_search_sides_decides_like_the_reference(monkeypatch, sear
     given = []
     verify = approx._verify
 
-    def recording_verify(x, tower, step_budget, stage):
-        node, widths, norms = stage
-        # copies, so the checks below do not rest on the walk's fresh dicts
-        given.append((node, dict(widths), dict(norms)))
-        return verify(x, tower, step_budget, stage)
+    def recording_verify(x, tower, step_budget, rung):
+        given.append(rung)
+        return verify(x, tower, step_budget, rung)
 
     with monkeypatch.context() as patch:
         patch.setattr(approx, "_verify", recording_verify)
         # a search returns after the verification that passes
         found = [(x, tower, given[-1]) for x, tower in _tower_searches() if tower is not None]
     assert [(x, tower) for x, tower, _ in found] == [(x, t) for x, t, _ in searched_towers]
-    for (x, tower, stage), (_, _, want) in zip(found, searched_towers):
-        # the search's stage is the one a walk reaches, with the cocycle's
+    for (x, tower, rung), (_, _, want) in zip(found, searched_towers):
+        # the search's rung is the one a walk reaches, with the cocycle's
         # column norms as its return times
-        assert stage == approx._walked_stage(x, tower.depth, 0), (x, tower)
+        assert rung == approx._walked_stage(x, tower.depth, 0), (x, tower)
         expanded = rauzy.expand(x, tower.depth)
-        node, widths, norms = stage
-        assert node == expanded.end
-        assert widths == to_grid(rauzy.widths_at(expanded, x), x._flat[0])
-        assert norms == expanded.matrix.column_norms()
-        base = approx._flat_base(tower, *x._flat[:2])
-        assert approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, stage) == want
-        assert approx._verify(x, tower, DEFAULT_VERIFY_BUDGET, stage) == want
+        widths = to_grid(rauzy.widths_at(expanded, x), x._flat[0])
+        assert rung == approx._rung(expanded.end, widths, expanded.matrix.column_norms())
+        base = approx._flat_base(x, tower)
+        assert approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, rung) == want
+        assert approx._verify(x, tower, DEFAULT_VERIFY_BUDGET, rung) == want
         assert approx.verify_tower(x, tower) == want
         # named deeper, the certificate's walk stops before the first stage
         # whose sides no longer contain the base
@@ -1077,11 +1073,10 @@ def test_search_verifications_replay_only_where_the_ladder_gives_up(monkeypatch)
     calls, replays = [], []
     verify, compose = approx._verify, approx._compose
 
-    def recording_verify(x, tower, step_budget, stage):
+    def recording_verify(x, tower, step_budget, rung):
         before = len(replays)
-        report = verify(x, tower, step_budget, stage)
-        node, widths, norms = stage
-        calls.append((x, tower, (node, dict(widths), dict(norms)), len(replays) > before))
+        report = verify(x, tower, step_budget, rung)
+        calls.append((x, tower, rung, len(replays) > before))
         return report
 
     with monkeypatch.context() as patch:
@@ -1091,9 +1086,9 @@ def test_search_verifications_replay_only_where_the_ladder_gives_up(monkeypatch)
         for _ in _tower_searches():
             pass
     decided = {"short": 0, "tall": 0}
-    for x, tower, stage, replayed in calls:
-        base = approx._flat_base(tower, *x._flat[:2])
-        if approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, stage) is not None:
+    for x, tower, rung, replayed in calls:
+        base = approx._flat_base(x, tower)
+        if approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, rung) is not None:
             assert not replayed, (x, tower)
             decided["tall" if _on_ladder_path(tower) else "short"] += 1
     assert decided["short"] >= 80 and decided["tall"] >= 10, decided
@@ -1144,9 +1139,10 @@ def test_ladder_on_every_walked_stage_decides_like_the_reference_or_gives_up(sea
     # wrongly, and the certificate's own stage decides
     decided = 0
     for x, tower, want in searched_towers:
-        base = approx._flat_base(tower, *x._flat[:2])
+        base = approx._flat_base(x, tower)
         for depth, stage in enumerate(_walked_stages(x, tower.depth + 8)):
-            report = approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, stage)
+            rung = approx._rung(*stage)
+            report = approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, rung)
             assert report in (None, want), (x, tower, depth)
             if depth == tower.depth:
                 assert report == want, (x, tower)
@@ -1164,9 +1160,26 @@ def test_ladder_on_every_walked_stage_decides_like_the_reference_or_gives_up(sea
         ("height", F(2165)),
         ("height", True),
         ("height", "2165"),
+        ("base bound", 0.0),
+        ("base bound", "0"),
+        ("base bound", False),
+        ("delta", 0.25),
+        ("delta", "1/4"),
+        ("delta", True),
     ],
 )
 def test_verify_tower_rejects_certificate_numbers_that_are_not_ints(field, value):
+    kind = {"depth": "a nonnegative int", "height": "a positive int"}.get(
+        field, "an int or a Fraction"
+    )
+    message = "^" + re.escape(f"tower {field} must be {kind}, got {value!r}") + "$"
+
+    def spoiled(tower: CyclicTower) -> CyclicTower:
+        if field != "base bound":
+            return replace(tower, **{field: value})
+        (side, _, hi), *rest = tower.base
+        return replace(tower, base=((side, value, hi), *rest))
+
     # the tall certificate of the golden ``tower-ladder`` case: ladder path
     perm = genperm.validate(["A", "B", "B"], ["C", "C", "A"])
     b = F(390542483835, 2**40)
@@ -1174,12 +1187,12 @@ def test_verify_tower_rejects_certificate_numbers_that_are_not_ints(field, value
     tower = approx.find_cyclic_tower(x, F(1, 4), budget=48)
     assert (tower.depth, tower.height) == (27, 2165) and _on_ladder_path(tower)
     assert approx.verify_tower(x, tower).passed
-    with pytest.raises(InvalidInput, match=f"tower {field} must be an integer"):
-        approx.verify_tower(x, replace(tower, **{field: value}))
+    with pytest.raises(InvalidInput, match=message):
+        approx.verify_tower(x, spoiled(tower))
     # a short certificate, which only replays, is held to the same rule
     short = CyclicTower("A", 0, 2, ((Side.TOP, F(0), F(1, 7)),), F(1, 4), F(1, 2))
-    with pytest.raises(InvalidInput, match=f"tower {field} must be an integer"):
-        approx.verify_tower(rotation(3, 1, 7), replace(short, **{field: value}))
+    with pytest.raises(InvalidInput, match=message):
+        approx.verify_tower(rotation(3, 1, 7), spoiled(short))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

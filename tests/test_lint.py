@@ -7,7 +7,8 @@ or is a base of one that is, so a deleted raise leaves no dead class.
 No function body imports, so the module graph is the one the top-level
 imports show and a cycle between modules fails at import time.  No budget
 default is a number: each names the module constant that holds it, so no
-limit is written twice.
+limit is written twice.  Every private module-level name is read somewhere
+outside its own definition, so a replaced helper leaves no dead copy.
 """
 
 from __future__ import annotations
@@ -233,3 +234,71 @@ _FLAGS = {"budget": dict(type=int, default=approx.DEFAULT_SPLIT_BUDGET)}
         "line 7: state_budget=1.5",
         "line 12: _FLAGS budget default=10000",
     ]
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _unread_private_names(modules: list[ast.Module]) -> list[str]:
+    """Private module-level names of ``modules`` (one underscore, not
+    dunders) that no statement other than their own definition loads, by
+    name or as an attribute."""
+    private, loaded = set(), set()
+    for tree in modules:
+        for top in tree.body:
+            own = _defined_names(top)
+            private.update(n for n in own if n.startswith("_") and not n.startswith("__"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name not in own:
+                    loaded.add(name)
+    return sorted(private - loaded)
+
+
+def test_every_private_name_is_read():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    assert _unread_private_names(trees) == []
+
+
+def test_the_private_name_rule_sees_unused_and_recursive_only_helpers():
+    module = ast.parse(
+        """
+def _unused():
+    return 1
+
+
+def _recursive(n):
+    return _recursive(n - 1) if n else 0
+
+
+def _used():
+    return 2
+
+
+class _Read:
+    pass
+
+
+_TABLE: dict = {"a": _used}
+_COUNT = __version__ = 0
+
+
+def public(x: _Read):
+    return _TABLE[x]
+"""
+    )
+    other = ast.parse("from . import module\n\nmodule._COUNT += 1\nprint(module._COUNT)\n")
+    assert _unread_private_names([module, other]) == ["_recursive", "_unused"]

@@ -104,6 +104,10 @@ def test_propagate_rejects_a_foreign_alphabet():
     state = modp.initial_state(validate(["A", "A", "B"], ["B", "C", "C"]), 3)
     with pytest.raises(InvalidInput):
         modp.propagate(state, "B", "C", validate(["A", "A", "B"], ["B", "D", "D"]))
+    # a winner or a loser outside the alphabet
+    for winner, loser in (("D", "C"), ("B", "D")):
+        with pytest.raises(InvalidInput, match=f"winner '{winner}' or loser '{loser}'"):
+            modp.propagate(state, winner, loser, state.node)
 
 
 def test_claim_initial_preserving_band():
