@@ -31,8 +31,9 @@ measures that need no orbit iteration: the covered fraction is
 ``height * base width / total`` and the base-overlap of an orientation
 preserving band is the intersection length of its two end intervals
 (the height-iterate of the base is the side swap of the base), read
-off the stage's rung.  The verifier remains authoritative; every
-returned tower has been verified.
+off the stage's rung.  The verifier remains authoritative: a certificate
+passing both screens is verified before it is returned, and one that
+fails raises InconsistentStage, since on the rung the two agree.
 
 Rigidity defects integrate the displacement of an iterated map exactly:
 the n-th power is built as a refined piecewise isometry and each piece
@@ -88,9 +89,6 @@ class CyclicTower:
     base: tuple[BaseInterval, ...]
     delta: Fraction
     xi: Fraction
-
-    def base_measure(self) -> Fraction:
-        return sum((hi - lo for _, lo, hi in self.base), Fraction(0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,17 +167,16 @@ class RigidityRecord:
         return {"n": self.n, "defect": format_fraction(self.defect), "flagged": self.flagged}
 
 
-def verify_tower(
-    x: Exchange, tower: CyclicTower, step_budget: int = DEFAULT_VERIFY_BUDGET
-) -> TowerVerification:
+def verify_tower(x: Exchange, tower: CyclicTower) -> TowerVerification:
     """Check the four tower properties by exact interval iteration.
 
     The certificate must be well formed (``_flat_base``): ``depth`` a
     nonnegative int and ``height`` a positive int (not bools), ``band`` a
-    band of x, ``delta`` an int or a Fraction (not a bool), at least one
-    base interval, every bound an int or a Fraction (not a bool) on the
-    grid of the widths with 0 <= lo < hi <= L, and the intervals pairwise
-    disjoint on each side; otherwise InvalidInput.
+    band of x, ``delta`` an int or a Fraction (not a bool), the base a
+    nonempty sequence of (side, lo, hi) triples with every side a Side and
+    every bound an int or a Fraction (not a bool) on the grid of the
+    widths with 0 <= lo < hi <= L, and the intervals pairwise disjoint on
+    each side; otherwise InvalidInput.
 
     A tower taller than 64 (depth + 1) goes down the ladder first
     (``_verify_on_ladder``): one rung, the audited stage of x's expansion
@@ -197,36 +194,35 @@ def verify_tower(
     ``exchange._compose``.  Disjointness is measured over interval
     interiors, so single shared endpoints do not count.
 
-    ``step_budget`` bounds the replay's pieces of levels 1 .. height - 1
-    summed over the levels.  The ladder charges the replay's work on a
-    linear tower, len(base) * (height - 1), and raises the same
-    BudgetExceeded when that is over budget; its only piece-steps, the
-    base steps, must also fit the budget, or the replay runs.  Property
-    failures are reported in the verdicts, never raised; only exceeding
-    the step budget raises.  ``step_budget`` must be a nonnegative int
-    (not a bool), else InvalidInput.
+    Verification is charged to ``DEFAULT_VERIFY_BUDGET`` interval steps,
+    the replay's pieces of levels 1 .. height - 1 summed over the levels.
+    Every base interval fills at least one piece of each level, so a
+    tower with len(base) * (height - 1) over the budget raises
+    BudgetExceeded before either path runs; the ladder's only
+    piece-steps, its base steps, must also fit the budget, or the replay
+    runs.  Property failures are reported in the verdicts, never raised;
+    only exceeding the budget raises.
     """
-    _check_size(step_budget, "step budget")
-    return _verify(x, tower, step_budget, None)
+    return _verify(x, tower, None)
 
 
-def _verify(
-    x: Exchange, tower: CyclicTower, step_budget: int, rung: _Rung | None
-) -> TowerVerification:
+def _verify(x: Exchange, tower: CyclicTower, rung: _Rung | None) -> TowerVerification:
     """``verify_tower`` with the ``_rung`` of x's expansion at the
     certificate's depth in hand, or None.  With a rung every certificate
     tries the ladder first; None walks for one only for a tower taller
-    than ``_LADDER_HEIGHT_PER_DEPTH`` times its depth plus one."""
+    than ``_LADDER_HEIGHT_PER_DEPTH`` times its depth plus one.  Both
+    paths come after the one charge of ``DEFAULT_VERIFY_BUDGET``."""
+    budget = DEFAULT_VERIFY_BUDGET
     base = _flat_base(x, tower)
     length, bounds, slopes, shifts = x._flat[1:]
     height = tower.height
     last = height - 1
+    # Every base interval fills at least one piece of each level, so the
+    # replay would spend at least this much and raise.
+    if len(base) * last > budget:
+        raise _over_budget()
     if rung is not None or height > _LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1):
-        # Every base interval fills at least one piece of each level, so
-        # the replay would spend at least this much and raise.
-        if len(base) * last > step_budget:
-            raise _over_budget(step_budget)
-        report = _verify_on_ladder(x, tower, base, step_budget, rung)
+        report = _verify_on_ladder(x, tower, base, rung)
         if report is not None:
             return report
     # Sorted, pairwise disjoint base intervals, with a 2L sentinel start:
@@ -245,8 +241,8 @@ def _verify(
             # this piece and its images fill one piece of each later level;
             # a tower of height 1 has no levels to count and never raises
             work += last - level
-            if work > step_budget and level < last:
-                raise _over_budget(step_budget)
+            if work > budget and level < last:
+                raise _over_budget()
             for level in range(level, last):
                 p = bisect_right(bounds, lo) - 1
                 end = bounds[p + 1]
@@ -276,8 +272,8 @@ def _verify(
     return _verification(x, tower, base, disjoint, linear, union_int, overlap_int)
 
 
-def _over_budget(step_budget: int) -> BudgetExceeded:
-    return BudgetExceeded(f"tower verification exceeded {step_budget} interval steps")
+def _over_budget() -> BudgetExceeded:
+    return BudgetExceeded(f"tower verification exceeded {DEFAULT_VERIFY_BUDGET} interval steps")
 
 
 def _base_overlap(lo: int, hi: int, base_lo: list[int], base_hi: list[int]) -> int:
@@ -341,8 +337,7 @@ def _verify_on_ladder(
     x: Exchange,
     tower: CyclicTower,
     base: list[tuple[int, int]],
-    step_budget: int,
-    rung: _Rung | None = None,
+    rung: _Rung | None,
 ) -> TowerVerification | None:
     """The report of a tower verified on the first-return map of a stage
     of x's expansion, or None when the ladder cannot decide.
@@ -363,7 +358,8 @@ def _verify_on_ladder(
     disjoint from the base, the union is height times the base, and the
     overlap is measured at time ``height``.  Otherwise the ladder gives
     up, as it does when its base steps, its only piece-steps, exceed
-    ``step_budget`` or the stage's side is shorter than the base needs.
+    ``DEFAULT_VERIFY_BUDGET`` or the stage's side is shorter than the
+    base needs.  The tower's own charge is ``_verify``'s.
     """
     length = x._flat[1]
     # the base's right end on its side: the stage's sides must contain it
@@ -388,7 +384,7 @@ def _verify_on_ladder(
             if hi > bounds[p + 1]:
                 return None
             work += 1
-            if work > step_budget:
+            if work > DEFAULT_VERIFY_BUDGET:
                 return None
             level += times[p]
             shift = shifts[p]
@@ -429,13 +425,17 @@ def _flat_base(x: Exchange, tower: CyclicTower) -> list[tuple[int, int]]:
     if tower.band not in x.perm.alphabet:
         raise InvalidInput(f"tower band {tower.band!r} is not a band of {x.perm}")
     _exact(tower.delta, "tower delta")
+    if not isinstance(tower.base, Sequence) or not all(
+        isinstance(interval, Sequence) and len(interval) == 3 for interval in tower.base
+    ):
+        raise InvalidInput(f"tower base must be (side, lo, hi) triples, got {tower.base!r}")
     if not tower.base:
         raise InvalidInput("tower base is empty")
     denom, length = x._flat[:2]
     offsets = {Side.TOP: 0, Side.BOTTOM: length}
     base = []
     for side, lo, hi in tower.base:
-        if side not in offsets:
+        if not isinstance(side, Side):
             raise InvalidInput(f"tower base side {side!r} is not a Side")
         lo_int = _exact(lo, "tower base bound") * denom
         hi_int = _exact(hi, "tower base bound") * denom
@@ -469,7 +469,7 @@ def _full_union_measure(
     ``exchange._compose``.  The levels are flat intervals, so merging
     across the flat point L joins a top and a bottom interval without
     changing the measure.  Its pieces are those of levels 1 .. height - 1
-    that ``verify_tower`` has already charged to its step budget.
+    that ``verify_tower`` has already charged to ``DEFAULT_VERIFY_BUDGET``.
     """
     union = list(base)
     pieces = [(lo, hi, 1, 0) for lo, hi in base]
@@ -514,9 +514,12 @@ def find_cyclic_tower(
     """Expand until a verified tower with constant ``delta`` appears.
 
     At each stage, every orientation preserving band is screened with the
-    two exact tower measures; a band passing both screens is turned into a
-    certificate and re-verified against the original map, within
-    ``DEFAULT_VERIFY_BUDGET`` interval steps, before being returned.
+    two exact tower measures; the first band passing both screens is
+    turned into a certificate and re-verified against the original map
+    (``verify_tower``'s one charge of ``DEFAULT_VERIFY_BUDGET`` included,
+    whose BudgetExceeded ends the search) before being returned.  On the
+    stage's rung that verification equals the two screens, so a
+    certificate that fails it raises InconsistentStage.
     ``height_coprime_to`` restricts to heights coprime to the given prime.
     ``delta`` must be exact, an int or a Fraction (not a bool), in (0, 1);
     ``budget``, the deepest stage screened, must be a nonnegative int
@@ -560,13 +563,6 @@ def find_cyclic_tower(
                 overlap = max(0, min(hi1, hi2) - max(lo1, lo2))
                 if (width - overlap) * d_den >= d_num * width:
                     continue
-                if 2 * height > DEFAULT_VERIFY_BUDGET:
-                    # Heights only grow along the expansion, so a qualifying
-                    # stage beyond the verification budget will not improve.
-                    raise BudgetExceeded(
-                        f"qualifying tower height {height} exceeds the "
-                        f"verification budget {DEFAULT_VERIFY_BUDGET}"
-                    )
                 tower = CyclicTower(
                     band=band,
                     depth=depth,
@@ -578,9 +574,14 @@ def find_cyclic_tower(
                     delta=delta,
                     xi=1 - Fraction(width, cut),
                 )
-                report = _verify(x, tower, DEFAULT_VERIFY_BUDGET, rung)
-                if report.passed:
-                    return tower
+                # each base interval is one rung position that returns at
+                # time ``height`` onto the other end, so the report repeats
+                # the two screens
+                if not _verify(x, tower, rung).passed:
+                    raise InconsistentStage(
+                        f"band {band} at depth {depth} passed both screens but not verification"
+                    )
+                return tower
     except SplitUndefined as err:
         raise ExpansionHalted(err, depth) from err
     raise BudgetExceeded(f"no tower with delta {delta} within {budget} splits")

@@ -137,8 +137,10 @@ class Exchange:
 
     def _flat_point(self, side: Side, offset: Fraction) -> tuple[int, int, int]:
         """(t, q, p): the point as the flat integer t over the grid D q, and
-        the position p containing it."""
+        the position p containing it.  The offset must be an int or a
+        Fraction (not a bool), else InvalidInput."""
         denom, length, bounds, _, _ = self._flat
+        offset = _exact(offset, "offset")
         n, q = offset.numerator, offset.denominator
         if n < 0 or n * denom >= length * q:
             raise InvalidInput(f"offset {offset} outside [0, {self.side_length})")
@@ -188,6 +190,7 @@ class Exchange:
 
     def orbit(self, start: Point, steps: int) -> OrbitSegment:
         _check_size(steps, "orbit length")
+        self._flat_point(*start)  # a bad start fails even with no steps
         points = [start]
         hit: int | None = None
         for k in range(steps):
@@ -360,7 +363,6 @@ def first_return_on_grid(
     perm: GeneralizedPermutation,
     widths: Mapping[str, int],
     cut: int,
-    budget: int = DEFAULT_RETURN_BUDGET,
 ) -> tuple[GeneralizedPermutation, dict[str, int]]:
     """The induced permutation and integer widths on [0, cut) of each side.
 
@@ -371,13 +373,11 @@ def first_return_on_grid(
     InconsistentStage.  A piece has slope +1 or -1, so its image has its
     length by construction.  Tiling both sides to the same length also
     gives the induced switch condition, and every piece is nonempty.
-    A chase past ``budget`` steps, a nonnegative int, raises
-    BudgetExceeded.
+    A chase past ``DEFAULT_RETURN_BUDGET`` steps raises BudgetExceeded.
     """
-    _check_size(budget, "budget")
     flat = _grid_layout(perm, widths)
     length, bounds = flat[0], flat[1]
-    pieces = sorted(_chase(flat, cut, budget))
+    pieces = sorted(_chase(flat, cut, DEFAULT_RETURN_BUDGET))
     index: dict[int, tuple[int, int, int, int]] = {}
     cursor = 0
     for piece in pieces:

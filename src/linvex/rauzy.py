@@ -190,10 +190,6 @@ class Stage:
         return len(self.steps)
 
     @property
-    def start(self) -> GeneralizedPermutation:
-        return self.nodes[0]
-
-    @property
     def end(self) -> GeneralizedPermutation:
         return self.nodes[-1]
 

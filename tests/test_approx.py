@@ -746,19 +746,19 @@ def _assert_verifies_like_reference(x: Exchange, tower: CyclicTower) -> TowerVer
 
 
 def _assert_budget_like_reference(x: Exchange, tower: CyclicTower) -> None:
-    """The exact work passes; one step less raises the reference's error."""
+    """With ``DEFAULT_VERIFY_BUDGET`` at the exact work the tower passes;
+    one step less raises the reference's error."""
     work = _reference_work(x, tower)
-    assert approx.verify_tower(x, tower, work) == reference_verify_tower(x, tower, work)
-    if work == 0:
-        # no level is counted, so no budget runs out; a negative one is
-        # not a budget at all
-        with pytest.raises(InvalidInput, match="step budget must be a nonnegative int"):
-            approx.verify_tower(x, tower, -1)
-        return
-    with pytest.raises(BudgetExceeded) as want:
-        reference_verify_tower(x, tower, work - 1)
-    with pytest.raises(BudgetExceeded) as got:
-        approx.verify_tower(x, tower, work - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approx, "DEFAULT_VERIFY_BUDGET", work)
+        assert approx.verify_tower(x, tower) == reference_verify_tower(x, tower, work)
+        if work == 0:
+            return  # no level is counted, so no budget runs out
+        patch.setattr(approx, "DEFAULT_VERIFY_BUDGET", work - 1)
+        with pytest.raises(BudgetExceeded) as want:
+            reference_verify_tower(x, tower, work - 1)
+        with pytest.raises(BudgetExceeded) as got:
+            approx.verify_tower(x, tower)
     assert str(got.value) == str(want.value)
 
 
@@ -902,7 +902,7 @@ def test_random_base_tower_on_the_shortest_sides():
 def _ladder(x: Exchange, tower: CyclicTower) -> TowerVerification | None:
     """``approx._verify_on_ladder`` on the validated base, whatever the height."""
     base = approx._flat_base(x, tower)
-    return approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET)
+    return approx._verify_on_ladder(x, tower, base, None)
 
 
 def _on_ladder_path(tower: CyclicTower) -> bool:
@@ -1041,9 +1041,9 @@ def test_ladder_on_the_search_sides_decides_like_the_reference(monkeypatch, sear
     given = []
     verify = approx._verify
 
-    def recording_verify(x, tower, step_budget, rung):
+    def recording_verify(x, tower, rung):
         given.append(rung)
-        return verify(x, tower, step_budget, rung)
+        return verify(x, tower, rung)
 
     with monkeypatch.context() as patch:
         patch.setattr(approx, "_verify", recording_verify)
@@ -1058,8 +1058,8 @@ def test_ladder_on_the_search_sides_decides_like_the_reference(monkeypatch, sear
         widths = to_grid(rauzy.widths_at(expanded, x), x._flat[0])
         assert rung == approx._rung(expanded.end, widths, expanded.matrix.column_norms())
         base = approx._flat_base(x, tower)
-        assert approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, rung) == want
-        assert approx._verify(x, tower, DEFAULT_VERIFY_BUDGET, rung) == want
+        assert approx._verify_on_ladder(x, tower, base, rung) == want
+        assert approx._verify(x, tower, rung) == want
         assert approx.verify_tower(x, tower) == want
         # named deeper, the certificate's walk stops before the first stage
         # whose sides no longer contain the base
@@ -1073,9 +1073,9 @@ def test_search_verifications_replay_only_where_the_ladder_gives_up(monkeypatch)
     calls, replays = [], []
     verify, compose = approx._verify, approx._compose
 
-    def recording_verify(x, tower, step_budget, rung):
+    def recording_verify(x, tower, rung):
         before = len(replays)
-        report = verify(x, tower, step_budget, rung)
+        report = verify(x, tower, rung)
         calls.append((x, tower, rung, len(replays) > before))
         return report
 
@@ -1088,7 +1088,7 @@ def test_search_verifications_replay_only_where_the_ladder_gives_up(monkeypatch)
     decided = {"short": 0, "tall": 0}
     for x, tower, rung, replayed in calls:
         base = approx._flat_base(x, tower)
-        if approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, rung) is not None:
+        if approx._verify_on_ladder(x, tower, base, rung) is not None:
             assert not replayed, (x, tower)
             decided["tall" if _on_ladder_path(tower) else "short"] += 1
     assert decided["short"] >= 80 and decided["tall"] >= 10, decided
@@ -1142,7 +1142,7 @@ def test_ladder_on_every_walked_stage_decides_like_the_reference_or_gives_up(sea
         base = approx._flat_base(x, tower)
         for depth, stage in enumerate(_walked_stages(x, tower.depth + 8)):
             rung = approx._rung(*stage)
-            report = approx._verify_on_ladder(x, tower, base, DEFAULT_VERIFY_BUDGET, rung)
+            report = approx._verify_on_ladder(x, tower, base, rung)
             assert report in (None, want), (x, tower, depth)
             if depth == tower.depth:
                 assert report == want, (x, tower)
@@ -1180,19 +1180,44 @@ def test_verify_tower_rejects_certificate_numbers_that_are_not_ints(field, value
         (side, _, hi), *rest = tower.base
         return replace(tower, base=((side, value, hi), *rest))
 
-    # the tall certificate of the golden ``tower-ladder`` case: ladder path
+    for x, tower in _tall_and_short_certificates():
+        with pytest.raises(InvalidInput, match=message):
+            approx.verify_tower(x, spoiled(tower))
+
+
+_SHAPE = "tower base must be (side, lo, hi) triples, got "
+_LIST_SIDE = "tower base side [<Side.TOP: 'Top'>] is not a Side"
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda side, lo, hi: ([side], lo, hi), _LIST_SIDE),
+        (lambda side, lo, hi: (lo, hi), _SHAPE),
+        (lambda side, lo, hi: (side, lo, hi, hi), _SHAPE),
+        (None, _SHAPE + "5"),
+    ],
+    ids=["list-side", "two-items", "four-items", "int-base"],
+)
+def test_verify_tower_rejects_a_base_of_the_wrong_shape(spoil, message):
+    for x, tower in _tall_and_short_certificates():
+        first, *rest = tower.base
+        base = 5 if spoil is None else (spoil(*first), *rest)
+        with pytest.raises(InvalidInput, match="^" + re.escape(message)):
+            approx.verify_tower(x, replace(tower, base=base))
+
+
+def _tall_and_short_certificates() -> list[tuple[Exchange, CyclicTower]]:
+    """The tall certificate of the golden ``tower-ladder`` case, which takes
+    the ladder path, and a short one, which only replays."""
     perm = genperm.validate(["A", "B", "B"], ["C", "C", "A"])
     b = F(390542483835, 2**40)
     x = build(perm, {"A": F(159213330053, 2**39), "B": b, "C": b})
     tower = approx.find_cyclic_tower(x, F(1, 4), budget=48)
     assert (tower.depth, tower.height) == (27, 2165) and _on_ladder_path(tower)
     assert approx.verify_tower(x, tower).passed
-    with pytest.raises(InvalidInput, match=message):
-        approx.verify_tower(x, spoiled(tower))
-    # a short certificate, which only replays, is held to the same rule
     short = CyclicTower("A", 0, 2, ((Side.TOP, F(0), F(1, 7)),), F(1, 4), F(1, 2))
-    with pytest.raises(InvalidInput, match=message):
-        approx.verify_tower(rotation(3, 1, 7), spoiled(short))
+    return [(x, tower), (rotation(3, 1, 7), short)]
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -12,12 +12,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from linvex import approx, diagram, lab, modp, rauzy
+from linvex import approx, diagram, exchange, lab, modp, rauzy
 from linvex.errors import BudgetExceeded, InvalidInput, InvariantViolation
 from linvex.exchange import Exchange, Point, Side, first_return_on_grid
 from linvex.genperm import validate
 
-from test_approx import _composed_totals
+from test_approx import _composed_totals, _reference_work
 
 _ROTATION = validate(["A", "B"], ["B", "A"])
 # A A B | B C C: a non-classical start whose forward closure has 12 nodes.
@@ -47,7 +47,20 @@ def _closure_nodes(monkeypatch):
 def _chase_steps(monkeypatch):
     # Widths 3 and 1 cut at 1: by Kac's lemma the two returning pieces of
     # length 1 take 8 / 2 = 4 steps on average, and here each takes 4.
-    return (lambda limit: first_return_on_grid(_ROTATION, {"A": 3, "B": 1}, 1, limit)), 4
+    def run(limit):
+        monkeypatch.setattr(exchange, "DEFAULT_RETURN_BUDGET", limit)
+        return first_return_on_grid(_ROTATION, {"A": 3, "B": 1}, 1)
+
+    return run, 4
+
+
+def _verify_steps(monkeypatch):
+    # The replay's interval steps: the pieces of levels 1 .. height - 1.
+    def run(limit):
+        monkeypatch.setattr(approx, "DEFAULT_VERIFY_BUDGET", limit)
+        return approx.verify_tower(_X, _TOWER)
+
+    return run, _reference_work(_X, _TOWER)
 
 
 def _probe_steps(monkeypatch):
@@ -117,6 +130,7 @@ def _orbit_restarts(monkeypatch):
 LIMITS = {
     "closure-nodes": _closure_nodes,
     "chase-steps": _chase_steps,
+    "verify-steps": _verify_steps,
     "probe-steps": _probe_steps,
     "mod-p-states": _mod_p_states,
     "search-depth": _search_depth,
@@ -140,11 +154,9 @@ def test_each_limit_raises_just_past_its_count(monkeypatch, row):
     "call, what",
     [
         (lambda v: diagram.forward_closure(_AAB, v), "budget"),
-        (lambda v: first_return_on_grid(_ROTATION, {"A": 3, "B": 1}, 1, v), "budget"),
-        (lambda v: approx.verify_tower(_X, _TOWER, v), "step budget"),
         (lambda v: _X.orbit(Point(Side.TOP, F(1, 3)), v), "orbit length"),
     ],
-    ids=["closure", "chase", "verify-tower", "orbit"],
+    ids=["closure", "orbit"],
 )
 @pytest.mark.parametrize("value", [-1, 2.5, True, "3"])
 def test_budgets_and_lengths_are_nonnegative_ints(call, what, value):

@@ -7,6 +7,7 @@ import inspect
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,22 @@ def nonclassical_files(tmp_path):
         )
     )
     return str(perm), str(widths)
+
+
+def _write_exchange(tmp_path, top, bottom, widths) -> list[str]:
+    """``--perm`` and ``--widths`` arguments for files holding an exchange."""
+    perm, widths_path = tmp_path / "perm.json", tmp_path / "widths.json"
+    perm.write_bytes(canonical_json_bytes({"top": top, "bottom": bottom}))
+    widths_path.write_bytes(canonical_json_bytes(widths))
+    return ["--perm", str(perm), "--widths", str(widths_path)]
+
+
+@pytest.fixture()
+def tie_files(tmp_path):
+    # A A B | B C C with widths 1/5, 2/5, 1/5: the orbit of top 0 hits an
+    # endpoint at once, and B and C tie after one split
+    widths = {"A": "1/5", "B": "2/5", "C": "1/5"}
+    return _write_exchange(tmp_path, ["A", "A", "B"], ["B", "C", "C"], widths)
 
 
 def test_validate_command(rotation_files, capsys):
@@ -81,6 +98,14 @@ def test_orbit_jsonl(rotation_files, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert json.loads(lines[0]) == {"k": 0, "side": "Top", "offset": "0/1"}
     assert json.loads(lines[1]) == {"k": 1, "side": "Top", "offset": "1/7"}
+
+
+def test_orbit_that_hits_an_endpoint_says_so_and_succeeds(tie_files, capsys):
+    argv = ["orbit", *tie_files, "--side", "top", "--offset", "0", "--steps", "3"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == '{"k":0,"offset":"0/1","side":"Top"}\n'
+    assert captured.err == "orbit stopped: endpoint hit at index 0\n"
 
 
 def test_split_command(rotation_files, capsys):
@@ -265,6 +290,41 @@ def test_modp_trace(rotation_files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "band" in out.splitlines()[0]
+
+
+def test_modp_trace_ends_where_the_expansion_halts(tie_files, capsys):
+    assert cli.main(["modp-trace", *tie_files, "--p", "3", "--steps", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(row.split()[0]) for row in rows] == [0, 0, 0, 1, 1, 1]
+
+
+def test_coprime_tower_at_p_2_reports_an_all_reversing_obstruction(tmp_path, capsys):
+    widths = {"A": "1/2", "B": "1/4", "C": "1/4"}
+    argv = _write_exchange(tmp_path, ["A", "A"], ["B", "B", "C", "C"], widths)
+    assert cli.main(["coprime-tower", *argv, "--delta", "2/5", "--p", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] == "structural_obstruction"
+    assert payload["reason"].startswith("all bands reverse orientation")
+
+
+def test_a_screened_tower_that_fails_verification_is_an_inconsistency(
+    nonclassical_files, capsys, monkeypatch
+):
+    # On the search's rung the verification repeats the two screens, so a
+    # certificate that passes both and then fails is a fault: exit 4.
+    perm, widths = nonclassical_files
+    ladder = approx._verify_on_ladder
+    monkeypatch.setattr(
+        approx, "_verify_on_ladder", lambda *args: replace(ladder(*args), disjoint_levels=False)
+    )
+    x = cli._load_exchange(perm, widths)
+    with pytest.raises(InconsistentStage, match="passed both screens but not verification"):
+        approx.find_cyclic_tower(x, Fraction(2, 5))
+    argv = ["tower", "--perm", perm, "--widths", widths, "--delta", "2/5"]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("INVARIANT VIOLATION: band ")
 
 
 def test_coprime_tower_command(nonclassical_files, capsys):

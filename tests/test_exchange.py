@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linvex import genperm
+from linvex import exchange, genperm
 from linvex.errors import (
     BudgetExceeded,
     EndpointHit,
@@ -150,6 +150,23 @@ def test_orbit_reports_endpoint_hit_at_start():
     seg = y.orbit(Point(Side.TOP, F(0)), 5)
     assert seg.hit_endpoint == 0
     assert len(seg.points) == 1
+
+
+@pytest.mark.parametrize("offset", [0.5, "1/8", False, True])
+@pytest.mark.parametrize("method", ["apply", "apply_inverse", "locate", "orbit"])
+def test_point_offsets_must_be_ints_or_fractions(method, offset):
+    # a bool is not read as 0 or 1, and an orbit of no steps checks its start
+    y = build(NONCLASSICAL, {"A": F(1, 5), "B": F(2, 5), "C": F(1, 5)})
+    point = Point(Side.TOP, offset)
+    call = {
+        "apply": lambda: y.apply(point),
+        "apply_inverse": lambda: y.apply_inverse(point),
+        "locate": lambda: y.locate(Side.TOP, offset),
+        "orbit": lambda: y.orbit(point, 0),
+    }[method]
+    message = f"offset must be an int or a Fraction, got {offset!r}"
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_measure_preservation_on_pieces():
@@ -391,10 +408,10 @@ def test_flat_map_equals_fraction_layout_on_every_small_node(seed):
 # --- the flat first-return chase against the side-keyed reference ------------
 
 
-def _return_outcome(f, perm, widths, cut, budget):
+def _return_outcome(f, *args):
     """The induced (perm, widths), or the class of the error raised."""
     try:
-        return f(perm, widths, cut, budget)
+        return f(*args)
     except LinvexError as err:
         return type(err)
 
@@ -416,9 +433,12 @@ def test_first_return_equals_side_keyed_reference_on_every_small_node(seed):
             if cut < 1:
                 continue
             for budget in (1, 2, 3, 5, DEFAULT_RETURN_BUDGET):
-                args = (perm, widths, cut, budget)
-                mine = _return_outcome(first_return_on_grid, *args)
-                assert mine == _return_outcome(reference_first_return_on_grid, *args), args
+                args = (perm, widths, cut)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(exchange, "DEFAULT_RETURN_BUDGET", budget)
+                    mine = _return_outcome(first_return_on_grid, *args)
+                want = _return_outcome(reference_first_return_on_grid, *args, budget)
+                assert mine == want, (args, budget)
                 if isinstance(mine, tuple):
                     fresh = set(mine[0].alphabet) != set(perm.alphabet)
                     seen["fresh" if fresh else "inherited"] += 1
@@ -427,9 +447,10 @@ def test_first_return_equals_side_keyed_reference_on_every_small_node(seed):
     assert min(seen.values()) > 0, seen
 
 
-def test_not_returning_names_the_side_local_piece():
+def test_not_returning_names_the_side_local_piece(monkeypatch):
     # the (3/7, 1/7) rotation cut at 1/7: [0, 1) on the top side needs
     # four steps to come back
+    monkeypatch.setattr(exchange, "DEFAULT_RETURN_BUDGET", 2)
     with pytest.raises(BudgetExceeded) as err:
-        first_return_on_grid(ROTATION, {"A": 3, "B": 1}, 1, 2)
+        first_return_on_grid(ROTATION, {"A": 3, "B": 1}, 1)
     assert str(err.value) == "piece [0, 1) on side 0 exceeded 2 steps"

@@ -7,8 +7,10 @@ or is a base of one that is, so a deleted raise leaves no dead class.
 No function body imports, so the module graph is the one the top-level
 imports show and a cycle between modules fails at import time.  No budget
 default is a number: each names the module constant that holds it, so no
-limit is written twice.  Every private module-level name is read somewhere
-outside its own definition, so a replaced helper leaves no dead copy.
+limit is written twice, and every budget parameter is passed by some call
+in the library, so a limit no caller sets is a module constant instead.
+Every private module-level name is read somewhere outside its own
+definition, so a replaced helper leaves no dead copy.
 """
 
 from __future__ import annotations
@@ -234,6 +236,91 @@ _FLAGS = {"budget": dict(type=int, default=approx.DEFAULT_SPLIT_BUDGET)}
         "line 7: state_budget=1.5",
         "line 12: _FLAGS budget default=10000",
     ]
+
+
+def _unpassed_budgets(modules: list[ast.Module]) -> list[str]:
+    """``function(parameter)`` for each parameter whose name contains
+    ``budget`` that no call in ``modules`` to a function of that name
+    passes: by keyword, by ``**kwargs``, or by position (a starred
+    argument passes every position).  ``self`` and ``cls`` take no
+    position of a call."""
+    params: dict[tuple[str, str], int | None] = {}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                positional = node.args.posonlyargs + node.args.args
+                if positional and positional[0].arg in ("self", "cls"):
+                    positional = positional[1:]
+                for index, arg in enumerate(positional):
+                    if "budget" in arg.arg:
+                        params[node.name, arg.arg] = index
+                for arg in node.args.kwonlyargs:
+                    if "budget" in arg.arg:
+                        params[node.name, arg.arg] = None
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, param: str, index: int | None) -> bool:
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        return index is not None and (starred or len(call.args) > index)
+
+    return sorted(
+        f"{function}({param})"
+        for (function, param), index in params.items()
+        if not any(passes(call, param, index) for call in calls.get(function, ()))
+    )
+
+
+def test_every_budget_parameter_is_passed():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    assert _unpassed_budgets(trees) == []
+
+
+def test_the_budget_parameter_rule_sees_each_way_of_passing():
+    module = ast.parse(
+        """
+def unpassed(x, budget=LIMIT, other=None):
+    return x
+
+
+def by_keyword(x, budget=LIMIT):
+    return x
+
+
+def by_kwargs(x, *, node_budget=LIMIT):
+    return x
+
+
+def by_position(x, step_budget=LIMIT):
+    return x
+
+
+def by_star(x, budget=LIMIT):
+    return x
+
+
+class Search:
+    def run(self, x, tower_budget=LIMIT):
+        return x
+"""
+    )
+    calls = ast.parse(
+        """
+unpassed(1, other=2)
+unpassed(1)
+by_keyword(1, budget=2)
+by_kwargs(1, **options)
+module.by_position(1, 2)
+by_star(*args)
+Search().run(1, 5)
+"""
+    )
+    assert _unpassed_budgets([module, calls]) == ["unpassed(budget)"]
 
 
 def _defined_names(node: ast.stmt) -> list[str]:

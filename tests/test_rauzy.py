@@ -234,6 +234,17 @@ def test_return_times_equal_column_norms():
             assert sum(visits.column(band)) == stage.matrix.column_norm(band)
 
 
+def test_visit_counts_on_a_halted_stage_raises_its_halt():
+    # A A B | B C C with widths 1/5, 2/5, 1/5: B and C tie after one split
+    perm = genperm.validate(["A", "A", "B"], ["B", "C", "C"])
+    x = build(perm, {"A": F(1, 5), "B": F(2, 5), "C": F(1, 5)})
+    stage = rauzy.expand(x, 5)
+    assert stage.depth == 1 and isinstance(stage.halted, SplitUndefinedTie)
+    with pytest.raises(SplitUndefinedTie) as err:
+        rauzy.visit_counts(x, stage)
+    assert err.value is stage.halted
+
+
 def test_return_time_depth_zero_is_one():
     x = build(ROTATION, {"A": F(3, 7), "B": F(1, 7)})
     visits = rauzy.visit_counts(x, 0)
