@@ -74,7 +74,7 @@ COMPOSE_BUDGET = 2 * 10**6
 BaseInterval = tuple[Side, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicTower:
     """A tower certificate: band, depth, height, base set and quality.
 
@@ -104,7 +104,7 @@ class CyclicTower:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerVerification:
     """Exact measures and per-property verdicts for a tower certificate."""
 
@@ -157,7 +157,7 @@ class TowerVerification:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RigidityRecord:
     n: int
     defect: Fraction

@@ -33,20 +33,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Mapping
 
 from . import rauzy
 from .errors import BudgetExceeded, InconsistentStage, Unreachable
 from .exchange import _check_size, _check_widths
-from .genperm import GeneralizedPermutation, critical_bands, is_combinatorially_reducible
+from .genperm import GeneralizedPermutation, is_combinatorially_reducible
 from .rationals import format_fraction
 
 DEFAULT_NODE_BUDGET = 100_000
 # Enum members bound once: an attribute read costs far more than a name.
 _BOTTOM_WINS, _TOP_WINS = rauzy.SplitKind.BOTTOM_WINS, rauzy.SplitKind.TOP_WINS
+_KINDS = (_BOTTOM_WINS, _TOP_WINS)  # direction-tag order
+_kind_of = attrgetter("kind")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: GeneralizedPermutation
     kind: rauzy.SplitKind
@@ -107,9 +110,9 @@ def _edges(perm: GeneralizedPermutation, audit: bool) -> tuple[Edge, ...]:
     """The out-edges of ``perm``: each witness is built and checked here,
     and each target comes from ``rauzy._step`` when ``audit`` is set, else
     from ``rauzy._insert`` for a node whose shape was audited."""
-    alpha_top, alpha_bottom = critical_bands(perm)
+    alpha_top, alpha_bottom = perm.top[-1], perm.bottom[-1]  # the critical bands
     out = []
-    for kind in (_BOTTOM_WINS, _TOP_WINS):
+    for kind in _KINDS:
         witness = rauzy._witness_grid(perm, kind)
         if witness is None:
             continue
@@ -119,16 +122,9 @@ def _edges(perm: GeneralizedPermutation, audit: bool) -> tuple[Edge, ...]:
         if witness[winner] <= witness[loser]:
             raise InconsistentStage(f"the {kind.value} witness of {perm} split the other way")
         target = rauzy._step(perm, witness)[0] if audit else rauzy._insert(perm, top_wins)
-        out.append(
-            Edge(
-                source=perm,
-                kind=kind,
-                winner=winner,
-                loser=loser,
-                target=target,
-                witness=tuple(witness.items()),  # already in alphabet order
-            )
-        )
+        # Positional fields: keywords cost a third more per record.  The
+        # witness items are already in alphabet order.
+        out.append(Edge(perm, kind, winner, loser, target, tuple(witness.items())))
     return tuple(out)
 
 
@@ -153,7 +149,7 @@ def forward_closure(
         shape = (len(node.top), node.involution)
         audited = directions.get(shape)
         outs = node_edges(node) if audited is None else _edges(node, audit=False)
-        kinds = tuple(edge.kind for edge in outs)
+        kinds = tuple(map(_kind_of, outs))
         if audited is None:
             directions[shape] = kinds
         elif kinds != audited:

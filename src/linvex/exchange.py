@@ -66,7 +66,7 @@ class Point(NamedTuple):
         return {"side": self.side.value, "offset": format_fraction(self.offset)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitSegment:
     start: Point
     points: tuple[Point, ...]
@@ -96,8 +96,11 @@ def _check_widths(perm: GeneralizedPermutation, widths: Mapping[str, int], denom
     for label in perm.alphabet:
         if widths[label] <= 0:
             raise NonPositiveWidth(f"width of band {label} is {Fraction(widths[label], denom)}")
-    top_sum = sum(widths[a] for a in perm.reversing_top)
-    bottom_sum = sum(widths[a] for a in perm.reversing_bottom)
+    top_sum = bottom_sum = 0  # plain loops: a generator costs more than these few adds
+    for a in perm.reversing_top:
+        top_sum += widths[a]
+    for a in perm.reversing_bottom:
+        bottom_sum += widths[a]
     if top_sum != bottom_sum:
         top, bottom = Fraction(top_sum, denom), Fraction(bottom_sum, denom)
         raise SwitchConditionViolated(f"reversing totals differ: top {top} vs bottom {bottom}")
@@ -182,6 +185,8 @@ class Exchange:
 
     def apply_inverse(self, point: Point) -> Point:
         # T = sigma o F with F an involution, so T^-1 = F o sigma = sigma o T o sigma.
+        if not isinstance(point.side, Side):
+            raise InvalidInput(f"side {point.side!r} is not a Side")
         try:
             side, offset = self.apply(Point(point.side.flipped(), point.offset))
         except EndpointHit:
@@ -336,7 +341,10 @@ def _chase(
         out = []
         for piece in _compose(pieces, bounds, slopes, shifts):
             lo, hi, slope, const = piece
-            a, b = _image(*piece)
+            if slope == 1:
+                a, b = const + lo, const + hi
+            else:
+                a, b = const - hi, const - lo
             end = (length if a >= length else 0) + cut
             if b <= end:
                 done.append(piece)

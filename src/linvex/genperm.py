@@ -40,12 +40,14 @@ class Orientation(Enum):
     REVERSING_BOTTOM = "reversing_bottom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneralizedPermutation:
     """A validated two-row labeling; equality and hashing use the rows only.
 
     The hash is the tuple hash of the two rows, stored once by
     ``_validate_cached``, so set and dict orders match the dataclass hash.
+    A pickle carries the rows only and loads through ``_validate_cached``,
+    so the hash is the loading interpreter's.
     """
 
     top: tuple[str, ...]
@@ -61,6 +63,9 @@ class GeneralizedPermutation:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return _validate_cached, (self.top, self.bottom)
 
     @property
     def band_count(self) -> int:

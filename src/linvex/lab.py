@@ -44,7 +44,7 @@ def substream(seed: int, index) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplerConfig:
     perm: GeneralizedPermutation
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND

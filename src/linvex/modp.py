@@ -60,7 +60,7 @@ def check_prime(p: int) -> None:
             raise InvalidInput(f"p must be a prime int, got {p!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemainderState:
     """Column-norm remainders mod p at a node of the expansion.
 
@@ -85,7 +85,7 @@ class RemainderState:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoprimeOP:
     """An orientation preserving band whose column norm is coprime to p."""
 
@@ -93,7 +93,7 @@ class CoprimeOP:
     remainder: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReversingPair:
     """Opposite-side reversing bands whose remainders do not cancel."""
 
@@ -103,7 +103,7 @@ class ReversingPair:
     bottom_remainder: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimViolation:
     """Neither disjunct holds; a falsification finding, not an error."""
 
@@ -113,7 +113,7 @@ class ClaimViolation:
 ClaimStatus = Union[CoprimeOP, ReversingPair, ClaimViolation]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuralObstruction:
     """A first-class negative result: the hypothesis is absent, not the budget."""
 

@@ -148,7 +148,7 @@ class SplitKind(Enum):
     BOTTOM_WINS = "bottom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitStep:
     """One induction step: which side won, over which sorted band labels."""
 
@@ -491,7 +491,7 @@ def _witness_grid(perm: GeneralizedPermutation, kind: SplitKind) -> dict[str, in
     which happens exactly when the would-be winner is a reversing band and
     the loser is alone in the opposite reversing class.
     """
-    alpha_top, alpha_bottom = critical_bands(perm)
+    alpha_top, alpha_bottom = perm.top[-1], perm.bottom[-1]  # the critical bands
     if alpha_top == alpha_bottom:
         return None
     if kind is _TOP_WINS:
@@ -499,9 +499,9 @@ def _witness_grid(perm: GeneralizedPermutation, kind: SplitKind) -> dict[str, in
     else:
         winner, loser = alpha_bottom, alpha_top
 
-    if not perm.is_realizable():
-        return None  # no positive widths satisfy the switch at all
     top_rev, bottom_rev = perm.reversing_top, perm.reversing_bottom
+    if (not top_rev) != (not bottom_rev):
+        return None  # not realizable: no positive widths satisfy the switch
     # Realizable, so each reversing class is empty exactly when the other is.
     widths = dict.fromkeys(perm.alphabet, 1)
     for label in top_rev:

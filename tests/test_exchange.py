@@ -169,6 +169,23 @@ def test_point_offsets_must_be_ints_or_fractions(method, offset):
         call()
 
 
+@pytest.mark.parametrize("side", ["Top", "Bottom", 0, None])
+@pytest.mark.parametrize("method", ["apply", "apply_inverse", "locate", "orbit"])
+def test_point_sides_must_be_sides(method, side):
+    # apply_inverse flips the side first, so it must check it before that
+    y = build(NONCLASSICAL, {"A": F(1, 5), "B": F(2, 5), "C": F(1, 5)})
+    point = Point(side, F(1, 10))
+    call = {
+        "apply": lambda: y.apply(point),
+        "apply_inverse": lambda: y.apply_inverse(point),
+        "locate": lambda: y.locate(side, F(1, 10)),
+        "orbit": lambda: y.orbit(point, 0),
+    }[method]
+    message = f"side {side!r} is not a Side"
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_measure_preservation_on_pieces():
     for x in random_fleet(seed=4, count=8):
         ref = FractionLayout(x.perm, x.widths)

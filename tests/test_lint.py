@@ -10,7 +10,8 @@ default is a number: each names the module constant that holds it, so no
 limit is written twice, and every budget parameter is passed by some call
 in the library, so a limit no caller sets is a module constant instead.
 Every private module-level name is read somewhere outside its own
-definition, so a replaced helper leaves no dead copy.
+definition, so a replaced helper leaves no dead copy.  Every frozen
+dataclass is slotted, which makes its records cheaper to build.
 """
 
 from __future__ import annotations
@@ -389,3 +390,70 @@ def public(x: _Read):
     )
     other = ast.parse("from . import module\n\nmodule._COUNT += 1\nprint(module._COUNT)\n")
     assert _unread_private_names([module, other]) == ["_recursive", "_unused"]
+
+
+def _unslotted_records(tree: ast.AST) -> list[str]:
+    """Class decorators ``dataclass(frozen=True, ...)`` that do not also
+    pass ``slots=True``."""
+
+    def is_true(flags: dict[str, ast.expr], key: str) -> bool:
+        value = flags.get(key)
+        return isinstance(value, ast.Constant) and value.value is True
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            if not isinstance(decorator, ast.Call):
+                continue
+            func = decorator.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            flags = {kw.arg: kw.value for kw in decorator.keywords}
+            if name == "dataclass" and is_true(flags, "frozen") and not is_true(flags, "slots"):
+                found.append(f"line {decorator.lineno}: {node.name} is frozen but not slotted")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_frozen_dataclass_is_slotted(path):
+    assert _unslotted_records(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_slots_rule_sees_every_unslotted_frozen_form():
+    source = """
+@dataclass(frozen=True)
+class Bare:
+    x: int
+
+
+@dataclasses.dataclass(frozen=True, slots=False)
+class Off:
+    x: int
+
+
+@dataclass(slots=True, frozen=True, eq=False)
+class Slotted:
+    x: int
+
+
+@dataclass
+class Mutable:
+    x: int
+
+
+@dataclass(order=True)
+class Ordered:
+    x: int
+
+
+class Outer:
+    @dataclass(eq=True, frozen=True)
+    class Inner:
+        x: int
+"""
+    assert _unslotted_records(ast.parse(source)) == [
+        "line 2: Bare is frozen but not slotted",
+        "line 7: Off is frozen but not slotted",
+        "line 28: Inner is frozen but not slotted",
+    ]
