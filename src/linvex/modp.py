@@ -15,6 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Union
 
 from . import diagram, rauzy
@@ -112,6 +113,12 @@ class ClaimViolation:
 
 ClaimStatus = Union[CoprimeOP, ReversingPair, ClaimViolation]
 
+# Statuses are immutable and few per prime (a band and remainders below p),
+# so each is built once, as ``rauzy._split_step`` builds each step; typed,
+# so a caller's float remainder is never handed back for an int one.
+_coprime_op = lru_cache(maxsize=4096, typed=True)(CoprimeOP)
+_reversing_pair = lru_cache(maxsize=4096, typed=True)(ReversingPair)
+
 
 @dataclass(frozen=True, slots=True)
 class StructuralObstruction:
@@ -120,24 +127,30 @@ class StructuralObstruction:
     reason: str
 
 
-def _state(prime: int, node: GeneralizedPermutation, values: Mapping[str, int]) -> RemainderState:
-    return RemainderState(
-        prime=prime,
-        node=node,
-        remainders=tuple(sorted((band, values[band] % prime) for band in node.alphabet)),
-    )
+# Slot setters, so a state is built without the frozen ``__init__``.
+_SET_PRIME, _SET_NODE, _SET_REMAINDERS = (
+    getattr(RemainderState, name).__set__ for name in ("prime", "node", "remainders")
+)
+
+
+def _new_state(prime: int, node: GeneralizedPermutation, remainders: tuple) -> RemainderState:
+    state = object.__new__(RemainderState)
+    _SET_PRIME(state, prime)
+    _SET_NODE(state, node)
+    _SET_REMAINDERS(state, remainders)
+    return state
 
 
 def initial_state(perm: GeneralizedPermutation, prime: int) -> RemainderState:
     check_prime(prime)
-    return _state(prime, perm, {band: 1 for band in perm.alphabet})
+    return _new_state(prime, perm, tuple((band, 1) for band in perm.alphabet))
 
 
 def remainder_state(stage: rauzy.Stage, prime: int) -> RemainderState:
     """Exact column norms of the stage matrix, reduced mod p."""
     check_prime(prime)
     norms = stage.matrix.column_norms()
-    return _state(prime, stage.end, norms)
+    return _new_state(prime, stage.end, tuple((b, norms[b] % prime) for b in stage.end.alphabet))
 
 
 def propagate(
@@ -146,8 +159,8 @@ def propagate(
     """Push remainders through one split: loser gains the winner, mod p.
 
     The alphabet is fixed along an expansion and the remainders are in
-    alphabet order, so only the loser's entry is replaced.  A target with
-    another alphabet, or a winner or loser outside it, is InvalidInput.
+    alphabet order, so only the loser's entry is replaced.  InvalidInput: a
+    target with another alphabet, a band outside it, or winner == loser.
     """
     alphabet = state.node.alphabet
     if target.alphabet != alphabet:
@@ -158,10 +171,12 @@ def propagate(
         i, w = alphabet.index(loser), alphabet.index(winner)
     except ValueError:
         raise InvalidInput(f"winner {winner!r} or loser {loser!r} not in {alphabet}") from None
+    if i == w:
+        raise InvalidInput(f"band {winner!r} cannot win a split against itself")
     remainders = state.remainders
     value = (remainders[i][1] + remainders[w][1]) % state.prime
     remainders = remainders[:i] + ((loser, value),) + remainders[i + 1 :]
-    return RemainderState(state.prime, target, remainders)
+    return _new_state(state.prime, target, remainders)
 
 
 def check_claim_invariant(state: RemainderState) -> ClaimStatus:
@@ -170,6 +185,7 @@ def check_claim_invariant(state: RemainderState) -> ClaimStatus:
     Prefers reporting a coprime orientation preserving band; falls back to
     an opposite-side reversing pair with non-cancelling remainders; returns
     a ClaimViolation carrying the full state when neither exists.
+    CoprimeOP and ReversingPair are interned: compare with ``==``, not ``is``.
     """
     node = state.node
     if not node.is_non_classical:
@@ -177,16 +193,13 @@ def check_claim_invariant(state: RemainderState) -> ClaimStatus:
     prime = state.prime
     for band, remainder in state.remainders:
         if remainder % prime and band in node.preserving:
-            return CoprimeOP(band=band, remainder=remainder % prime)
+            return _coprime_op(band, remainder % prime)
     values = dict(state.remainders)
     for top_band in node.reversing_top:
         for bottom_band in node.reversing_bottom:
             if (values[top_band] + values[bottom_band]) % prime != 0:
-                return ReversingPair(
-                    top_band=top_band,
-                    bottom_band=bottom_band,
-                    top_remainder=values[top_band] % prime,
-                    bottom_remainder=values[bottom_band] % prime,
+                return _reversing_pair(
+                    top_band, bottom_band, values[top_band] % prime, values[bottom_band] % prime
                 )
     return ClaimViolation(state=state)
 
@@ -225,7 +238,7 @@ def coprime_band_sequence(
         explored += 1
         if explored > STATE_BUDGET:
             raise BudgetExceeded(f"product search exceeded {STATE_BUDGET} states")
-        current = RemainderState(prime=state.prime, node=node, remainders=rems)
+        current = _new_state(state.prime, node, rems)
         for edge in graph.edges[node]:
             nxt = propagate(current, edge.winner, edge.loser, edge.target)
             key = (nxt.node, nxt.remainders)

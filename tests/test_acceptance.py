@@ -59,9 +59,12 @@ def oracle_fleet():
 def test_criterion_1_rauzy_step_reproduction():
     x = build(validate(["A", "B"], ["B", "A"]), {"A": F(3, 7), "B": F(1, 7)})
     rauzy.split(x)  # warm caches before timing the step itself
-    start = time.perf_counter()
-    induced, step = rauzy.split(x)
-    elapsed = time.perf_counter() - start
+    # best of five calls: a scheduling stall only adds time to a call
+    elapsed = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        induced, step = rauzy.split(x)
+        elapsed = min(elapsed, time.perf_counter() - start)
     exact = induced.widths == {"A": F(2, 7), "B": F(1, 7)}
     relation = step.matrix.apply_to_widths(induced.widths) == x.widths
     _report(

@@ -11,7 +11,9 @@ limit is written twice, and every budget parameter is passed by some call
 in the library, so a limit no caller sets is a module constant instead.
 Every private module-level name is read somewhere outside its own
 definition, so a replaced helper leaves no dead copy.  Every frozen
-dataclass is slotted, which makes its records cheaper to build.
+dataclass is slotted, which makes its records cheaper to build.  Every
+``lru_cache`` passes an int ``maxsize`` and nothing uses ``functools.cache``,
+so no cache that outlives a call grows without bound.
 """
 
 from __future__ import annotations
@@ -456,4 +458,85 @@ class Outer:
         "line 2: Bare is frozen but not slotted",
         "line 7: Off is frozen but not slotted",
         "line 28: Inner is frozen but not slotted",
+    ]
+
+
+def _unbounded_caches(tree: ast.AST) -> list[str]:
+    """Uses of ``functools.cache``, and of ``lru_cache`` other than a call
+    that passes an int ``maxsize`` by position or keyword."""
+
+    def name(node: ast.AST) -> str | None:
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and name(node.func) == "lru_cache"
+    ]
+    found = []
+    for call in calls:
+        sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+        if not (sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
+            found.append((call.lineno, "lru_cache without an int maxsize"))
+    called = {id(call.func) for call in calls}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if name(node) == "lru_cache" and id(node) not in called:
+                found.append((node.lineno, "lru_cache without an int maxsize"))
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "functools.cache":
+                found.append((node.lineno, "functools.cache"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                found.append((node.lineno, "functools.cache"))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_cache_is_bounded(path):
+    assert _unbounded_caches(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_cache_rule_sees_every_unbounded_form():
+    source = """
+import functools
+from functools import cache, lru_cache
+
+
+@lru_cache
+def bare(x):
+    return x
+
+
+@lru_cache()
+def empty(x):
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def unbounded(x):
+    return x
+
+
+@functools.cache
+def cached(x):
+    return x
+
+
+by_position = lru_cache(None)(dict)
+by_name = lru_cache(maxsize=SIZE)(dict)
+by_bool = lru_cache(maxsize=True)(dict)
+wrapped = lru_cache(dict)
+kept = lru_cache(maxsize=4096)(dict)
+kept_by_position = functools.lru_cache(256, typed=True)(dict)
+"""
+    assert _unbounded_caches(ast.parse(source)) == [
+        "line 3: functools.cache",
+        "line 6: lru_cache without an int maxsize",
+        "line 11: lru_cache without an int maxsize",
+        "line 16: lru_cache without an int maxsize",
+        "line 21: functools.cache",
+        "line 26: lru_cache without an int maxsize",
+        "line 27: lru_cache without an int maxsize",
+        "line 28: lru_cache without an int maxsize",
+        "line 29: lru_cache without an int maxsize",
     ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -110,6 +111,14 @@ def test_propagate_rejects_a_foreign_alphabet():
             modp.propagate(state, winner, loser, state.node)
 
 
+def test_propagate_rejects_a_band_beating_itself():
+    # no split has a band beating itself (that case is SplitUndefinedSameBand),
+    # so winner == loser must not double the band's remainder
+    state = modp.initial_state(validate(["A", "A", "B"], ["B", "C", "C"]), 3)
+    with pytest.raises(InvalidInput, match="'A' cannot win a split against itself"):
+        modp.propagate(state, "A", "A", state.node)
+
+
 def test_claim_initial_preserving_band():
     p = validate(["A", "A", "B"], ["B", "C", "C"])
     status = modp.check_claim_invariant(modp.initial_state(p, 3))
@@ -122,6 +131,22 @@ def test_claim_initial_all_reversing_odd_prime():
     status = modp.check_claim_invariant(modp.initial_state(p, 3))
     assert isinstance(status, modp.ReversingPair)
     assert (status.top_remainder + status.bottom_remainder) % 3 == 2
+
+
+@pytest.mark.parametrize(
+    "perm", [(["A", "A", "B"], ["B", "C", "C"]), (["A", "A"], ["B", "B", "C", "C"])]
+)
+def test_shared_statuses_keep_each_callers_remainder_type(perm):
+    # equal statuses may be one shared instance, but a float remainder from
+    # one caller must not come back to a later caller with int remainders
+    p = validate(*perm)
+    floats = modp.RemainderState(3, p, tuple((band, 1.0) for band in p.alphabet))
+    assert modp.check_claim_invariant(floats) == modp.check_claim_invariant(
+        modp.initial_state(p, 3)
+    )
+    status = modp.check_claim_invariant(modp.initial_state(p, 3))
+    remainders = [getattr(status, f.name) for f in fields(status) if f.name.endswith("remainder")]
+    assert remainders and all(type(value) is int for value in remainders)
 
 
 def test_claim_all_reversing_p2_violates():
@@ -354,7 +379,8 @@ def test_claim_and_propagate_equal_the_dict_reference(data):
     p = data.draw(st.sampled_from([2, 3, 5, 7]))
     values = {a: data.draw(st.integers(0, 2 * p - 1)) for a in perm.alphabet}
     state = modp.RemainderState(p, perm, tuple(sorted(values.items())))
-    assert modp.check_claim_invariant(state) == _reference_claim(state)
+    status, reference = modp.check_claim_invariant(state), _reference_claim(state)
+    assert type(status) is type(reference) and status == reference
     winner, loser = data.draw(st.permutations(perm.alphabet))[:2]
     nxt = modp.propagate(state, winner, loser, perm)
     values[loser] = (values[loser] + values[winner]) % p

@@ -1,5 +1,7 @@
 """Value records: every frozen dataclass is slotted, and every copy keeps
-equality and hash, across interpreters with different hash seeds too."""
+equality and hash, across interpreters with different hash seeds too.
+Records the library builds without their ``__init__``, or shares, equal
+their keyword-built twins."""
 
 from __future__ import annotations
 
@@ -64,18 +66,67 @@ def test_every_frozen_dataclass_has_a_sample():
     )
 
 
-@pytest.mark.parametrize("cls", _frozen_dataclasses(), ids=lambda cls: cls.__qualname__)
-def test_copies_keep_equality_and_hash(cls):
-    record = _samples()[cls]
+def _assert_copies_keep(record: object) -> None:
     assert not hasattr(record, "__dict__")  # slotted: no per-instance dict
     for other in (
         dataclasses.replace(record),
         copy.copy(record),
         pickle.loads(pickle.dumps(record)),
     ):
-        assert type(other) is cls
+        assert type(other) is type(record)
         assert other == record
         assert hash(other) == hash(record)
+
+
+@pytest.mark.parametrize("cls", _frozen_dataclasses(), ids=lambda cls: cls.__qualname__)
+def test_copies_keep_equality_and_hash(cls):
+    record = _samples()[cls]
+    assert type(record) is cls
+    _assert_copies_keep(record)
+
+
+_EDGE = diagram.node_edges(PERM)[0]
+# Records the library builds without the dataclass __init__ (states) or
+# hands out as shared instances (statuses), each with its keyword-built twin.
+_LIBRARY_BUILT = {
+    "propagate": (
+        lambda: modp.propagate(
+            modp.initial_state(PERM, 3), _EDGE.winner, _EDGE.loser, _EDGE.target
+        ),
+        modp.RemainderState(
+            prime=3,
+            node=_EDGE.target,
+            remainders=tuple((b, 2 if b == _EDGE.loser else 1) for b in PERM.alphabet),
+        ),
+    ),
+    "initial_state": (
+        lambda: modp.initial_state(PERM, 5),
+        modp.RemainderState(prime=5, node=PERM, remainders=(("A", 1), ("B", 1), ("C", 1))),
+    ),
+    "coprime_op": (
+        lambda: modp.check_claim_invariant(modp.initial_state(PERM, 3)),
+        modp.CoprimeOP(band="B", remainder=1),
+    ),
+    "reversing_pair": (
+        lambda: modp.check_claim_invariant(
+            modp.initial_state(genperm.validate(["A", "A"], ["B", "B", "C", "C"]), 3)
+        ),
+        modp.ReversingPair(top_band="A", bottom_band="B", top_remainder=1, bottom_remainder=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIBRARY_BUILT))
+def test_library_built_records_equal_keyword_built_ones(name):
+    make, keyword_built = _LIBRARY_BUILT[name]
+    record = make()
+    assert type(record) is type(keyword_built)
+    assert record == keyword_built and hash(record) == hash(keyword_built)
+    assert make() == record  # a second call, shared instance or not
+    _assert_copies_keep(record)
+    for field in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field.name, getattr(keyword_built, field.name))
 
 
 _PICKLE_UNDER_ANOTHER_SEED = """
