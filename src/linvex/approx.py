@@ -56,6 +56,7 @@ from typing import Iterator, Sequence
 
 from . import rauzy
 from .errors import (
+    LIMITS,
     BudgetExceeded,
     ExpansionHalted,
     InconsistentStage,
@@ -65,11 +66,6 @@ from .errors import (
 from .exchange import Exchange, Side, _check_size, _compose, _exact, _grid_layout, _image
 from .genperm import GeneralizedPermutation
 from .rationals import format_fraction
-
-DEFAULT_SPLIT_BUDGET = 10_000
-DEFAULT_VERIFY_BUDGET = 10**7
-# Pieces one rigidity composition may compose in all, over its iterates.
-COMPOSE_BUDGET = 2 * 10**6
 
 BaseInterval = tuple[Side, Fraction, Fraction]
 
@@ -194,7 +190,7 @@ def verify_tower(x: Exchange, tower: CyclicTower) -> TowerVerification:
     ``exchange._compose``.  Disjointness is measured over interval
     interiors, so single shared endpoints do not count.
 
-    Verification is charged to ``DEFAULT_VERIFY_BUDGET`` interval steps,
+    Verification is charged to ``LIMITS["verify_steps"]`` interval steps,
     the replay's pieces of levels 1 .. height - 1 summed over the levels.
     Every base interval fills at least one piece of each level, so a
     tower with len(base) * (height - 1) over the budget raises
@@ -211,8 +207,9 @@ def _verify(x: Exchange, tower: CyclicTower, rung: _Rung | None) -> TowerVerific
     certificate's depth in hand, or None.  With a rung every certificate
     tries the ladder first; None walks for one only for a tower taller
     than ``_LADDER_HEIGHT_PER_DEPTH`` times its depth plus one.  Both
-    paths come after the one charge of ``DEFAULT_VERIFY_BUDGET``."""
-    budget = DEFAULT_VERIFY_BUDGET
+    paths come after the one charge of ``LIMITS["verify_steps"]``."""
+    budget = LIMITS["verify_steps"]
+    over = f"tower verification exceeded {budget} interval steps"
     base = _flat_base(x, tower)
     length, bounds, slopes, shifts = x._flat[1:]
     height = tower.height
@@ -220,7 +217,7 @@ def _verify(x: Exchange, tower: CyclicTower, rung: _Rung | None) -> TowerVerific
     # Every base interval fills at least one piece of each level, so the
     # replay would spend at least this much and raise.
     if len(base) * last > budget:
-        raise _over_budget()
+        raise BudgetExceeded(over)
     if rung is not None or height > _LADDER_HEIGHT_PER_DEPTH * (tower.depth + 1):
         report = _verify_on_ladder(x, tower, base, rung)
         if report is not None:
@@ -242,7 +239,7 @@ def _verify(x: Exchange, tower: CyclicTower, rung: _Rung | None) -> TowerVerific
             # a tower of height 1 has no levels to count and never raises
             work += last - level
             if work > budget and level < last:
-                raise _over_budget()
+                raise BudgetExceeded(over)
             for level in range(level, last):
                 p = bisect_right(bounds, lo) - 1
                 end = bounds[p + 1]
@@ -270,10 +267,6 @@ def _verify(x: Exchange, tower: CyclicTower, rung: _Rung | None) -> TowerVerific
     else:
         union_int = _full_union_measure(bounds, slopes, shifts, base, height)
     return _verification(x, tower, base, disjoint, linear, union_int, overlap_int)
-
-
-def _over_budget() -> BudgetExceeded:
-    return BudgetExceeded(f"tower verification exceeded {DEFAULT_VERIFY_BUDGET} interval steps")
 
 
 def _base_overlap(lo: int, hi: int, base_lo: list[int], base_hi: list[int]) -> int:
@@ -358,7 +351,7 @@ def _verify_on_ladder(
     disjoint from the base, the union is height times the base, and the
     overlap is measured at time ``height``.  Otherwise the ladder gives
     up, as it does when its base steps, its only piece-steps, exceed
-    ``DEFAULT_VERIFY_BUDGET`` or the stage's side is shorter than the
+    ``LIMITS["verify_steps"]`` or the stage's side is shorter than the
     base needs.  The tower's own charge is ``_verify``'s.
     """
     length = x._flat[1]
@@ -377,6 +370,7 @@ def _verify_on_ladder(
     height = tower.height
     overlap_int = 0
     work = 0
+    budget = LIMITS["verify_steps"]
     for lo, hi in rbase:
         level = 0
         while level < height:
@@ -384,7 +378,7 @@ def _verify_on_ladder(
             if hi > bounds[p + 1]:
                 return None
             work += 1
-            if work > DEFAULT_VERIFY_BUDGET:
+            if work > budget:
                 return None
             level += times[p]
             shift = shifts[p]
@@ -469,7 +463,7 @@ def _full_union_measure(
     ``exchange._compose``.  The levels are flat intervals, so merging
     across the flat point L joins a top and a bottom interval without
     changing the measure.  Its pieces are those of levels 1 .. height - 1
-    that ``verify_tower`` has already charged to ``DEFAULT_VERIFY_BUDGET``.
+    that ``verify_tower`` has already charged to ``LIMITS["verify_steps"]``.
     """
     union = list(base)
     pieces = [(lo, hi, 1, 0) for lo, hi in base]
@@ -507,7 +501,7 @@ def _check_search(delta, budget) -> Fraction:
 def find_cyclic_tower(
     x: Exchange,
     delta: Fraction,
-    budget: int = DEFAULT_SPLIT_BUDGET,
+    budget: int = LIMITS["tower_splits"],
     *,
     height_coprime_to: int | None = None,
 ) -> CyclicTower:
@@ -516,7 +510,7 @@ def find_cyclic_tower(
     At each stage, every orientation preserving band is screened with the
     two exact tower measures; the first band passing both screens is
     turned into a certificate and re-verified against the original map
-    (``verify_tower``'s one charge of ``DEFAULT_VERIFY_BUDGET`` included,
+    (``verify_tower``'s one charge of ``LIMITS["verify_steps"]`` included,
     whose BudgetExceeded ends the search) before being returned.  On the
     stage's rung that verification equals the two screens, so a
     certificate that fails it raises InconsistentStage.
@@ -597,7 +591,7 @@ def _rigidity_defects(x: Exchange, ns: Sequence[int]) -> Iterator[Fraction]:
     integer over 4 D^2.  ``_compose`` only splits pieces, so each iterate
     left costs at least the current pieces: after every composition, the
     pieces composed so far plus that bound are checked against
-    ``COMPOSE_BUDGET``, and a target past it raises BudgetExceeded
+    ``LIMITS["composed_pieces"]``, and a target past it raises BudgetExceeded
     without composing toward it.  At the target the bound is the total.
     """
     denom, length, bounds, slopes, shifts = x._flat
@@ -606,14 +600,15 @@ def _rigidity_defects(x: Exchange, ns: Sequence[int]) -> Iterator[Fraction]:
     ]
     scale = 4 * denom * denom
     composed = 0
+    budget = LIMITS["composed_pieces"]
     n = 1
     for target in ns:
         while n < target:
             pieces = _compose(pieces, bounds, slopes, shifts)
             composed += len(pieces)
             n += 1
-            if composed + len(pieces) * (target - n) > COMPOSE_BUDGET:
-                raise BudgetExceeded(f"iterate {target} needs over {COMPOSE_BUDGET} pieces")
+            if composed + len(pieces) * (target - n) > budget:
+                raise BudgetExceeded(f"iterate {target} needs over {budget} pieces")
         yield Fraction(_defect_numerator(pieces, length), scale)
 
 
@@ -660,14 +655,14 @@ def find_rigidity_times(
     xi: Fraction,
     candidates: Sequence[int],
     *,
-    tower_budget: int = DEFAULT_SPLIT_BUDGET,
+    tower_budget: int = LIMITS["tower_splits"],
 ) -> list[RigidityRecord]:
     """Grade candidate iterates and tower heights by exact defect.
 
     Tower heights come from a ladder of tower constants shrinking toward
     the requested defect bound; the ladder stops quietly at the first
     depth the search cannot reach, and drops the heights past
-    ``COMPOSE_BUDGET`` composed pieces without composing toward them; a
+    ``LIMITS["composed_pieces"]`` composed pieces without composing toward them; a
     candidate past it raises.  A candidate that is not a positive int
     (bools included), or an ``xi`` that is not an int or a Fraction, is
     InvalidInput.

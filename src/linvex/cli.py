@@ -32,7 +32,7 @@ from .rationals import (
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-EXIT_BUDGET = 3
+EXIT_EXHAUSTED = 3
 EXIT_VIOLATION = 4
 
 
@@ -243,6 +243,9 @@ def _cmd_rigidity(args) -> int:
 def _cmd_modp_trace(args) -> int:
     x = _load_exchange(args.perm, args.widths)
     state = modp.initial_state(x.perm, args.p)
+    obstruction = modp.structural_obstruction(x.perm, args.p)
+    if obstruction is not None:
+        sys.stderr.write(f"structural obstruction: {obstruction.reason}\n")
     rows = []
     violation = None
     try:
@@ -259,7 +262,7 @@ def _cmd_modp_trace(args) -> int:
                         "remainder": state.remainder(band),
                     }
                 )
-            if node.is_non_classical:
+            if node.is_non_classical and obstruction is None and violation is None:
                 status = modp.check_claim_invariant(state)
                 if isinstance(status, modp.ClaimViolation):
                     violation = depth
@@ -423,7 +426,7 @@ def main(argv=None) -> int:
         return EXIT_VIOLATION
     except BudgetExceeded as err:
         sys.stderr.write(f"budget exhausted: {err}\n")
-        return EXIT_BUDGET
+        return EXIT_EXHAUSTED
     except (LinvexError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_DOMAIN

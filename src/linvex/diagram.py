@@ -37,12 +37,11 @@ from operator import attrgetter
 from typing import Callable, Mapping
 
 from . import rauzy
-from .errors import BudgetExceeded, InconsistentStage, Unreachable
+from .errors import LIMITS, BudgetExceeded, InconsistentStage, Unreachable
 from .exchange import _check_size, _check_widths
 from .genperm import GeneralizedPermutation, is_combinatorially_reducible
 from .rationals import format_fraction
 
-DEFAULT_NODE_BUDGET = 100_000
 # Enum members bound once: an attribute read costs far more than a name.
 _BOTTOM_WINS, _TOP_WINS = rauzy.SplitKind.BOTTOM_WINS, rauzy.SplitKind.TOP_WINS
 _KINDS = (_BOTTOM_WINS, _TOP_WINS)  # direction-tag order
@@ -129,7 +128,7 @@ def _edges(perm: GeneralizedPermutation, audit: bool) -> tuple[Edge, ...]:
 
 
 def forward_closure(
-    perm: GeneralizedPermutation, budget: int = DEFAULT_NODE_BUDGET
+    perm: GeneralizedPermutation, budget: int = LIMITS["closure_nodes"]
 ) -> RauzyGraph:
     """Breadth-first closure under feasible splits, up to a node budget.
 
@@ -169,7 +168,7 @@ def forward_closure(
 
 
 def is_dynamically_irreducible(
-    perm: GeneralizedPermutation, budget: int = DEFAULT_NODE_BUDGET
+    perm: GeneralizedPermutation, budget: int = LIMITS["closure_nodes"]
 ) -> bool:
     """Proxy irreducibility: the forward Rauzy closure is clean.
 

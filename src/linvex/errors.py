@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all linvex modules."""
+"""Exception hierarchy shared by all linvex modules, and the table of loop limits."""
 
 from __future__ import annotations
 
@@ -57,10 +57,22 @@ class InconsistentStage(LinvexError):
 
 
 class BudgetExceeded(LinvexError):
-    """A loop ran past its limit of steps (return chases, probes, tower
-    replays, the splits of a tower search), nodes (forward closures),
-    states (the mod-p search), pieces (rigidity composition) or retries
-    (the samplers)."""
+    """A loop ran past its limit in ``LIMITS``."""
+
+
+# The default limit of every loop that has one, read when the loop runs;
+# a budget parameter defaults to its entry as its module loads.
+LIMITS = {
+    "chase_steps": 10**6,  # rounds of one first-return chase
+    "closure_nodes": 100_000,  # nodes of one forward closure
+    "composed_pieces": 2 * 10**6,  # pieces one rigidity composition composes
+    "draws": 100,  # draws of one sampler, starts of one orbit experiment
+    "mod_p_states": 1_000_000,  # product states of the coprime band search
+    "probe_steps": 10**7,  # original-map steps of one visit probe
+    "scan_splits": 2_000,  # deepest stage a rigidity scan's tower search screens
+    "tower_splits": 10_000,  # deepest stage a tower search screens
+    "verify_steps": 10**7,  # interval steps of one tower verification
+}
 
 
 class ExpansionHalted(LinvexError):

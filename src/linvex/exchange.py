@@ -37,6 +37,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import genperm
 from .errors import (
+    LIMITS,
     BudgetExceeded,
     EndpointHit,
     InconsistentStage,
@@ -46,8 +47,6 @@ from .errors import (
 )
 from .genperm import GeneralizedPermutation
 from .rationals import common_denominator, format_fraction, to_grid
-
-DEFAULT_RETURN_BUDGET = 10**6
 
 
 class Side(Enum):
@@ -217,7 +216,7 @@ class Exchange:
         bands without a label and the unused labels are both none or both
         exactly one; otherwise the bands are named b1, b2, ... in the
         order of their first pieces, top then bottom.  A chase longer than
-        ``DEFAULT_RETURN_BUDGET`` steps raises BudgetExceeded.
+        ``LIMITS["chase_steps"]`` steps raises BudgetExceeded.
         """
         cut = _exact(cut, "cut")
         if not (0 < cut <= self.side_length):
@@ -323,7 +322,7 @@ def _compose(
 
 
 def _chase(
-    flat: tuple[int, list[int], list[int], list[int]], cut: int, budget: int
+    flat: tuple[int, list[int], list[int], list[int]], cut: int
 ) -> list[tuple[int, int, int, int]]:
     """Integer first-return chase to [0, cut) on each side of a flat map.
 
@@ -337,6 +336,7 @@ def _chase(
     length, bounds, slopes, shifts = flat
     pieces = [(0, cut, 1, 0), (length, length + cut, 1, 0)]
     done = []
+    budget = LIMITS["chase_steps"]
     for _ in range(budget):
         out = []
         for piece in _compose(pieces, bounds, slopes, shifts):
@@ -381,11 +381,11 @@ def first_return_on_grid(
     InconsistentStage.  A piece has slope +1 or -1, so its image has its
     length by construction.  Tiling both sides to the same length also
     gives the induced switch condition, and every piece is nonempty.
-    A chase past ``DEFAULT_RETURN_BUDGET`` steps raises BudgetExceeded.
+    A chase past ``LIMITS["chase_steps"]`` steps raises BudgetExceeded.
     """
     flat = _grid_layout(perm, widths)
     length, bounds = flat[0], flat[1]
-    pieces = sorted(_chase(flat, cut, DEFAULT_RETURN_BUDGET))
+    pieces = sorted(_chase(flat, cut))
     index: dict[int, tuple[int, int, int, int]] = {}
     cursor = 0
     for piece in pieces:

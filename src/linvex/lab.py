@@ -24,19 +24,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import approx, modp
-from .errors import BudgetExceeded, ExpansionHalted, InvalidInput, InvariantViolation
+from .errors import LIMITS, BudgetExceeded, ExpansionHalted, InvalidInput, InvariantViolation
 from .exchange import Exchange, _check_size, _exact
 from .genperm import GeneralizedPermutation
 from .rationals import canonical_json_bytes, format_fraction
 
 DEFAULT_DENOMINATOR_BOUND = 2**40
-# A sampler draws, and an orbit experiment starts its orbit, at most this often.
-RESAMPLE_CAP = 100
 # Fixed experiment settings, recorded in the parameters of every report.
 TOWER_DELTA = Fraction(1, 4)
 TOLERANCE = 0.05
-# Deepest stage each tower search of a rigidity scan screens.
-SCAN_TOWER_BUDGET = 2_000
 
 
 def substream(seed: int, index) -> random.Random:
@@ -84,7 +80,7 @@ class ExperimentReport:
 
 def _gaps(rng: random.Random, parts: int, grid: int) -> list[Fraction]:
     """Widths of a sorted-uniform partition of [0, 1] on a 1/grid grid."""
-    for _ in range(RESAMPLE_CAP):
+    for _ in range(LIMITS["draws"]):
         cuts = sorted(rng.randrange(0, grid + 1) for _ in range(parts - 1))
         values = [hi - lo for lo, hi in zip([0] + cuts, cuts + [grid])]
         if all(v > 0 for v in values):
@@ -93,6 +89,8 @@ def _gaps(rng: random.Random, parts: int, grid: int) -> list[Fraction]:
 
 
 def _check_sampler(cfg: SamplerConfig) -> None:
+    if not cfg.perm.is_realizable():
+        raise InvalidInput(f"no widths of {cfg.perm} satisfy the switch condition")
     _check_size(cfg.count, "sample count")
     _check_size(cfg.denominator_bound, "denominator bound", 1)
     if cfg.denominator_bound < cfg.perm.band_count:
@@ -189,8 +187,7 @@ def _occupancy_run(
     """Iterate substeps-at-a-time and bin positions; returns counts, restarts."""
     flat_map = x._flat
     length = flat_map[1]
-    restarts = 0
-    while True:
+    for restarts in range(LIMITS["draws"]):
         start = _random_start(length, start_rng)
         cells = _orbit_cells(flat_map, start, iters, substeps, 2 * bins_per_side, 2 * length)
         if cells is not None:
@@ -198,9 +195,7 @@ def _occupancy_run(
             for c in cells:
                 counts[c] += 1
             return counts, restarts
-        restarts += 1
-        if restarts == RESAMPLE_CAP:
-            raise BudgetExceeded("orbit kept hitting endpoints")
+    raise BudgetExceeded("orbit kept hitting endpoints")
 
 
 def total_ergodicity_experiment(
@@ -209,7 +204,7 @@ def total_ergodicity_experiment(
     bins: int,
     iters: int,
     seed: int = 0,
-    tower_budget: int = approx.DEFAULT_SPLIT_BUDGET,
+    tower_budget: int = LIMITS["tower_splits"],
 ) -> ExperimentReport:
     """Two evidence streams for total ergodicity at a prime.
 
@@ -315,7 +310,7 @@ def product_experiment(
     maps = (x1._flat, x2._flat)
     spans = [m[1] if x.perm.is_classical else 2 * m[1] for m, x in zip(maps, (x1, x2))]
     rng = substream(seed, "product")
-    for attempt in range(RESAMPLE_CAP):
+    for attempt in range(LIMITS["draws"]):
         starts = [_random_start(m[1], rng) for m in maps]
         first = _orbit_cells(maps[0], starts[0], iters, 1, boxes, spans[0])
         if first is None:
@@ -377,7 +372,7 @@ def rigidity_scan(
     for index, widths in enumerate(sample_widths(cfg)):
         x = Exchange(cfg.perm, widths)
         try:
-            recs = approx.find_rigidity_times(x, xi, [], tower_budget=SCAN_TOWER_BUDGET)
+            recs = approx.find_rigidity_times(x, xi, [], tower_budget=LIMITS["scan_splits"])
         except (BudgetExceeded, ExpansionHalted) as err:
             records.append({"sample": index, "error": type(err).__name__})
             continue

@@ -19,13 +19,10 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from . import diagram, rauzy
-from .approx import DEFAULT_SPLIT_BUDGET, CyclicTower, _check_search, find_cyclic_tower
-from .errors import BudgetExceeded, InconsistentStage, InvalidInput, InvariantViolation
+from .approx import CyclicTower, _check_search, find_cyclic_tower
+from .errors import LIMITS, BudgetExceeded, InconsistentStage, InvalidInput, InvariantViolation
 from .exchange import Exchange
 from .genperm import GeneralizedPermutation
-
-# Product states the coprime band search explores before giving up.
-STATE_BUDGET = 1_000_000
 
 # Miller-Rabin over these bases decides primality exactly below the limit,
 # the least strong pseudoprime to all of them.  Without 41 the limit would
@@ -212,7 +209,7 @@ def coprime_band_sequence(
     Searches the product of the forward closure with symbolic remainder
     propagation; the target is any node holding an orientation preserving
     band with nonzero remainder.  Returns [] when the state already
-    satisfies the first disjunct.  Past ``STATE_BUDGET`` states the
+    satisfies the first disjunct.  Past ``LIMITS["mod_p_states"]`` states the
     search raises BudgetExceeded.  An exhausted search falsifies the
     invariant's constructive step and raises InvariantViolation.
     """
@@ -233,11 +230,12 @@ def coprime_band_sequence(
     seen = {start_key}
     queue = deque([start_key])
     explored = 0
+    budget = LIMITS["mod_p_states"]
     while queue:
         node, rems = queue.popleft()
         explored += 1
-        if explored > STATE_BUDGET:
-            raise BudgetExceeded(f"product search exceeded {STATE_BUDGET} states")
+        if explored > budget:
+            raise BudgetExceeded(f"product search exceeded {budget} states")
         current = _new_state(state.prime, node, rems)
         for edge in graph.edges[node]:
             nxt = propagate(current, edge.winner, edge.loser, edge.target)
@@ -261,11 +259,23 @@ def coprime_band_sequence(
     )
 
 
+def structural_obstruction(
+    perm: GeneralizedPermutation, prime: int
+) -> StructuralObstruction | None:
+    """The obstruction of an all-reversing ``perm`` at p = 2, else None."""
+    if prime == 2 and perm.is_all_reversing:
+        return StructuralObstruction(
+            reason="all bands reverse orientation: preserving bands keep even "
+            "column norms, so every tower height is even"
+        )
+    return None
+
+
 def find_coprime_tower(
     x: Exchange,
     delta: Fraction,
     prime: int,
-    budget: int = DEFAULT_SPLIT_BUDGET,
+    budget: int = LIMITS["tower_splits"],
 ) -> CyclicTower | StructuralObstruction:
     """A verified cyclic tower whose height is coprime to ``prime``.
 
@@ -274,15 +284,13 @@ def find_coprime_tower(
     every tower height is even.  That outcome is reported as data, not
     raised, to keep it distinct from budget exhaustion.  ``delta`` and
     ``budget`` are checked as ``find_cyclic_tower`` checks them, before
-    that outcome.
+    that outcome (``structural_obstruction``).
     """
     check_prime(prime)
     _check_search(delta, budget)
-    if prime == 2 and x.perm.is_all_reversing:
-        return StructuralObstruction(
-            reason="all bands reverse orientation: preserving bands keep even "
-            "column norms, so every tower height is even"
-        )
+    obstruction = structural_obstruction(x.perm, prime)
+    if obstruction is not None:
+        return obstruction
     tower = find_cyclic_tower(x, delta, budget=budget, height_coprime_to=prime)
     if math.gcd(tower.height, prime) != 1:
         raise InconsistentStage("tower search returned a non-coprime height")

@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
+    LIMITS,
     BudgetExceeded,
     EndpointHit,
     InconsistentStage,
@@ -45,7 +46,7 @@ from .errors import (
     SplitUndefinedTie,
 )
 from . import exchange, genperm
-from .exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, _check_size, _grid_layout
+from .exchange import Exchange, Point, _check_size, _grid_layout
 from .genperm import GeneralizedPermutation, Orientation, critical_bands
 from .rationals import to_grid
 
@@ -287,7 +288,7 @@ def _run(
     length, bounds, slopes, shifts = flat
     dropped = length - cut
     try:
-        pieces = exchange._chase(flat, cut, DEFAULT_RETURN_BUDGET)
+        pieces = exchange._chase(flat, cut)
     except BudgetExceeded:
         # each piece returns after its column norm, at most 1 + len(run)
         # rounds, so a chase past the budget disagrees with the run
@@ -377,7 +378,7 @@ def _walk(x: Exchange, n: int) -> Iterator[tuple]:
         n -= len(run)
         if n:
             # a run's chase takes one round more than the losses of one loser
-            run, flat = _run(node, widths, flat, min(n, DEFAULT_RETURN_BUDGET - 1))
+            run, flat = _run(node, widths, flat, min(n, LIMITS["chase_steps"] - 1))
 
 
 def expand(x: Exchange, n: int) -> Stage:
@@ -429,8 +430,6 @@ _PROBE_FRACTIONS = (
     Fraction(5, 11),
     Fraction(4, 13),
 )
-# Original-map steps a probe takes before BudgetExceeded.
-PROBE_BUDGET = 10**7
 
 
 def _probe_visits(x: Exchange, induced: Exchange, band: str) -> dict[str, int]:
@@ -446,18 +445,19 @@ def _probe_visits(x: Exchange, induced: Exchange, band: str) -> dict[str, int]:
     cut = induced.side_length
     labels = x.perm.top + x.perm.bottom
     side, lo, hi = induced.end_intervals(band)[0]
+    budget = LIMITS["probe_steps"]
     for probe in _PROBE_FRACTIONS:
         point = Point(side, lo + (hi - lo) * probe)
         counts = dict.fromkeys(x.perm.alphabet, 0)
         try:
-            for _ in range(PROBE_BUDGET):
+            for _ in range(budget):
                 counts[labels[x.locate(point.side, point.offset)]] += 1
                 point = x.apply(point)
                 if point.offset < cut:
                     return counts
         except EndpointHit:
             continue
-        raise BudgetExceeded(f"probe for band {band} did not return in {PROBE_BUDGET} steps")
+        raise BudgetExceeded(f"probe for band {band} did not return in {budget} steps")
     raise EndpointHit(None, f"all probe points for band {band} hit endpoints")
 
 

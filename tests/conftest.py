@@ -14,6 +14,7 @@ import pytest
 
 from linvex import diagram, genperm, lab, rauzy
 from linvex.errors import (
+    LIMITS,
     BudgetExceeded,
     EndpointHit,
     InconsistentStage,
@@ -23,7 +24,7 @@ from linvex.errors import (
     SideEmptyError,
     SwitchConditionViolated,
 )
-from linvex.exchange import DEFAULT_RETURN_BUDGET, Exchange, Point, Side
+from linvex.exchange import Exchange, Point, Side
 from linvex.genperm import GeneralizedPermutation, Orientation, critical_bands
 from linvex.rationals import common_denominator, to_grid
 from linvex.rauzy import SplitKind
@@ -398,7 +399,7 @@ def reference_first_return_on_grid(
     perm: GeneralizedPermutation,
     widths: Mapping[str, int],
     cut: int,
-    budget: int = DEFAULT_RETURN_BUDGET,
+    budget: int = LIMITS["chase_steps"],
 ) -> tuple[GeneralizedPermutation, dict[str, int]]:
     """The induced permutation and integer widths on [0, cut) of each side.
 

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linvex import approx, cli, exchange, genperm, modp, rauzy
-from linvex.approx import DEFAULT_VERIFY_BUDGET, CyclicTower, TowerVerification
+from linvex.approx import CyclicTower, TowerVerification
 from linvex.errors import (
+    LIMITS,
     BudgetExceeded,
     ExpansionHalted,
     InconsistentStage,
@@ -282,10 +283,10 @@ def test_rigidity_compose_budget_raises_past_its_total(monkeypatch):
     for x in [rotation(5, 3, 11), *random_fleet(seed=33, count=3)]:
         totals = _composed_totals(x, 9)
         profile = approx.rigidity_profile(x, 9)
-        monkeypatch.setattr(approx, "COMPOSE_BUDGET", totals[-1])
+        monkeypatch.setitem(LIMITS, "composed_pieces", totals[-1])
         assert approx.rigidity_profile(x, 9) == profile
         assert approx.rigidity_defect(x, 9) == profile[-1]
-        monkeypatch.setattr(approx, "COMPOSE_BUDGET", totals[-1] - 1)
+        monkeypatch.setitem(LIMITS, "composed_pieces", totals[-1] - 1)
         with pytest.raises(BudgetExceeded, match="iterate 9 needs over"):
             approx.rigidity_profile(x, 9)
         with pytest.raises(BudgetExceeded):
@@ -298,7 +299,7 @@ def test_rigidity_ladder_stops_quietly_before_the_compose_budget(monkeypatch):
     x = rotation(37, 9, 100)
     full = approx.find_rigidity_times(x, F(1, 100), [1, 2])
     assert max(r.n for r in full) > 2
-    monkeypatch.setattr(approx, "COMPOSE_BUDGET", _composed_totals(x, 2)[-1])
+    monkeypatch.setitem(LIMITS, "composed_pieces", _composed_totals(x, 2)[-1])
     assert approx.find_rigidity_times(x, F(1, 100), [1, 2]) == full[:2]
     with pytest.raises(BudgetExceeded):
         approx.find_rigidity_times(x, F(1, 100), [1, 2, 3])
@@ -326,13 +327,14 @@ def _running_total_defects(x, ns):
     denom, length, bounds, slopes, shifts = x._flat
     pieces = [(bounds[p], bounds[p + 1], slopes[p], shifts[p]) for p in range(len(slopes))]
     composed = 0
+    budget = LIMITS["composed_pieces"]
     n = 1
     for target in ns:
         while n < target:
             pieces = exchange._compose(pieces, bounds, slopes, shifts)
             composed += len(pieces)
-            if composed > approx.COMPOSE_BUDGET:
-                raise BudgetExceeded(f"iterate {target} needs over {approx.COMPOSE_BUDGET} pieces")
+            if composed > budget:
+                raise BudgetExceeded(f"iterate {target} needs over {budget} pieces")
             n += 1
         yield F(approx._defect_numerator(pieces, length), 4 * denom * denom)
 
@@ -362,7 +364,7 @@ def test_rigidity_budget_bound_equals_the_running_total_check(monkeypatch):
     for x in [rotation(37, 9, 100), rotation(5, 3, 11), *random_fleet(seed=35, count=5)]:
         totals = _composed_totals(x, 12)
         for budget in sorted({0, 1, 3, 8, 20, 50, *totals, *(t - 1 for t in totals[1:])}):
-            monkeypatch.setattr(approx, "COMPOSE_BUDGET", budget)
+            monkeypatch.setitem(LIMITS, "composed_pieces", budget)
             got = _rigidity_outcomes(x)
             monkeypatch.setattr(approx, "_rigidity_defects", _running_total_defects)
             assert got == _rigidity_outcomes(x), (x, budget)
@@ -574,7 +576,7 @@ def _reference_image(
 
 
 def reference_verify_tower(
-    x: Exchange, tower: CyclicTower, step_budget: int = DEFAULT_VERIFY_BUDGET
+    x: Exchange, tower: CyclicTower, step_budget: int = LIMITS["verify_steps"]
 ) -> TowerVerification:
     """Check the four tower properties by exact interval iteration.
 
@@ -746,15 +748,15 @@ def _assert_verifies_like_reference(x: Exchange, tower: CyclicTower) -> TowerVer
 
 
 def _assert_budget_like_reference(x: Exchange, tower: CyclicTower) -> None:
-    """With ``DEFAULT_VERIFY_BUDGET`` at the exact work the tower passes;
+    """With ``LIMITS["verify_steps"]`` at the exact work the tower passes;
     one step less raises the reference's error."""
     work = _reference_work(x, tower)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(approx, "DEFAULT_VERIFY_BUDGET", work)
+        patch.setitem(LIMITS, "verify_steps", work)
         assert approx.verify_tower(x, tower) == reference_verify_tower(x, tower, work)
         if work == 0:
             return  # no level is counted, so no budget runs out
-        patch.setattr(approx, "DEFAULT_VERIFY_BUDGET", work - 1)
+        patch.setitem(LIMITS, "verify_steps", work - 1)
         with pytest.raises(BudgetExceeded) as want:
             reference_verify_tower(x, tower, work - 1)
         with pytest.raises(BudgetExceeded) as got:
@@ -1001,9 +1003,9 @@ def test_verify_tower_raises_on_a_faulty_walk(monkeypatch, searched_towers):
             approx.verify_tower(x, tower)
     chase = exchange._chase
 
-    def corrupted_chase(flat, cut, budget):
+    def corrupted_chase(flat, cut):
         # the last return piece lands one grid step off
-        pieces = chase(flat, cut, budget)
+        pieces = chase(flat, cut)
         lo, hi, slope, const = pieces[-1]
         pieces[-1] = (lo, hi, slope, const + 1)
         return pieces

@@ -2,8 +2,9 @@
 
 Each row gives a run that takes its limit and the count that run needs,
 predicted from the mathematics or read off an unlimited run; the run
-passes at that count and raises BudgetExceeded one below it.  Limits that
-are module constants are monkeypatched, the others passed as arguments.
+passes at that count and raises BudgetExceeded one below it.  Each row
+names its entry of ``errors.LIMITS``: the run sets that entry, or passes
+it as the argument of a budget parameter.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from linvex import approx, diagram, exchange, lab, modp, rauzy
-from linvex.errors import BudgetExceeded, InvalidInput, InvariantViolation
+from linvex import approx, diagram, lab, modp, rauzy
+from linvex.errors import LIMITS, BudgetExceeded, InvalidInput, InvariantViolation
 from linvex.exchange import Exchange, Point, Side, first_return_on_grid
 from linvex.genperm import validate
 
@@ -48,7 +49,7 @@ def _chase_steps(monkeypatch):
     # Widths 3 and 1 cut at 1: by Kac's lemma the two returning pieces of
     # length 1 take 8 / 2 = 4 steps on average, and here each takes 4.
     def run(limit):
-        monkeypatch.setattr(exchange, "DEFAULT_RETURN_BUDGET", limit)
+        monkeypatch.setitem(LIMITS, "chase_steps", limit)
         return first_return_on_grid(_ROTATION, {"A": 3, "B": 1}, 1)
 
     return run, 4
@@ -57,7 +58,7 @@ def _chase_steps(monkeypatch):
 def _verify_steps(monkeypatch):
     # The replay's interval steps: the pieces of levels 1 .. height - 1.
     def run(limit):
-        monkeypatch.setattr(approx, "DEFAULT_VERIFY_BUDGET", limit)
+        monkeypatch.setitem(LIMITS, "verify_steps", limit)
         return approx.verify_tower(_X, _TOWER)
 
     return run, _reference_work(_X, _TOWER)
@@ -68,7 +69,7 @@ def _probe_steps(monkeypatch):
     stage = rauzy.expand(_X, 6)
 
     def run(limit):
-        monkeypatch.setattr(rauzy, "PROBE_BUDGET", limit)
+        monkeypatch.setitem(LIMITS, "probe_steps", limit)
         return rauzy.visit_counts(_X, stage)
 
     return run, max(stage.matrix.column_norms().values())
@@ -80,7 +81,7 @@ def _mod_p_states(monkeypatch):
     state = modp.RemainderState(prime=3, node=_AAB, remainders=(("A", 0), ("B", 0), ("C", 0)))
 
     def run(limit):
-        monkeypatch.setattr(modp, "STATE_BUDGET", limit)
+        monkeypatch.setitem(LIMITS, "mod_p_states", limit)
         with pytest.raises(InvariantViolation, match="falsifies the constructive"):
             modp.coprime_band_sequence(_AAB, state)
 
@@ -94,7 +95,7 @@ def _search_depth(monkeypatch):
 
 def _composed_pieces(monkeypatch):
     def run(limit):
-        monkeypatch.setattr(approx, "COMPOSE_BUDGET", limit)
+        monkeypatch.setitem(LIMITS, "composed_pieces", limit)
         return approx.rigidity_profile(_X, 9)
 
     return run, _composed_totals(_X, 9)[-1]
@@ -103,7 +104,7 @@ def _composed_pieces(monkeypatch):
 def _sampler_retries(monkeypatch):
     # Cuts 0 and 2 of [0, 1] on a 1/2 grid leave an empty gap; cut 1 does not.
     def run(limit):
-        monkeypatch.setattr(lab, "RESAMPLE_CAP", limit)
+        monkeypatch.setitem(LIMITS, "draws", limit)
         return lab._gaps(_Draws([0, 2, 1]), 2, 2)
 
     return run, 3
@@ -111,43 +112,50 @@ def _sampler_retries(monkeypatch):
 
 def _product_attempts(monkeypatch):
     def run(limit):
-        monkeypatch.setattr(lab, "RESAMPLE_CAP", limit)
+        monkeypatch.setitem(LIMITS, "draws", limit)
         return lab.product_experiment(_SMALL, _SMALL, 2, 3, seed=3)
 
-    return run, run(lab.RESAMPLE_CAP).records[0]["attempts"]
+    return run, run(LIMITS["draws"]).records[0]["attempts"]
 
 
 def _orbit_restarts(monkeypatch):
-    # The cap counts orbit starts, as it counts draws in the two rows above:
+    # The limit counts orbit starts, as it counts draws in the two rows above:
     # a run takes its restarts plus one.
     def run(limit):
-        monkeypatch.setattr(lab, "RESAMPLE_CAP", limit)
+        monkeypatch.setitem(LIMITS, "draws", limit)
         return lab._occupancy_run(_SMALL, lab.substream(3, "birkhoff"), 3, 1, 2)
 
-    return run, run(lab.RESAMPLE_CAP)[1] + 1
+    return run, run(LIMITS["draws"])[1] + 1
 
 
-LIMITS = {
-    "closure-nodes": _closure_nodes,
-    "chase-steps": _chase_steps,
-    "verify-steps": _verify_steps,
-    "probe-steps": _probe_steps,
-    "mod-p-states": _mod_p_states,
-    "search-depth": _search_depth,
-    "composed-pieces": _composed_pieces,
-    "sampler-retries": _sampler_retries,
-    "product-attempts": _product_attempts,
-    "orbit-restarts": _orbit_restarts,
+# Each row: its entry of ``LIMITS`` and the run that takes it.
+ROWS = {
+    "closure-nodes": ("closure_nodes", _closure_nodes),
+    "chase-steps": ("chase_steps", _chase_steps),
+    "verify-steps": ("verify_steps", _verify_steps),
+    "probe-steps": ("probe_steps", _probe_steps),
+    "mod-p-states": ("mod_p_states", _mod_p_states),
+    "search-depth": ("tower_splits", _search_depth),
+    "composed-pieces": ("composed_pieces", _composed_pieces),
+    "sampler-retries": ("draws", _sampler_retries),
+    "product-attempts": ("draws", _product_attempts),
+    "orbit-restarts": ("draws", _orbit_restarts),
 }
 
 
-@pytest.mark.parametrize("row", LIMITS.values(), ids=LIMITS)
+@pytest.mark.parametrize("row", [row for _, row in ROWS.values()], ids=ROWS)
 def test_each_limit_raises_just_past_its_count(monkeypatch, row):
     run, count = row(monkeypatch)
     assert count > 1
     run(count)
     with pytest.raises(BudgetExceeded):
         run(count - 1)
+
+
+def test_every_limit_has_a_row():
+    # A rigidity scan records its searches' BudgetExceeded as rows rather
+    # than raising, so ``scan_splits`` is checked where the scan passes it on.
+    assert {entry for entry, _ in ROWS.values()} == LIMITS.keys() - {"scan_splits"}
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from linvex import approx, cli, diagram, modp, rauzy
-from linvex.errors import InconsistentStage
+from linvex.errors import LIMITS, InconsistentStage
 from linvex.rationals import canonical_json_bytes
 
 
@@ -180,14 +180,14 @@ def test_closure_commands_spend_the_node_budget_by_default(
     spent = _spent_budgets(monkeypatch, diagram, spends, "budget")
     assert cli.main([*command, "--perm", perm]) == 0
     assert cli.main([*command, "--perm", perm, "--budget", "500"]) == 0
-    assert spent == [diagram.DEFAULT_NODE_BUDGET, 500]
+    assert spent == [LIMITS["closure_nodes"], 500]
 
 
 def test_tower_command_spends_the_split_budget_by_default(nonclassical_files, monkeypatch, capsys):
     perm, widths = nonclassical_files
     spent = _spent_budgets(monkeypatch, approx, "find_cyclic_tower", "budget")
     assert cli.main(["tower", "--perm", perm, "--widths", widths, "--delta", "2/5"]) == 0
-    assert spent == [approx.DEFAULT_SPLIT_BUDGET]
+    assert spent == [LIMITS["tower_splits"]]
 
 
 def test_tower_roundtrip(nonclassical_files, tmp_path, capsys):
@@ -245,17 +245,30 @@ def test_sampler_retries_past_the_cap_exit_3(tmp_path, capsys):
         )
     )
     argv = ["scan", "--perm", str(perm), "--count", "1", "--denominator-bound", "6"]
-    assert cli.main([*argv, "--xi", "1/4", "--horizon", "3"]) == cli.EXIT_BUDGET
+    assert cli.main([*argv, "--xi", "1/4", "--horizon", "3"]) == cli.EXIT_EXHAUSTED
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "budget exhausted: could not draw 6 positive gaps on grid 6\n"
 
 
+@pytest.mark.parametrize(
+    "top, bottom", [("A A B", "B"), ("A B", "B C C A")], ids=["no-bottom", "no-top"]
+)
+def test_scan_of_a_permutation_without_widths_is_a_domain_error(tmp_path, capsys, top, bottom):
+    perm = tmp_path / "perm.json"
+    perm.write_bytes(canonical_json_bytes({"top": top.split(), "bottom": bottom.split()}))
+    argv = ["scan", "--perm", str(perm), "--count", "1", "--xi", "1/4", "--horizon", "3"]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no widths of {top} | {bottom} satisfy the switch condition\n"
+
+
 def test_a_probe_past_its_budget_exits_3(nonclassical_files, capsys, monkeypatch):
     perm, widths = nonclassical_files
-    monkeypatch.setattr(rauzy, "PROBE_BUDGET", 1)
+    monkeypatch.setitem(LIMITS, "probe_steps", 1)
     argv = ["visits", "--perm", perm, "--widths", widths, "--depth", "6"]
-    assert cli.main(argv) == cli.EXIT_BUDGET
+    assert cli.main(argv) == cli.EXIT_EXHAUSTED
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("budget exhausted: probe for band ")
@@ -296,6 +309,48 @@ def test_modp_trace_ends_where_the_expansion_halts(tie_files, capsys):
     assert cli.main(["modp-trace", *tie_files, "--p", "3", "--steps", "5"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [int(row.split()[0]) for row in rows] == [0, 0, 0, 1, 1, 1]
+
+
+def test_modp_trace_reports_the_p2_obstruction_as_coprime_tower_does(tmp_path, capsys):
+    # All four bands reverse, so at p = 2 the claim fails by design from
+    # depth 0; the trace names the obstruction instead of a violation.
+    widths = {"A": "1/8", "B": "3/8", "C": "3/16", "D": "5/16"}
+    files = _write_exchange(tmp_path, ["A", "A", "B", "B"], ["C", "C", "D", "D"], widths)
+    x = cli._load_exchange(files[1], files[3])
+    assert isinstance(
+        modp.check_claim_invariant(modp.initial_state(x.perm, 2)), modp.ClaimViolation
+    )
+    assert cli.main(["coprime-tower", *files, "--delta", "1/4", "--p", "2"]) == 0
+    reason = json.loads(capsys.readouterr().out)["reason"]
+    out = tmp_path / "trace.json"
+    argv = ["modp-trace", *files, "--p", "2", "--steps", "3", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == f"structural obstruction: {reason}\n"
+    artifact = json.loads(out.read_bytes())
+    assert artifact["violation_depth"] is None
+    assert max(row["depth"] for row in artifact["rows"]) == 3
+
+
+def test_modp_trace_reports_the_first_violating_depth(
+    monkeypatch, nonclassical_files, tmp_path, capsys
+):
+    # every check from the third on fails: the first of them is reported
+    perm, widths = nonclassical_files
+    real = modp.check_claim_invariant
+    calls = []
+
+    def check(state):
+        calls.append(state)
+        return modp.ClaimViolation(state=state) if len(calls) >= 3 else real(state)
+
+    monkeypatch.setattr(modp, "check_claim_invariant", check)
+    out = tmp_path / "trace.json"
+    argv = ["modp-trace", "--perm", perm, "--widths", widths, "--p", "3", "--steps", "8"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_VIOLATION
+    assert json.loads(out.read_bytes())["violation_depth"] == 2
+    assert capsys.readouterr().err == (
+        "INVARIANT VIOLATION: remainder invariant violated at depth 2 for p=3\n"
+    )
 
 
 def test_coprime_tower_at_p_2_reports_an_all_reversing_obstruction(tmp_path, capsys):
@@ -364,7 +419,7 @@ def test_a_chase_that_does_not_return_is_an_inconsistency(
     # Every piece of a run returns within the chase's budget, so a chase
     # past it fails the run's audit instead of becoming an experiment row.
     perm, widths = nonclassical_files
-    monkeypatch.setattr(rauzy, "DEFAULT_RETURN_BUDGET", 1)
+    monkeypatch.setitem(LIMITS, "chase_steps", 1)
     with pytest.raises(InconsistentStage, match="disagrees with the return chase"):
         rauzy.split(cli._load_exchange(perm, widths))
     argv = [
@@ -851,7 +906,7 @@ def _quadratic_modp_trace(args) -> int:
                     "remainder": state.remainder(band),
                 }
             )
-        if node.is_non_classical:
+        if node.is_non_classical and violation is None:
             status = modp.check_claim_invariant(state)
             if isinstance(status, modp.ClaimViolation):
                 violation = depth

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from linvex import diagram, genperm, rauzy
 from linvex.errors import (
+    LIMITS,
     BudgetExceeded,
     InconsistentStage,
     LinvexError,
@@ -298,7 +299,7 @@ def test_witness_and_edges_equal_the_fraction_reference_on_every_small_node():
     assert edges > 4000
 
 
-def _reference_closure(perm, memo, budget=diagram.DEFAULT_NODE_BUDGET):
+def _reference_closure(perm, memo, budget=LIMITS["closure_nodes"]):
     """``forward_closure``'s breadth-first search with ``reference_node_edges``
     run on every labelled node (memoised in ``memo``), not once per shape."""
     nodes, seen, queue = [perm], {perm}, deque([perm])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from linvex import exchange, genperm
 from linvex.errors import (
+    LIMITS,
     BudgetExceeded,
     EndpointHit,
     InvalidInput,
@@ -20,7 +21,6 @@ from linvex.errors import (
     SwitchConditionViolated,
 )
 from linvex.exchange import (
-    DEFAULT_RETURN_BUDGET,
     Exchange,
     OrbitSegment,
     Point,
@@ -213,7 +213,7 @@ def test_first_return_measure_conservation():
     # the (3/7, 1/7) rotation on the grid of sevenths, cut at 2/7; pieces
     # are flat (lo, hi, slope, const), the bottom side starting at L = 4
     length, cut = 4, 2
-    pieces = _chase(_grid_layout(ROTATION, {"A": 3, "B": 1}), cut, 10**6)
+    pieces = _chase(_grid_layout(ROTATION, {"A": 3, "B": 1}), cut)
     for side in (0, length):
         mine = [p for p in pieces if side <= p[0] < side + length]
         assert sum(p[1] - p[0] for p in mine) == cut
@@ -449,10 +449,10 @@ def test_first_return_equals_side_keyed_reference_on_every_small_node(seed):
         for cut in cuts:
             if cut < 1:
                 continue
-            for budget in (1, 2, 3, 5, DEFAULT_RETURN_BUDGET):
+            for budget in (1, 2, 3, 5, LIMITS["chase_steps"]):
                 args = (perm, widths, cut)
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(exchange, "DEFAULT_RETURN_BUDGET", budget)
+                    patch.setitem(LIMITS, "chase_steps", budget)
                     mine = _return_outcome(first_return_on_grid, *args)
                 want = _return_outcome(reference_first_return_on_grid, *args, budget)
                 assert mine == want, (args, budget)
@@ -467,7 +467,7 @@ def test_first_return_equals_side_keyed_reference_on_every_small_node(seed):
 def test_not_returning_names_the_side_local_piece(monkeypatch):
     # the (3/7, 1/7) rotation cut at 1/7: [0, 1) on the top side needs
     # four steps to come back
-    monkeypatch.setattr(exchange, "DEFAULT_RETURN_BUDGET", 2)
+    monkeypatch.setitem(LIMITS, "chase_steps", 2)
     with pytest.raises(BudgetExceeded) as err:
         first_return_on_grid(ROTATION, {"A": 3, "B": 1}, 1)
     assert str(err.value) == "piece [0, 1) on side 0 exceeded 2 steps"

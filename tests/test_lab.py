@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from linvex import lab
 from linvex.errors import (
+    LIMITS,
     BudgetExceeded,
     EndpointHit,
     InconsistentStage,
@@ -56,6 +57,23 @@ def test_sample_widths_all_reversing_switch():
     for widths in lab.sample_widths(cfg):
         assert widths["A"] == widths["B"] + widths["C"]
         Exchange(ALL_REVERSING, widths)
+
+
+@pytest.mark.parametrize(
+    "top, bottom", [("A A B", "B"), ("A B", "B C C A")], ids=["no-bottom", "no-top"]
+)
+def test_sampler_rejects_a_permutation_with_one_empty_reversing_class(monkeypatch, top, bottom):
+    # Only one side has reversing bands, so no widths meet the switch condition.
+    def drawing(*args):
+        raise AssertionError("drew before the permutation was checked")
+
+    monkeypatch.setattr(lab, "_gaps", drawing)
+    cfg = lab.SamplerConfig(perm=validate(top.split(), bottom.split()), count=2)
+    message = f"^no widths of {top} \\| {bottom} satisfy the switch condition$"
+    with pytest.raises(InvalidInput, match=message):
+        lab.sample_widths(cfg)
+    with pytest.raises(InvalidInput, match=message):
+        lab.rigidity_scan(cfg, F(1, 50), horizon=3)
 
 
 def test_sampler_determinism():
@@ -143,13 +161,29 @@ def test_reports_round_trip_csv():
 
 
 def test_rigidity_scan_smoke(monkeypatch):
-    monkeypatch.setattr(lab, "SCAN_TOWER_BUDGET", 400)
+    monkeypatch.setitem(LIMITS, "scan_splits", 400)
     cfg = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=4)
     report = lab.rigidity_scan(cfg, F(1, 50), horizon=8)
     assert report.experiment == "rigidity_scan"
     assert len(report.records) == 4
     assert "mean_density" in report.aggregates
     assert report.to_json_bytes() == lab.rigidity_scan(cfg, F(1, 50), horizon=8).to_json_bytes()
+
+
+def test_rigidity_scan_hands_its_limit_to_the_tower_ladder(monkeypatch):
+    spent = []
+
+    def ladder(x, xi, candidates, *, tower_budget):
+        spent.append(tower_budget)
+        return []
+
+    monkeypatch.setattr(lab.approx, "find_rigidity_times", ladder)
+    cfg = lab.SamplerConfig(perm=ROTATION, denominator_bound=5000, seed=11, count=2)
+    default = LIMITS["scan_splits"]
+    lab.rigidity_scan(cfg, F(1, 50), horizon=3)
+    monkeypatch.setitem(LIMITS, "scan_splits", 7)
+    lab.rigidity_scan(cfg, F(1, 50), horizon=3)
+    assert spent == [default, default, 7, 7]
 
 
 # --- the integer orbit kernel against the lock-step loop ---------------------
@@ -175,7 +209,7 @@ def _reference_product(x1, x2, boxes, iters, seed, tolerance=0.05, start=_refere
     orbits = (IntegerLayout(x1), IntegerLayout(x2))
     classical = (x1.perm.is_classical, x2.perm.is_classical)
     rng = lab.substream(seed, "product")
-    for attempt in range(lab.RESAMPLE_CAP):
+    for attempt in range(LIMITS["draws"]):
         state = [start(orbits[0], rng), start(orbits[1], rng)]
         counts = [0] * (boxes * boxes)
         ok = True
@@ -529,7 +563,7 @@ def test_rigidity_scan_rejects_negative_horizon_and_count(monkeypatch):
     with pytest.raises(InvalidInput, match="sample count must be a nonnegative int, got -2"):
         lab.rigidity_scan(negative, F(1, 50), horizon=8)
     monkeypatch.undo()
-    monkeypatch.setattr(lab, "SCAN_TOWER_BUDGET", 400)
+    monkeypatch.setitem(LIMITS, "scan_splits", 400)
     # an empty horizon covers no window, and no samples make no records
     report = lab.rigidity_scan(cfg, F(1, 50), horizon=0)
     assert [r["density"] for r in report.records] == [0.0, 0.0]
@@ -561,7 +595,7 @@ def test_rigidity_scan_records_budget_but_raises_inconsistency(monkeypatch):
         {"sample": 1, "error": "BudgetExceeded"},
     ]
     monkeypatch.undo()
-    monkeypatch.setattr(lab, "SCAN_TOWER_BUDGET", 400)
+    monkeypatch.setitem(LIMITS, "scan_splits", 400)
 
     def inconsistent(*args, **kwargs):
         raise InconsistentStage("a broken stage")

@@ -6,9 +6,11 @@ into a data row.  Every error class is raised somewhere in the library,
 or is a base of one that is, so a deleted raise leaves no dead class.
 No function body imports, so the module graph is the one the top-level
 imports show and a cycle between modules fails at import time.  No budget
-default is a number: each names the module constant that holds it, so no
-limit is written twice, and every budget parameter is passed by some call
-in the library, so a limit no caller sets is a module constant instead.
+default is a number: each reads its entry of ``errors.LIMITS``, so no limit
+is written twice, and every budget parameter is passed by some call in the
+library, so a limit no caller sets is a table entry instead.  Every read of
+the table names one of its entries, and no module-level name holds a limit
+of its own (a ``BUDGET`` or ``_CAP`` name) or a copy of a table entry.
 Every private module-level name is read somewhere outside its own
 definition, so a replaced helper leaves no dead copy.  Every frozen
 dataclass is slotted, which makes its records cheaper to build.  Every
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import linvex
+from linvex.errors import LIMITS
 
 MODULES = sorted(Path(linvex.__file__).resolve().parent.glob("*.py"))
 _BROAD = {"Exception", "BaseException"}
@@ -230,7 +233,7 @@ _FLAGS = {
     "seed": dict(type=int, default=0),
     "budget": dict(type=int, default=10_000),
 }
-_FLAGS = {"budget": dict(type=int, default=approx.DEFAULT_SPLIT_BUDGET)}
+_FLAGS = {"budget": dict(type=int, default=LIMITS["tower_splits"])}
 """
     assert _literal_budgets(ast.parse(source)) == [
         "line 2: budget=10000",
@@ -324,6 +327,170 @@ Search().run(1, 5)
 """
     )
     assert _unpassed_budgets([module, calls]) == ["unpassed(budget)"]
+
+
+def _is_limits(node: ast.AST) -> bool:
+    """``LIMITS`` by name or as an attribute, as in ``errors.LIMITS``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "LIMITS"
+    return isinstance(node, ast.Name) and node.id == "LIMITS"
+
+
+def _unknown_limits(tree: ast.AST) -> list[str]:
+    """Reads ``LIMITS[key]`` whose key is not a string literal naming an
+    entry of ``errors.LIMITS``: a typo would raise only on its own path."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_limits(node.value):
+            key = node.slice
+            if not (isinstance(key, ast.Constant) and type(key.value) is str):
+                found.append(f"line {node.lineno}: {ast.unparse(node)} has no literal key")
+            elif key.value not in LIMITS:
+                found.append(f"line {node.lineno}: {ast.unparse(node)} is not in the table")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_limit_read_names_an_entry(path):
+    assert _unknown_limits(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_limit_key_rule_sees_every_bad_key():
+    source = """
+from .errors import LIMITS
+from . import errors
+
+budget = LIMITS["chase_steps"]
+typo = LIMITS["chase_step"]
+by_name = errors.LIMITS[key]
+by_number = LIMITS[0]
+nested = min(n, errors.LIMITS[f"{kind}_steps"] - 1)
+kept = errors.LIMITS["draws"]
+other = TABLE["chase_step"]
+"""
+    assert _unknown_limits(ast.parse(source)) == [
+        "line 6: LIMITS['chase_step'] is not in the table",
+        "line 7: errors.LIMITS[key] has no literal key",
+        "line 8: LIMITS[0] has no literal key",
+        "line 9: errors.LIMITS[f'{kind}_steps'] has no literal key",
+    ]
+
+
+def _bound_names(target: ast.AST) -> list[str]:
+    """The names an assignment target binds, through tuples and lists."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound_names(elt)]
+    return []
+
+
+def _module_bindings(tree: ast.Module) -> list[tuple[int, str, ast.AST | None]]:
+    """(line, name, value) for each name a module-level statement binds: by
+    assignment, with the assigned expression, or by import, def or class,
+    with None."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, n, node.value) for t in targets for n in _bound_names(t)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [
+                (node.lineno, (alias.asname or alias.name).split(".")[0], None)
+                for alias in node.names
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name, None))
+    return found
+
+
+def _limit_names(tree: ast.Module) -> list[str]:
+    """Module-level names that look like a limit kept outside the table:
+    one containing ``BUDGET`` or ending in ``_CAP``."""
+    return [
+        f"line {line}: {name}"
+        for line, name, _ in _module_bindings(tree)
+        if "BUDGET" in name or name.endswith("_CAP")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_level_name_is_a_limit(path):
+    assert _limit_names(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_limit_name_rule_sees_every_binding():
+    source = """
+from .exchange import DEFAULT_RETURN_BUDGET, Exchange
+from .approx import find_cyclic_tower as SEARCH_BUDGET
+import os.path as PATH_CAP
+STATE_BUDGET = 1_000_000
+RESAMPLE_CAP: int = 100
+SCAN, TOWER_BUDGET = 1, 2
+budget_total = 3
+CAPACITY = 4
+EXIT_CODE = 3
+
+
+def NODE_BUDGET():
+    LOCAL_BUDGET = 5
+    return LOCAL_BUDGET
+
+
+class RETRY_CAP:
+    CLASS_BUDGET = 6
+"""
+    assert _limit_names(ast.parse(source)) == [
+        "line 2: DEFAULT_RETURN_BUDGET",
+        "line 3: SEARCH_BUDGET",
+        "line 4: PATH_CAP",
+        "line 5: STATE_BUDGET",
+        "line 6: RESAMPLE_CAP",
+        "line 7: TOWER_BUDGET",
+        "line 13: NODE_BUDGET",
+        "line 18: RETRY_CAP",
+    ]
+
+
+def _bound_limits(tree: ast.Module) -> list[str]:
+    """Module-level names bound to an expression that reads ``LIMITS[...]``:
+    such a copy would miss a later change to the table."""
+    return [
+        f"line {line}: {name}"
+        for line, name, value in _module_bindings(tree)
+        if value is not None
+        and any(isinstance(n, ast.Subscript) and _is_limits(n.value) for n in ast.walk(value))
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_level_name_copies_a_limit(path):
+    assert _bound_limits(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_limit_copy_rule_sees_every_binding():
+    source = """
+from .errors import LIMITS
+_STEPS = LIMITS["chase_steps"]
+_HALF: int = errors.LIMITS["draws"] // 2
+_RUN, _OTHER = min(1, LIMITS["chase_steps"] - 1), 2
+_TOTAL = 0
+_TOTAL += LIMITS["draws"]
+_TABLE = LIMITS
+_KEYS = {"chase_steps": 1}
+
+
+def search(x, budget=LIMITS["tower_splits"]):
+    steps = LIMITS["chase_steps"]
+    return steps
+"""
+    assert _bound_limits(ast.parse(source)) == [
+        "line 3: _STEPS",
+        "line 4: _HALF",
+        "line 5: _RUN",
+        "line 5: _OTHER",
+        "line 7: _TOTAL",
+    ]
 
 
 def _defined_names(node: ast.stmt) -> list[str]:

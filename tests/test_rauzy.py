@@ -417,9 +417,9 @@ def _drop_a_piece(monkeypatch, from_call: int) -> None:
     real = exchange._chase
     calls = [0]
 
-    def lossy(layout, cut, budget):
+    def lossy(layout, cut):
         calls[0] += 1
-        pieces = real(layout, cut, budget)
+        pieces = real(layout, cut)
         return pieces[:-1] if calls[0] >= from_call else pieces
 
     monkeypatch.setattr(exchange, "_chase", lossy)
